@@ -81,13 +81,11 @@ from .models import (
     peak_linear_ii,
 )
 from .peaks import (
-    GaussianApprox,
     PeakTable,
     PeakVariant,
     RationalDist,
     brute_force_peaks,
     build_peak_table,
-    gaussian_row,
     peak_moments,
 )
 
@@ -102,7 +100,6 @@ __all__ = [
     "EndingStateTable",
     "ExplicitMatrix",
     "FairCoin",
-    "GaussianApprox",
     "InitConvention",
     "IntegerLaw",
     "LimitScatter",
@@ -137,7 +134,6 @@ __all__ = [
     "exhaustive_second_round",
     "fair_coin_limit_cdf",
     "fair_coin_phi",
-    "gaussian_row",
     "law_from_phase",
     "laplace_transform",
     "mean_phases",

@@ -39,20 +39,14 @@ from .metrics import (
     periodicity_reconstruct,
     periodicity_samples,
 )
-from .models import SurvivorModel, model_from_name
+from .models import (
+    _MODEL_BUILDERS,
+    DEFAULT_EXACT_CUTOFF,
+    SurvivorModel,
+    model_from_name,
+)
 
-_MODEL_CHOICES = [
-    "toy",
-    "det-halving",
-    "fair-coin",
-    "biased-coin",
-    "coin-max-one",
-    "demon",
-    "peak-linear-i",
-    "peak-linear-ii",
-    "peak-circular",
-    "explicit",
-]
+_MODEL_CHOICES = [*_MODEL_BUILDERS, "explicit"]
 
 
 def _atomic_write(path: Path, write_body) -> None:
@@ -479,7 +473,7 @@ def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=_fraction, default=None, help="coin bias, e.g. 0.3 or 3/10")
     sub.add_argument("--nu", type=_fraction, default=None, help="demon kill probability")
     sub.add_argument("--matrix", type=Path, default=None, help="CSV for --model explicit")
-    sub.add_argument("--exact-cutoff", type=int, default=75,
+    sub.add_argument("--exact-cutoff", type=int, default=DEFAULT_EXACT_CUTOFF,
                      help="largest n computed with exact rationals")
 
 
@@ -506,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure = subs.add_parser("figure", help="emit plot data for fig1..fig12")
     figure.add_argument("figure", help="figure id, fig1..fig12")
     figure.add_argument("--fourier-terms", type=int, default=5)
-    figure.add_argument("--exact-cutoff", type=int, default=75)
+    figure.add_argument("--exact-cutoff", type=int, default=DEFAULT_EXACT_CUTOFF)
     figure.add_argument("--overlays", action="store_true",
                         help="add cosmetic gumbel/gauss reference curves")
     figure.add_argument("--out", default=None)

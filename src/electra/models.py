@@ -2,14 +2,18 @@
 
 Each model answers: starting a round with n players, how many survive?
 Exact rational pmfs are served up to ``exact_cutoff``; above it a floating
-backend takes over (truncated binomial tails, or the Gaussian row for the
-peak models) so phase tables can be pushed into the thousands.
+backend takes over so phase tables can be pushed into the thousands.  The
+coin models' float rows are binomial windows with tails below
+``TAIL_TRUNCATION`` dropped; the peak models' float rows come from the
+exact peak-count recurrence run on probabilities, so they match the
+rational rows to rounding at every n.
 """
 from __future__ import annotations
 
 import abc
 import csv
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -19,12 +23,14 @@ from scipy import stats
 
 from .peaks import (
     DEFAULT_EXACT_CAP,
-    GAUSSIAN_CROSSOVER,
     PeakTable,
     PeakVariant,
     build_peak_table,
-    gaussian_row,
+    interior_peak_probs,
 )
+
+#: largest n served as exact rationals unless a model is told otherwise
+DEFAULT_EXACT_CUTOFF = 75
 
 #: probability mass below which floating-point tails are dropped
 TAIL_TRUNCATION = 1e-15
@@ -39,7 +45,7 @@ class SurvivorModel(abc.ABC):
     unbounded-n path exists.
     """
 
-    exact_cutoff: int = field(default=GAUSSIAN_CROSSOVER, kw_only=True)
+    exact_cutoff: int = field(default=DEFAULT_EXACT_CUTOFF, kw_only=True)
 
     #: lowest state the chain can occupy (0 only for kill-everyone chains)
     absorbing_state = 1
@@ -184,7 +190,7 @@ class BiasedCoin(SurvivorModel):
         lo, hi, probs = _binomial_window(n, float(self.p))
         pmf = {k: float(v) for k, v in zip(range(lo, hi + 1), probs) if v > 0.0}
         pmf.pop(0, None)
-        rescue = float(self.p) ** n + float(1 - self.p) ** n
+        rescue = float(1 - self.p) ** n  # all tails; the window holds all heads
         if rescue >= TAIL_TRUNCATION:
             pmf[n] = pmf.get(n, 0.0) + rescue
         return pmf
@@ -325,20 +331,38 @@ class DummyShiftedDemon(SurvivorModel):
         return {k + 1: v for k, v in self.base.pmf_float(n - 1).items()}
 
 
-_PEAK_TABLE_CACHE: dict[tuple[PeakVariant, int], PeakTable] = {}
+class _PeakRows:
+    """Peak rows shared by every :class:`PeakSurvivors`, behind one lock.
+
+    Exact tables are built once per variant, to ``DEFAULT_EXACT_CAP``.
+    Float rows are linear-I rows of the normalised recurrence, grown row by
+    row and kept as (first k, masses above ``TAIL_TRUNCATION``).  Row 0 is
+    the empty arrangement, so row n - 1 also serves circular row n.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tables: dict[PeakVariant, PeakTable] = {}
+        self._front = np.ones(1)  # untrimmed float row len(self._floats) - 1
+        self._floats: list[tuple[int, np.ndarray]] = [(0, np.ones(1)), (0, np.ones(1))]
+
+    def table(self, variant: PeakVariant) -> PeakTable:
+        with self._lock:
+            if variant not in self._tables:
+                self._tables[variant] = build_peak_table(variant, DEFAULT_EXACT_CAP)
+            return self._tables[variant]
+
+    def linear_float(self, n: int) -> tuple[int, np.ndarray]:
+        with self._lock:
+            while len(self._floats) <= n:
+                self._front = interior_peak_probs(self._front, len(self._floats))
+                keep = np.flatnonzero(self._front > TAIL_TRUNCATION)
+                lo, hi = int(keep[0]), int(keep[-1])
+                self._floats.append((lo, self._front[lo : hi + 1].copy()))
+            return self._floats[n]
 
 
-def _peak_table_for(variant: PeakVariant, n: int, cap: int) -> PeakTable:
-    if n > cap:
-        raise ValueError(
-            f"exact peak row {n} exceeds the rational cap {cap};"
-            " raise the cap or use the floating backend"
-        )
-    size = min(cap, max(64, 1 << (n - 1).bit_length()))
-    key = (variant, size)
-    if key not in _PEAK_TABLE_CACHE:
-        _PEAK_TABLE_CACHE[key] = build_peak_table(variant, size, cap=cap)
-    return _PEAK_TABLE_CACHE[key]
+_PEAK_ROWS = _PeakRows()
 
 
 @dataclass(frozen=True)
@@ -347,7 +371,13 @@ class PeakSurvivors(SurvivorModel):
     permutation under the chosen boundary rule."""
 
     variant: PeakVariant
-    rational_cap: int = DEFAULT_EXACT_CAP
+
+    def __post_init__(self) -> None:
+        if self.exact_cutoff > DEFAULT_EXACT_CAP:
+            raise ValueError(
+                f"{self.name}: exact_cutoff {self.exact_cutoff} exceeds the exact"
+                f" peak-table cap {DEFAULT_EXACT_CAP}"
+            )
 
     @property
     def name(self) -> str:
@@ -363,14 +393,17 @@ class PeakSurvivors(SurvivorModel):
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         self._require_positive(n)
-        table = _peak_table_for(self.variant, n, self.rational_cap)
-        return dict(table.row(n).probs)
+        return dict(_PEAK_ROWS.table(self.variant).row(n).probs)
 
     def pmf_float(self, n: int) -> dict[int, float]:
-        if n <= self.exact_cutoff:
-            return {k: float(v) for k, v in self.pmf_exact(n).items()}
-        row = gaussian_row(self.variant, n, crossover=self.exact_cutoff)
-        return row.as_dict(trim=TAIL_TRUNCATION)
+        # circular row n is linear-I row n - 1, linear-II row n is linear-I
+        # row n, each shifted by one peak
+        self._require_positive(n)
+        base = n - 1 if self.variant is PeakVariant.CIRCULAR else n
+        lo, probs = _PEAK_ROWS.linear_float(base)
+        if self.variant is not PeakVariant.LINEAR_I:
+            lo += 1
+        return dict(zip(range(lo, lo + len(probs)), probs.tolist()))
 
 
 def peak_linear_i(**kwargs) -> PeakSurvivors:
@@ -441,7 +474,7 @@ class ExplicitMatrix(SurvivorModel):
         *,
         label: str | None = None,
         alpha: Fraction | None = None,
-        exact_cutoff: int = GAUSSIAN_CROSSOVER,
+        exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
     ) -> "ExplicitMatrix":
         """Load ``i,j,prob`` rows; a header line is skipped if present."""
         rows: dict[int, dict[int, Fraction]] = {}
@@ -478,7 +511,7 @@ def model_from_name(
     p: Fraction | str | None = None,
     nu: Fraction | str | None = None,
     matrix_path: str | Path | None = None,
-    exact_cutoff: int = GAUSSIAN_CROSSOVER,
+    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
 ) -> SurvivorModel:
     """Build a model from its CLI name, e.g. ``fair-coin`` or ``peak-circular``."""
     kind = kind.lower()

@@ -1,13 +1,14 @@
-"""Peak-count distributions of random permutations, exact and asymptotic.
+"""Peak-count distributions of random permutations.
 
 Three boundary conventions are supported.  A position is a peak when its
 value exceeds both neighbours; the variants differ in how the sequence
 ends are treated (wrap around, sentinel +inf, or sentinel -inf).
 
 Exact distributions are held as arbitrary-precision integer counts over
-permutations, so every probability is an exact rational.  Past a
-configurable crossover the counts blow up factorially and a discretized
-Gaussian with the exact mean/variance takes over.
+permutations, so every probability is an exact rational.  The counts grow
+like n!, so exact tables stop at a cap.  The floating backend runs the
+same recurrence on probabilities instead of counts
+(:func:`interior_peak_probs`), which carries every row to rounding at any n.
 """
 from __future__ import annotations
 
@@ -21,16 +22,12 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 #: largest n for which exact rational tables may be built (counts grow with n!)
 DEFAULT_EXACT_CAP = 120
 
 #: brute-force enumeration walks all n! permutations
 BRUTE_FORCE_LIMIT = 10
-
-#: default switch-over from exact rationals to the Gaussian approximation
-GAUSSIAN_CROSSOVER = 75
 
 
 class PeakVariant(str, Enum):
@@ -135,6 +132,20 @@ def _interior_peak_counts(max_n: int) -> list[list[int]]:
     return rows
 
 
+def interior_peak_probs(prev: np.ndarray, n: int) -> np.ndarray:
+    """Row n of p(n, k) = W(n, k) / n! from row n - 1, for n >= 2.
+
+    The counts recurrence divided by n!:
+    p(n,k) = ((2k+2) p(n-1,k) + (n-2k) p(n-1,k-1)) / n.  Every term is
+    non-negative, so floats carry it to rounding however far it runs.
+    """
+    k = np.arange((n - 1) // 2 + 1)
+    row = np.zeros(len(k))
+    row[: len(prev)] = (2 * k[: len(prev)] + 2) * prev
+    row[1:] += (n - 2 * k[1:]) * prev[: len(k) - 1]
+    return row / n
+
+
 @dataclass(frozen=True)
 class PeakTable:
     """Exact peak-count table: integer counts and derived rational pmf rows.
@@ -214,7 +225,7 @@ def build_peak_table(
     if max_n > cap:
         raise ValueError(
             f"max_n={max_n} exceeds the exact-table cap {cap}; "
-            "use the Gaussian approximation for larger n"
+            "use the floating backend for larger n"
         )
     base = _interior_peak_counts(max(max_n + 1, 2))
     if variant is PeakVariant.LINEAR_I:
@@ -283,66 +294,3 @@ def peak_moments(variant: PeakVariant, n: int) -> PeakMoments:
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {variant!r}")
     return PeakMoments(mean=mean, variance=var)
-
-
-def support_bounds(variant: PeakVariant, n: int) -> tuple[int, int]:
-    """(lowest, highest) peak count that has positive probability."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if variant is PeakVariant.LINEAR_I:
-        return 0, (n - 1) // 2
-    if variant is PeakVariant.CIRCULAR:
-        return 1, max(n // 2, 1)
-    return 1, (n + 1) // 2
-
-
-@dataclass(frozen=True)
-class GaussianApprox:
-    """Discretized Gaussian pmf over the true support of the peak count."""
-
-    mean: float
-    variance: float
-    support_lo: int
-    support_hi: int
-    pmf: np.ndarray
-
-    def prob(self, k: int) -> float:
-        if self.support_lo <= k <= self.support_hi:
-            return float(self.pmf[k - self.support_lo])
-        return 0.0
-
-    def as_dict(self, trim: float = 0.0) -> dict[int, float]:
-        return {
-            self.support_lo + i: float(p)
-            for i, p in enumerate(self.pmf)
-            if p > trim
-        }
-
-    def discrete_mean(self) -> float:
-        ks = np.arange(self.support_lo, self.support_hi + 1)
-        return float(np.dot(ks, self.pmf))
-
-
-def gaussian_row(
-    variant: PeakVariant, n: int, *, crossover: int = GAUSSIAN_CROSSOVER
-) -> GaussianApprox:
-    """Gaussian stand-in for an exact pmf row above the crossover.
-
-    The pmf is taken from normal CDF differences at half-integer cut
-    points (mean/variance from :func:`peak_moments`), truncated to the
-    true support and renormalized.
-    """
-    if n <= crossover:
-        raise ValueError(f"gaussian path needs n > {crossover}, got {n}")
-    moments = peak_moments(variant, n)
-    mean = float(moments.mean)
-    assert moments.variance is not None
-    var = float(moments.variance)
-    lo, hi = support_bounds(variant, n)
-    sd = math.sqrt(var)
-    cuts = ndtr((np.arange(lo, hi + 2) - 0.5 - mean) / sd)
-    pmf = np.diff(cuts)
-    pmf /= pmf.sum()
-    return GaussianApprox(
-        mean=mean, variance=var, support_lo=lo, support_hi=hi, pmf=pmf
-    )

@@ -32,6 +32,20 @@ def test_table_without_fixtures_for_other_models(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+def test_float_only_coin_tables(tmp_path):
+    # every coin row from the float backend, up to the all-heads row
+    assert main(["table", "--model", "fair-coin", "--max-n", "100",
+                 "--exact-cutoff", "0", "--out", str(tmp_path)]) == 0
+    assert main(["table", "--model", "biased-coin", "--p", "0.9", "--max-n", "100",
+                 "--exact-cutoff", "0", "--out", str(tmp_path)]) == 0
+
+
+def test_peak_cutoff_above_cap_is_rejected(tmp_path, capsys):
+    assert main(["table", "--model", "peak-linear-i", "--max-n", "300",
+                 "--exact-cutoff", "200", "--out", str(tmp_path)]) == 2
+    assert "cap 120" in capsys.readouterr().err
+
+
 def test_check_exit_codes(tmp_path):
     out = str(tmp_path)
     assert main(["check", "--model", "fair-coin", "--alpha", "0.5",

@@ -57,7 +57,8 @@ def test_no_model_can_stall():
 @pytest.mark.parametrize("n", [5, 76, 150, 400])
 def test_float_backend_mass(n):
     for model in (FairCoin(), BiasedCoin(Fraction(3, 10)), CoinMaxOne(Fraction(1, 2)),
-                  peak_circular()):
+                  peak_circular(), FairCoin(exact_cutoff=0),
+                  BiasedCoin(Fraction(9, 10), exact_cutoff=0)):
         pmf = model.pmf_float(n)
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
         assert all(p > 0 for p in pmf.values())

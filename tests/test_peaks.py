@@ -1,17 +1,21 @@
+import sys
+import threading
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from electra import fixtures
+from electra.models import PeakSurvivors, _PeakRows
 from electra.peaks import (
+    DEFAULT_EXACT_CAP,
     PeakVariant,
     RationalDist,
     brute_force_peaks,
     build_peak_table,
     count_peaks,
-    gaussian_row,
     peak_moments,
-    support_bounds,
 )
 
 ALL_VARIANTS = list(PeakVariant)
@@ -73,7 +77,11 @@ def test_rows_are_distributions(variant):
         row = table.row(n)
         assert row.total() == 1
         assert all(0 <= p <= 1 for p in row.probs.values())
-        lo, hi = support_bounds(variant, n)
+        lo, hi = {
+            PeakVariant.LINEAR_I: (0, (n - 1) // 2),
+            PeakVariant.CIRCULAR: (1, max(n // 2, 1)),
+            PeakVariant.LINEAR_II: (1, (n + 1) // 2),
+        }[variant]
         assert min(row.support()) >= lo
         assert max(row.support()) <= hi
 
@@ -126,30 +134,67 @@ def test_build_guards():
     assert big.row(130).total() == 1
 
 
-def test_gaussian_row_shapes_and_means():
-    g76 = gaussian_row(PeakVariant.LINEAR_I, 76)
-    assert g76.support_hi == 37
-    assert abs(g76.pmf.sum() - 1.0) < 1e-12
-    g200 = gaussian_row(PeakVariant.LINEAR_I, 200)
-    assert abs(g200.discrete_mean() - 66.0) < 0.01
-    g1000 = gaussian_row(PeakVariant.CIRCULAR, 1000)
-    assert abs(g1000.discrete_mean() - 1000.0 / 3.0) < 0.01
-    with pytest.raises(ValueError):
-        gaussian_row(PeakVariant.LINEAR_I, 75)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_float_rows_match_rational_rows(variant):
+    model = PeakSurvivors(variant)
+    table = build_peak_table(variant, DEFAULT_EXACT_CAP)
+    for n in range(1, DEFAULT_EXACT_CAP + 1):
+        exact = table.row(n).as_floats()
+        floats = model.pmf_float(n)
+        assert set(floats) <= set(exact)
+        gap = max(abs(floats.get(k, 0.0) - p) for k, p in exact.items())
+        assert gap <= 2e-15, (n, gap)
 
 
-def _tv_to_exact(n, crossover=50):
-    g = gaussian_row(PeakVariant.LINEAR_I, n, crossover=crossover)
-    exact = build_peak_table(PeakVariant.LINEAR_I, n, cap=200).row(n).as_floats()
-    ks = set(exact) | set(g.as_dict())
-    return 0.5 * sum(abs(exact.get(k, 0.0) - g.prob(k)) for k in ks)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@pytest.mark.parametrize("n", [200, 1000, 2000])
+def test_float_rows_match_moment_formulas(variant, n):
+    row = PeakSurvivors(variant).pmf_float(n)
+    ks = np.array(list(row), dtype=float)
+    ps = np.array(list(row.values()))
+    mean = float(ks @ ps)
+    moments = peak_moments(variant, n)
+    assert abs(ps.sum() - 1.0) <= 1e-12
+    assert abs(mean / float(moments.mean) - 1.0) <= 1e-12
+    variance = float((ks - mean) ** 2 @ ps)
+    assert abs(variance / float(moments.variance) - 1.0) <= 1e-11
 
 
-def test_gaussian_quality_improves_with_n():
-    gaps = [_tv_to_exact(n) for n in (60, 70, 75)]
-    assert gaps[0] > gaps[1] > gaps[2]
-    # frozen: measured 0.002562 at the crossover-stress point n = 200
-    assert _tv_to_exact(200) < 0.003
+def test_float_rows_agree_across_threads():
+    # each round grows a fresh cache from four threads asking out of order
+    sizes = list(range(1, 1500, 7))
+    reference = _PeakRows()
+    expected = {n: reference.linear_float(n) for n in sizes}
+    rng = np.random.default_rng(5)
+    rounds = 0
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and rounds < 20:
+            rows = _PeakRows()
+            results = []
+
+            def ask(order):
+                results.append({n: rows.linear_float(n) for n in order})
+
+            threads = [
+                threading.Thread(target=ask, args=(rng.permutation(sizes).tolist(),))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(results) == 4
+            for got in results:
+                for n, (lo, probs) in expected.items():
+                    assert got[n][0] == lo and np.array_equal(got[n][1], probs), n
+            rounds += 1
+    finally:
+        sys.setswitchinterval(switch)
+    assert rounds >= 1
 
 
 def test_csv_export(tmp_path):
