@@ -126,7 +126,7 @@ def check_mean_increment(
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     exact_alpha = Fraction(alpha) if not isinstance(alpha, float) else None
-    means = [_mean(model, n) for n in range(1, n_max + 1)]
+    means = [model.mean(n) for n in range(1, n_max + 1)]
     increments = []
     deviations = []
     for i in range(len(means) - 1):
@@ -147,11 +147,6 @@ def check_mean_increment(
         bound=config.increment_bound,
         judged=len(tail) > 0,
     )
-
-
-def _mean(model: SurvivorModel, n: int) -> Fraction | float:
-    pmf = model.pmf(n)
-    return sum(k * p for k, p in pmf.items())
 
 
 @dataclass

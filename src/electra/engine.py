@@ -10,9 +10,24 @@ The law of the number of rounds is built column by column:
 with the initialization convention deciding what a wiped-out round (state
 0) costs: nothing under STANDARD, one extra phase under ALT_COST.
 
-Rows up to ``exact_cutoff`` are kept as exact rationals; higher rows use
-floating arithmetic that reads the already-exact low rows, so exactness
-degrades only where the rationals would be unaffordable anyway.
+Everything else comes from two sweeps over the transient states.  The
+upward sweep applies the first-step identity with the k = n self-loop
+solved out,
+
+    f(n) = (c + sum_{k<n} P(n, k) f(k)) / (1 - P(n, n)),
+
+giving expected phase counts (c = 1) and ending-state laws (c = 0, f a
+vector).  The downward sweep gives expected visits from one start,
+
+    visits(k) = ([k = start] + sum_{m>k} visits(m) P(m, k)) / (1 - P(k, k)),
+
+with no division at or below the threshold; occupancy and passage
+probabilities read it.
+
+Rows come from the model: exact rationals up to its ``exact_cutoff``,
+floats beyond.  That alone decides which results are exact.  Float rows
+read the already-exact low results, so exactness degrades only where the
+rationals would be unaffordable anyway.
 """
 from __future__ import annotations
 
@@ -171,8 +186,6 @@ def compute_phase_table(
     init: InitConvention = InitConvention.STANDARD,
     *,
     residual_eps: float = DEFAULT_RESIDUAL_EPS,
-    exact_cutoff: int | None = None,
-    j_cap: int = _J_CAP,
 ) -> PhaseTable:
     """Fill the phase-count table for all starting sizes up to ``max_n``.
 
@@ -181,29 +194,21 @@ def compute_phase_table(
     cross-checked before the table is returned.
     """
     _validate_setup(model, max_n, threshold_a, init)
-    cutoff = model.exact_cutoff if exact_cutoff is None else exact_cutoff
+    cutoff = model.exact_cutoff
     a = threshold_a
     zero_cost = _zero_cost(init)
-    transient = range(a + 1, max_n + 1)
-    exact_transient = [n for n in transient if n <= cutoff]
+    rows = _transient_rows(model, a, max_n)
+    exact_transient = [n for n in rows if n <= cutoff]
 
     # float transition data (all transient rows, exact region included)
-    pmf_f: dict[int, dict[int, float]] = {}
-    pmf_x: dict[int, dict[int, Fraction]] = {}
-    for n in transient:
-        if n <= cutoff:
-            pmf_x[n] = model.pmf_exact(n)
-            pmf_f[n] = {k: float(p) for k, p in pmf_x[n].items()}
-        else:
-            pmf_f[n] = model.pmf_float(n)
-
     size = max_n + 1
     data, cols, indptr = [], [], [0]
     b0 = np.zeros(size)
     b1 = np.zeros(size)
     for n in range(size):
-        if n in pmf_f:
-            for k, p in sorted(pmf_f[n].items()):
+        if n in rows:
+            for k, p in sorted(rows[n].items()):
+                p = float(p)
                 if k > a:
                     cols.append(k)
                     data.append(p)
@@ -222,13 +227,13 @@ def compute_phase_table(
     b0_x: dict[int, Fraction] = {}
     b1_x: dict[int, Fraction] = {}
     for n in exact_transient:
-        x_rows[n] = [(k, p) for k, p in sorted(pmf_x[n].items()) if k > a]
+        x_rows[n] = [(k, p) for k, p in sorted(rows[n].items()) if k > a]
         b0_x[n] = sum(
-            (p for k, p in pmf_x[n].items() if k <= a and not (k == 0 and zero_cost)),
+            (p for k, p in rows[n].items() if k <= a and not (k == 0 and zero_cost)),
             Fraction(0),
         )
         b1_x[n] = sum(
-            (p for k, p in pmf_x[n].items() if k == 0 and zero_cost), Fraction(0)
+            (p for k, p in rows[n].items() if k == 0 and zero_cost), Fraction(0)
         )
 
     # column 0: absorbing states with zero cost
@@ -246,9 +251,9 @@ def compute_phase_table(
 
     while True:
         j = len(float_cols)
-        if j > j_cap:
+        if j > _J_CAP:
             raise RuntimeError(
-                f"phase law did not absorb within {j_cap} columns for {model.name}"
+                f"phase law did not absorb within {_J_CAP} columns for {model.name}"
             )
         prev = float_cols[-1]
         col = matrix @ prev
@@ -312,9 +317,7 @@ def compute_phase_table(
             row = [column.get(n, Fraction(0)) for column in exact_cols]
         exact_rows[n] = tuple(row)
 
-    means_rec, exact_means = _recursive_means(
-        model, max_n, a, zero_cost, cutoff, pmf_x, pmf_f
-    )
+    means_rec, exact_means = _recursive_means(rows, max_n, a, zero_cost, cutoff)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
     mean_gap = float(np.max(np.abs(means_rec - means_direct)))
     table = PhaseTable(
@@ -337,44 +340,39 @@ def compute_phase_table(
     return table
 
 
+def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> dict[int, dict]:
+    """Rows of states a+1..max_n, ascending: exact up to the model's
+    cutoff, floats beyond."""
+    return {n: model.pmf(n) for n in range(a + 1, max_n + 1)}
+
+
+def _upward_sweep(rows: dict[int, dict], fixed: dict[int, object], c: int) -> dict[int, object]:
+    """Solve f(n) = (c + sum_{k<n} P(n,k) f(k)) / (1 - P(n,n)) upward.
+
+    ``rows`` maps the transient states, ascending, to their rows; ``fixed``
+    holds f on the absorbing states.  f may be a scalar or an object array;
+    it stays exact wherever the rows are.
+    """
+    f = dict(fixed)
+    for n, row in rows.items():
+        acc, stay = c, 0
+        for k, p in row.items():
+            if k == n:
+                stay = p
+            else:
+                acc = acc + p * f[k]
+        f[n] = acc / (1 - stay)
+    return f
+
+
 def _recursive_means(
-    model: SurvivorModel,
-    max_n: int,
-    a: int,
-    zero_cost: int,
-    cutoff: int,
-    pmf_x: dict[int, dict[int, Fraction]],
-    pmf_f: dict[int, dict[int, float]],
+    rows: dict[int, dict], max_n: int, a: int, zero_cost: int, cutoff: int
 ) -> tuple[np.ndarray, dict[int, Fraction]]:
     """means via x(n) = 1 + sum_k P(n,k) x(k), solving the k = n self-loop."""
-    means = np.zeros(max_n + 1)
-    exact_means: dict[int, Fraction] = {}
-    for k in range(0, min(a, max_n) + 1):
-        value = Fraction(zero_cost if k == 0 else 0)
-        exact_means[k] = value
-        means[k] = float(value)
-    for n in range(a + 1, max_n + 1):
-        if n <= cutoff:
-            acc = Fraction(1)
-            self_mass = Fraction(0)
-            for k, p in pmf_x[n].items():
-                if k == n:
-                    self_mass = p
-                else:
-                    acc += p * exact_means[k]
-            value = acc / (1 - self_mass)
-            exact_means[n] = value
-            means[n] = float(value)
-        else:
-            acc = 1.0
-            self_mass = 0.0
-            for k, p in pmf_f[n].items():
-                if k == n:
-                    self_mass = p
-                else:
-                    acc += p * means[k]
-            means[n] = acc / (1.0 - self_mass)
-    return means, exact_means
+    fixed = {k: Fraction(zero_cost if k == 0 else 0) for k in range(min(a, max_n) + 1)}
+    f = _upward_sweep(rows, fixed, 1)
+    means = np.array([float(f[n]) for n in range(max_n + 1)])
+    return means, {n: v for n, v in f.items() if n <= max(a, cutoff)}
 
 
 @dataclass(frozen=True)
@@ -432,79 +430,67 @@ class EndingStateTable:
 
 
 def ending_state_probs(
-    model: SurvivorModel,
-    max_n: int,
-    threshold_a: int,
-    *,
-    exact_cutoff: int | None = None,
+    model: SurvivorModel, max_n: int, threshold_a: int
 ) -> EndingStateTable:
     """Where the stopped chain lands, for every start below ``max_n``."""
     if threshold_a < 1:
         raise ValueError("ending-state analysis needs threshold >= 1")
     _validate_setup(model, max_n, threshold_a, InitConvention.STANDARD)
-    cutoff = model.exact_cutoff if exact_cutoff is None else exact_cutoff
     a = threshold_a
-    probs = np.zeros((max_n + 1, a + 1))
-    exact: dict[int, tuple[Fraction, ...]] = {}
-
-    def fixed_row(state: int) -> list[Fraction]:
-        row = [Fraction(0)] * (a + 1)
-        row[1 if state == 0 else state] = Fraction(1)
-        return row
-
-    exact_rows: dict[int, list[Fraction]] = {}
-    for k in range(0, min(a, max_n) + 1):
-        exact_rows[k] = fixed_row(k)
-        probs[k] = [float(v) for v in exact_rows[k]]
-        exact[k] = tuple(exact_rows[k])
-    for n in range(a + 1, max_n + 1):
-        if n <= cutoff:
-            acc = [Fraction(0)] * (a + 1)
-            self_mass = Fraction(0)
-            for k, p in model.pmf_exact(n).items():
-                if k == n:
-                    self_mass = p
-                    continue
-                source = exact_rows[k] if k in exact_rows else None
-                if source is None:
-                    raise AssertionError("transition above current state")
-                for i in range(a + 1):
-                    if source[i]:
-                        acc[i] += p * source[i]
-            scale = 1 - self_mass
-            row = [v / scale for v in acc]
-            exact_rows[n] = row
-            exact[n] = tuple(row)
-            probs[n] = [float(v) for v in row]
-        else:
-            acc = np.zeros(a + 1)
-            self_mass = 0.0
-            for k, p in model.pmf_float(n).items():
-                if k == n:
-                    self_mass = p
-                elif k == 0:
-                    acc[1] += p
-                else:
-                    acc += p * probs[k]
-            probs[n] = acc / (1.0 - self_mass)
+    fixed = {}
+    for k in range(min(a, max_n) + 1):
+        unit = np.array([Fraction(0)] * (a + 1), dtype=object)
+        unit[max(k, 1)] = Fraction(1)  # a wipe-out ends with one player
+        fixed[k] = unit
+    f = _upward_sweep(_transient_rows(model, a, max_n), fixed, 0)
+    probs = np.array([f[n] for n in range(max_n + 1)], dtype=float)
+    exact = {n: tuple(v) for n, v in f.items() if n <= max(a, model.exact_cutoff)}
     return EndingStateTable(
         model=model, max_n=max_n, threshold_a=a, probs=probs, exact=exact
     )
 
 
+def _downward_sweep(
+    model: SurvivorModel, start: int, a: int
+) -> tuple[dict[int, Fraction | float], dict[int, Fraction | float]]:
+    """Expected visits and entering mass per state, from one start.
+
+    The mass entering k is ``[k = start] + sum_{m>k} visits(m) P(m, k)``;
+    visits divide it by ``1 - P(k, k)`` above the threshold.  States no
+    mass enters are skipped and their rows never fetched.
+    """
+    inflow: dict[int, Fraction | float] = {start: Fraction(1)}
+    visits: dict[int, Fraction | float] = {}
+    for m in range(start, a, -1):
+        mass = inflow.get(m)
+        if not mass:
+            continue
+        row = model.pmf(m)
+        visits[m] = mass / (1 - row.get(m, 0))
+        for k, p in row.items():
+            if k != m:
+                inflow[k] = inflow.get(k, 0) + visits[m] * p
+    visits.update((k, v) for k, v in inflow.items() if k <= a and v)
+    return visits, inflow
+
+
 def passage_probs(
-    model: SurvivorModel, n: int, states: list[int], **kwargs
-) -> dict[int, float]:
+    model: SurvivorModel, n: int, states: list[int]
+) -> dict[int, Fraction] | dict[int, float]:
     """Probability that some round has exactly i survivors.
 
-    Realized by stopping the chain at threshold i: the stopped chain ends
-    at i exactly when the free chain passes through i.
+    For i >= 2 this is the mass entering i, visits(i) * (1 - P(i, i)); for
+    i = 1 a wiped-out game counts as ending with one player, as in
+    :func:`ending_state_probs`.  Exact when n is within the model's cutoff.
     """
-    out = {}
-    for i in states:
-        table = ending_state_probs(model, n, threshold_a=i, **kwargs)
-        out[i] = table.prob(n, i)
-    return out
+    if any(i < 1 for i in states):
+        raise ValueError("passage states start at 1")
+    _validate_setup(model, n, 1, InitConvention.STANDARD)
+    _, inflow = _downward_sweep(model, n, 1)
+    zero = Fraction(0)
+    return {
+        i: inflow.get(i, zero) + (inflow.get(0, zero) if i == 1 else zero) for i in states
+    }
 
 
 @dataclass
@@ -515,62 +501,24 @@ class Occupancy:
     round starts with exactly k players; below the threshold it is the
     probability of ending there (state 0 kept separate from state 1).
     ``mean_recovered`` re-derives the expected phase count as the total
-    time spent in transient states.
+    time spent in transient states.  Exact when the start is within the
+    model's cutoff.
     """
 
     start_n: int
     threshold_a: int
     visits: dict[int, Fraction] | dict[int, float]
-    rounds: list[dict[int, Fraction]] | list[dict[int, float]]
     mean_recovered: Fraction | float
 
 
-def occupancy_probs(
-    model: SurvivorModel,
-    start_n: int,
-    threshold_a: int = 1,
-    *,
-    exact_cutoff: int | None = None,
-    mass_eps: float = 1e-14,
-    j_cap: int = _J_CAP,
-) -> Occupancy:
-    """Forward state-occupancy propagation from one starting size."""
+def occupancy_probs(model: SurvivorModel, start_n: int, threshold_a: int = 1) -> Occupancy:
+    """Expected visits per state from one starting size, by one downward sweep."""
     _validate_setup(model, start_n, threshold_a, InitConvention.STANDARD)
-    cutoff = model.exact_cutoff if exact_cutoff is None else exact_cutoff
-    a = threshold_a
-    use_exact = start_n <= cutoff
-    one = Fraction(1) if use_exact else 1.0
-    pmf = model.pmf_exact if use_exact else model.pmf_float
-
-    current: dict[int, Fraction | float] = {start_n: one}
-    visits: dict[int, Fraction | float] = {start_n: one}
-    rounds = [dict(current)]
-    while current:
-        if len(rounds) > j_cap:
-            raise RuntimeError(f"occupancy propagation exceeded {j_cap} rounds")
-        nxt: dict[int, Fraction | float] = {}
-        for state, mass in current.items():
-            for k, p in pmf(state).items():
-                flow = mass * p
-                if not flow:
-                    continue
-                visits[k] = visits.get(k, 0 * one) + flow
-                if k > a:
-                    nxt[k] = nxt.get(k, 0 * one) + flow
-        current = {k: v for k, v in nxt.items() if float(v) >= mass_eps or v == 0}
-        current = {k: v for k, v in current.items() if v != 0}
-        if current:
-            rounds.append(dict(current))
-        total = sum(float(v) for v in current.values())
-        if total < mass_eps:
-            break
-    mean_recovered = sum(
-        (v for k, v in visits.items() if k > a), 0 * one
-    )
+    visits, _ = _downward_sweep(model, start_n, threshold_a)
+    mean_recovered = sum((v for k, v in visits.items() if k > threshold_a), Fraction(0))
     return Occupancy(
         start_n=start_n,
-        threshold_a=a,
+        threshold_a=threshold_a,
         visits=visits,
-        rounds=rounds,
         mean_recovered=mean_recovered,
     )

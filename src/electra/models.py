@@ -158,9 +158,13 @@ def _binomial_window(n: int, p: float) -> tuple[int, int, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class BiasedCoin(SurvivorModel):
-    """Every player survives on heads (probability p); if all throw tails,
-    everyone survives the round instead, so the game cannot die out."""
+class _Coin(SurvivorModel):
+    """A round where each player survives on heads with probability p.
+
+    Subclasses say what becomes of a wiped-out or thinned round: exact rows
+    from the whole binomial row, float rows from the window that holds all
+    but ``TAIL_TRUNCATION`` of the mass.
+    """
 
     p: Fraction
 
@@ -170,12 +174,27 @@ class BiasedCoin(SurvivorModel):
             raise ValueError(f"need p in (0,1), got {self.p}")
 
     @property
-    def name(self) -> str:
-        return f"biased-coin(p={self.p})"
-
-    @property
     def declared_alpha(self) -> Fraction:
         return self.p
+
+    def pmf_float(self, n: int) -> dict[int, float]:
+        if n <= self.exact_cutoff:
+            return {k: float(v) for k, v in self.pmf_exact(n).items()}
+        return self._window_row(n, *_binomial_window(n, float(self.p)))
+
+    @abc.abstractmethod
+    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
+        """Float row from the Bi(n, p) masses ``probs`` on ``lo..hi``."""
+
+
+@dataclass(frozen=True)
+class BiasedCoin(_Coin):
+    """Every player survives on heads (probability p); if all throw tails,
+    everyone survives the round instead, so the game cannot die out."""
+
+    @property
+    def name(self) -> str:
+        return f"biased-coin(p={self.p})"
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         self._require_positive(n)
@@ -184,10 +203,7 @@ class BiasedCoin(SurvivorModel):
         pmf[n] += row[0]  # all-tails rescue maps to "everyone survives"
         return pmf
 
-    def pmf_float(self, n: int) -> dict[int, float]:
-        if n <= self.exact_cutoff:
-            return {k: float(v) for k, v in self.pmf_exact(n).items()}
-        lo, hi, probs = _binomial_window(n, float(self.p))
+    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
         pmf = {k: float(v) for k, v in zip(range(lo, hi + 1), probs) if v > 0.0}
         pmf.pop(0, None)
         rescue = float(1 - self.p) ** n  # all tails; the window holds all heads
@@ -208,24 +224,13 @@ class FairCoin(BiasedCoin):
 
 
 @dataclass(frozen=True)
-class CoinMaxOne(SurvivorModel):
+class CoinMaxOne(_Coin):
     """Coin elimination with a fail-safe: a wiped-out round keeps one
     player instead of everyone (survivors = max(heads, 1))."""
-
-    p: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
-        if not 0 < self.p < 1:
-            raise ValueError(f"need p in (0,1), got {self.p}")
 
     @property
     def name(self) -> str:
         return f"coin-max-one(p={self.p})"
-
-    @property
-    def declared_alpha(self) -> Fraction:
-        return self.p
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         self._require_positive(n)
@@ -234,10 +239,7 @@ class CoinMaxOne(SurvivorModel):
         pmf[1] = row[0] + row[1] if n >= 2 else Fraction(1)
         return pmf
 
-    def pmf_float(self, n: int) -> dict[int, float]:
-        if n <= self.exact_cutoff:
-            return {k: float(v) for k, v in self.pmf_exact(n).items()}
-        lo, hi, probs = _binomial_window(n, float(self.p))
+    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
         pmf = {k: float(v) for k, v in zip(range(lo, hi + 1), probs) if v > 0.0}
         low_mass = sum(pmf.pop(k) for k in (0, 1) if k in pmf)
         low_mass += float(stats.binom(n, float(self.p)).cdf(min(1, lo - 1)))
@@ -247,30 +249,23 @@ class CoinMaxOne(SurvivorModel):
 
 
 @dataclass(frozen=True)
-class DemonCoin(SurvivorModel):
+class DemonCoin(_Coin):
     """Coin elimination with no rescue plus a demon that kills one extra
     survivor with probability nu; the chain is absorbed at zero."""
 
-    p: Fraction
     nu: Fraction
 
     absorbing_state = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
+        super().__post_init__()
         object.__setattr__(self, "nu", Fraction(self.nu))
-        if not 0 < self.p < 1:
-            raise ValueError(f"need p in (0,1), got {self.p}")
         if not 0 <= self.nu <= 1:
             raise ValueError(f"need nu in [0,1], got {self.nu}")
 
     @property
     def name(self) -> str:
         return f"demon-coin(p={self.p},nu={self.nu})"
-
-    @property
-    def declared_alpha(self) -> Fraction:
-        return self.p
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         if n < 0:
@@ -287,10 +282,7 @@ class DemonCoin(SurvivorModel):
             pmf[j] = mass
         return {k: v for k, v in pmf.items() if v != 0}
 
-    def pmf_float(self, n: int) -> dict[int, float]:
-        if n <= self.exact_cutoff:
-            return {k: float(v) for k, v in self.pmf_exact(n).items()}
-        lo, hi, probs = _binomial_window(n, float(self.p))
+    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
         heads = dict(zip(range(lo, hi + 1), probs))
         keep, kill = 1.0 - float(self.nu), float(self.nu)
         pmf: dict[int, float] = {}
@@ -424,14 +416,19 @@ class ExplicitMatrix(SurvivorModel):
 
     Rows must be stochastic and lower-triangular (no round may grow the
     player count).  Probabilities may be decimals or ``p/q`` strings.
+    ``rows`` is given as a mapping ``{i: {j: p}}`` and stored as sorted
+    ``(i, ((j, p), ...))`` tuples, each row rescaled to sum to exactly 1,
+    so the model is immutable and hashable.
     """
 
-    rows: dict[int, dict[int, Fraction]]
+    rows: tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]
     label: str = "explicit"
     alpha: Fraction | None = None
 
     def __post_init__(self) -> None:
-        for i, row in self.rows.items():
+        normalised = []
+        for i, row in sorted(dict(self.rows).items()):
+            row = dict(row)
             if i < 1:
                 raise ValueError(f"state {i} below 1")
             for j, p in row.items():
@@ -445,7 +442,9 @@ class ExplicitMatrix(SurvivorModel):
             if abs(float(total) - 1.0) > 1e-9:
                 raise ValueError(f"row {i} sums to {float(total)}, not 1")
             if total != 1:  # tolerate decimal rounding, then make it exact
-                self.rows[i] = {j: p / total for j, p in row.items()}
+                row = {j: p / total for j, p in row.items()}
+            normalised.append((i, tuple(sorted(row.items()))))
+        object.__setattr__(self, "rows", tuple(normalised))
 
     @property
     def name(self) -> str:
@@ -457,15 +456,16 @@ class ExplicitMatrix(SurvivorModel):
 
     @property
     def max_state(self) -> int:
-        return max(self.rows)
+        return max(dict(self.rows))
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         self._require_positive(n)
-        if n == 1 and 1 not in self.rows:
+        rows = dict(self.rows)
+        if n == 1 and 1 not in rows:
             return {1: Fraction(1)}
-        if n not in self.rows:
+        if n not in rows:
             raise ValueError(f"{self.label}: no transition row for state {n}")
-        return dict(self.rows[n])
+        return dict(rows[n])
 
     @classmethod
     def from_csv(

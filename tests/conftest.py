@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from electra.engine import compute_phase_table
 from electra.models import FairCoin, ToyHalving, peak_circular, peak_linear_i
+
+# fixed examples on every run, and no per-example deadline on a slow machine
+settings.register_profile("electra", derandomize=True, deadline=None)
+settings.load_profile("electra")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from electra import fixtures
 from electra.engine import (
@@ -17,6 +20,7 @@ from electra.models import (
     CoinMaxOne,
     DemonCoin,
     DeterministicHalving,
+    ExplicitMatrix,
     FairCoin,
     ToyHalving,
     peak_circular,
@@ -141,8 +145,6 @@ def test_threshold_at_or_above_start():
 
 
 def test_explicit_matrix_through_engine():
-    from electra.models import ExplicitMatrix
-
     model = ExplicitMatrix(
         rows={
             2: {1: Fraction(1)},
@@ -270,7 +272,7 @@ def test_occupancy_mean_identity(circular_500):
     assert occ.mean_recovered == circular_500.exact_mean(7)
     fair = compute_phase_table(FairCoin(), 50)
     occ50 = occupancy_probs(FairCoin(), 50)
-    assert abs(float(occ50.mean_recovered) - fair.mean(50)) < 1e-10
+    assert occ50.mean_recovered == fair.exact_mean(50)
 
 
 def test_occupancy_matches_passage_probs():
@@ -279,3 +281,65 @@ def test_occupancy_matches_passage_probs():
     probs = passage_probs(peak_circular(), 7, [2, 3])
     for i in (2, 3):
         assert abs(float(occ.visits.get(i, 0)) - probs[i]) < 1e-12
+
+
+def test_demon_wipe_out_counts_as_one_player():
+    demon = DemonCoin(Fraction(1, 2), Fraction(1, 3))
+    occ = occupancy_probs(demon, 10, threshold_a=2)
+    ending = ending_state_probs(demon, 10, 2)
+    assert occ.visits[0] > 0
+    assert occ.visits[0] + occ.visits[1] == ending.exact_prob(10, 1)
+    assert occ.visits[2] == ending.exact_prob(10, 2)
+    passage = passage_probs(demon, 10, [1, 2, 3])
+    for i in (1, 2, 3):
+        assert passage[i] == ending_state_probs(demon, 10, i).exact_prob(10, i)
+    assert passage[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# random chains
+
+
+@st.composite
+def _chains(draw):
+    """Random rational lower-triangular chains on states 1..top (top <= 8),
+    with or without self-loops; every row can leave its state."""
+    top = draw(st.integers(2, 8))
+    loops = draw(st.booleans())
+    rows = {}
+    for i in range(2, top + 1):
+        down = draw(st.lists(st.integers(0, 4), min_size=i - 1, max_size=i - 1).filter(any))
+        stay = draw(st.integers(0, 4)) if loops else 0
+        total = sum(down) + stay
+        rows[i] = {j: Fraction(w, total) for j, w in enumerate(down + [stay], 1) if w}
+    return ExplicitMatrix(rows=rows), loops
+
+
+@given(_chains(), st.integers(1, 2))
+def test_means_agree_on_random_chains(chain, a):
+    # recurrence, downward visit sweep and forward evolution, all exact
+    model, loops = chain
+    top = model.max_state
+    table = compute_phase_table(model, top, threshold_a=a)
+    floats = replace(model, exact_cutoff=0)
+    for n in range(1, top + 1):
+        assert occupancy_probs(model, n, threshold_a=a).mean_recovered == table.exact_mean(n)
+        float_mean = occupancy_probs(floats, n, threshold_a=a).mean_recovered
+        assert math.isclose(float_mean, table.mean(n), rel_tol=1e-12)
+    law = _forward_phase_law(model, top, a, table.j_max)
+    for j in range(table.j_max + 1):
+        assert table.exact_prob(top, j) == law.get(j, Fraction(0))
+    if not loops:  # absorbed within top rounds, so the forward law is whole
+        assert sum(j * p for j, p in law.items()) == table.exact_mean(top)
+
+
+@given(_chains())
+def test_passage_and_ending_states_on_random_chains(chain):
+    model, _ = chain
+    top = model.max_state
+    passage = passage_probs(model, top, list(range(1, top + 1)))
+    for i in range(1, top + 1):
+        ending = ending_state_probs(model, top, threshold_a=i)
+        assert passage[i] == ending.exact_prob(top, i)
+        for n in range(top + 1):
+            assert sum(ending.exact[n]) == 1

@@ -172,6 +172,17 @@ def test_explicit_matrix_roundtrip(tmp_path):
         model.pmf_exact(4)
 
 
+def test_explicit_matrix_is_immutable_and_hashable():
+    rows = {3: {1: Fraction(1)}, 2: {1: Fraction("0.3333333333"), 2: Fraction("0.6666666666")}}
+    given = {i: dict(row) for i, row in rows.items()}
+    model = ExplicitMatrix(rows=rows)
+    assert rows == given  # the caller's dict is not rewritten
+    assert model.pmf_exact(2) == {1: Fraction(1, 3), 2: Fraction(2, 3)}
+    reordered = ExplicitMatrix(rows={2: dict(reversed(rows[2].items())), 3: rows[3]})
+    assert model == reordered
+    assert hash(model) == hash(reordered)
+
+
 def test_explicit_matrix_validation():
     with pytest.raises(ValueError, match="sums to"):
         ExplicitMatrix(rows={2: {1: Fraction(1, 2)}})
