@@ -24,15 +24,20 @@ vector).  The downward sweep gives expected visits from one start,
 with no division at or below the threshold; occupancy and passage
 probabilities read it.
 
-Rows come from the model: exact rationals up to its ``exact_cutoff``,
-floats beyond.  That alone decides which results are exact.  Float rows
-read the already-exact low results, so exactness degrades only where the
-rationals would be unaffordable anyway.
+Rows come from the model: integer rows up to its ``exact_cutoff``, float
+arrays beyond.  That alone decides which results are exact.  Exact phase
+columns are integer numerators over one denominator per column; float
+columns are one sparse product.  Float rows read the already-exact low
+results, so exactness degrades only where the rationals would be
+unaffordable anyway.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -136,11 +141,9 @@ class PhaseTable:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "j", "prob"])
-            for n in range(self.max_n + 1):
-                for j in range(self.j_max + 1):
-                    p = self.probs[n, j]
-                    if p > 0.0:
-                        writer.writerow([n, j, repr(float(p))])
+            ns, js = np.nonzero(self.probs > 0.0)  # row-major order
+            values = map(repr, self.probs[ns, js].tolist())
+            fh.writelines(map("{},{},{}\n".format, ns.tolist(), js.tolist(), values))
         if exact_path is not None:
             with open(exact_path, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
@@ -198,53 +201,17 @@ def compute_phase_table(
     a = threshold_a
     zero_cost = _zero_cost(init)
     rows = _transient_rows(model, a, max_n)
-    exact_transient = [n for n in rows if n <= cutoff]
-
-    # float transition data (all transient rows, exact region included)
-    size = max_n + 1
-    data, cols, indptr = [], [], [0]
-    b0 = np.zeros(size)
-    b1 = np.zeros(size)
-    for n in range(size):
-        if n in rows:
-            for k, p in sorted(rows[n].items()):
-                p = float(p)
-                if k > a:
-                    cols.append(k)
-                    data.append(p)
-                elif k == 0 and zero_cost == 1:
-                    b1[n] += p
-                else:
-                    b0[n] += p
-        indptr.append(len(data))
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(cols, dtype=np.int64), np.array(indptr)),
-        shape=(size, size),
-    )
-
-    # exact transition data, restricted to transient targets
-    x_rows: dict[int, list[tuple[int, Fraction]]] = {}
-    b0_x: dict[int, Fraction] = {}
-    b1_x: dict[int, Fraction] = {}
-    for n in exact_transient:
-        x_rows[n] = [(k, p) for k, p in sorted(rows[n].items()) if k > a]
-        b0_x[n] = sum(
-            (p for k, p in rows[n].items() if k <= a and not (k == 0 and zero_cost)),
-            Fraction(0),
-        )
-        b1_x[n] = sum(
-            (p for k, p in rows[n].items() if k == 0 and zero_cost), Fraction(0)
-        )
+    matrix, b0, b1 = _float_system(rows, max_n + 1, zero_cost)
+    exact_columns = _exact_columns(rows, zero_cost)
+    exact_states = slice(a + 1, a + 1 + len(rows.exact))
 
     # column 0: absorbing states with zero cost
-    col = np.zeros(size)
+    col = np.zeros(max_n + 1)
     for k in range(0, min(a, max_n) + 1):
         if not (k == 0 and zero_cost):
             col[k] = 1.0
-    col_x: dict[int, Fraction] = {}
     float_cols = [col]
-    exact_cols: list[dict[int, Fraction]] = [col_x]
-    exact_done = not exact_transient
+    exact_cols = [[Fraction(0)] * len(rows.exact)]
     settled = col.copy()
     best_worst = math.inf
     stalled = 0
@@ -255,35 +222,15 @@ def compute_phase_table(
             raise RuntimeError(
                 f"phase law did not absorb within {_J_CAP} columns for {model.name}"
             )
-        prev = float_cols[-1]
-        col = matrix @ prev
+        col = matrix @ float_cols[-1]
         col[: a + 1] = 0.0
         if j == 1:
             col += b0
         if j == 2:
             col += b1
-        # exact column, overwriting the float mirror on the exact rows
-        new_x: dict[int, Fraction] = {}
-        if not exact_done:
-            prev_x = exact_cols[-1]
-            for n in exact_transient:
-                total = Fraction(0)
-                for k, p in x_rows[n]:
-                    pk = prev_x.get(k)
-                    if pk:
-                        total += p * pk
-                if j == 1:
-                    total += b0_x[n]
-                if j == 2:
-                    total += b1_x[n]
-                if total:
-                    new_x[n] = total
-                    col[n] = float(total)
-                else:
-                    col[n] = 0.0
-            if not new_x:
-                exact_done = True
-        exact_cols.append(new_x)
+        # the exact column overwrites its float mirror on the exact rows
+        exact_cols.append(next(exact_columns))
+        col[exact_states] = [float(p) for p in exact_cols[-1]]
         float_cols.append(col)
 
         settled = settled + col
@@ -314,10 +261,10 @@ def compute_phase_table(
             row = [Fraction(0)] * (j_max + 1)
             row[zero_cost if n == 0 else 0] = Fraction(1)
         else:
-            row = [column.get(n, Fraction(0)) for column in exact_cols]
+            row = [column[n - a - 1] for column in exact_cols]
         exact_rows[n] = tuple(row)
 
-    means_rec, exact_means = _recursive_means(rows, max_n, a, zero_cost, cutoff)
+    means_rec, exact_means = _recursive_means(rows, max_n, a, zero_cost)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
     mean_gap = float(np.max(np.abs(means_rec - means_direct)))
     table = PhaseTable(
@@ -340,39 +287,124 @@ def compute_phase_table(
     return table
 
 
-def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> dict[int, dict]:
-    """Rows of states a+1..max_n, ascending: exact up to the model's
-    cutoff, floats beyond."""
-    return {n: model.pmf(n) for n in range(a + 1, max_n + 1)}
+@dataclass(frozen=True)
+class _Rows:
+    """Rows of the transient states a+1..max_n, ascending.
+
+    ``exact`` holds the integer rows ``(lo, numerators, denominator)`` of
+    the states up to the model's cutoff; ``floats`` holds ``(lo, masses)``
+    for every transient state, the integer rows rounded.
+    """
+
+    a: int
+    exact: list[tuple[int, list[int], int]]
+    floats: list[tuple[int, np.ndarray]]
 
 
-def _upward_sweep(rows: dict[int, dict], fixed: dict[int, object], c: int) -> dict[int, object]:
+def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
+    top = max(a, min(model.exact_cutoff, max_n))
+    exact = [model.exact_row(n) for n in range(a + 1, top + 1)]
+    floats = [(lo, np.array([x / den for x in nums])) for lo, nums, den in exact]
+    return _Rows(a, exact, floats + model.float_rows(top + 1, max_n + 1))
+
+
+def _float_system(
+    rows: _Rows, size: int, zero_cost: int
+) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """Transitions between transient states as a CSR matrix, plus the
+    mass each row sends to the zero-cost (``b0``) and the costly (``b1``)
+    absorbing states."""
+    a = rows.a
+    data, cols = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    lengths = np.zeros(size, dtype=np.int64)
+    b0 = np.zeros(size)
+    b1 = np.zeros(size)
+    for n, (lo, probs) in enumerate(rows.floats, a + 1):
+        if lo <= a:
+            for k, p in enumerate(probs[: a + 1 - lo].tolist(), lo):
+                if k == 0 and zero_cost:
+                    b1[n] += p
+                else:
+                    b0[n] += p
+            lo, probs = a + 1, probs[a + 1 - lo :]
+        data.append(probs)
+        cols.append(np.arange(lo, lo + len(probs)))
+        lengths[n] = len(probs)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(cols), indptr), shape=(size, size)
+    )
+    return matrix, b0, b1
+
+
+def _exact_columns(rows: _Rows, zero_cost: int) -> Iterator[list[Fraction]]:
+    """Exact phase columns j = 1, 2, ... on the integer rows' states.
+
+    A column is kept as integer numerators over one denominator, the lcm
+    of its entries', so each entry costs one integer dot product with its
+    row and one reduction.
+    """
+    a = rows.a
+    steps, b0, b1 = [], [], []
+    for lo, nums, den in rows.exact:
+        cut = max(a + 1 - lo, 0)
+        wiped = nums[0] if zero_cost and lo == 0 and cut else 0
+        b0.append(sum(nums[:cut]) - wiped)
+        b1.append(wiped)
+        steps.append((max(lo - a - 1, 0), nums[cut:], den))
+    nums, den = [0] * len(steps), 1  # column 0 is zero on transient states
+    for j in itertools.count(1):
+        column = []
+        for i, (start, row, row_den) in enumerate(steps):
+            total = sum(map(operator.mul, row, nums[start : start + len(row)]))
+            if j == 1:
+                total += b0[i] * den
+            if j == 2:
+                total += b1[i] * den
+            column.append(Fraction(total, row_den * den))
+        yield column
+        den = math.lcm(*(p.denominator for p in column))
+        nums = [p.numerator * (den // p.denominator) for p in column]
+
+
+def _upward_sweep(
+    rows: _Rows, fixed: dict[int, object], c: int
+) -> tuple[dict[int, object], np.ndarray]:
     """Solve f(n) = (c + sum_{k<n} P(n,k) f(k)) / (1 - P(n,n)) upward.
 
-    ``rows`` maps the transient states, ascending, to their rows; ``fixed``
-    holds f on the absorbing states.  f may be a scalar or an object array;
-    it stays exact wherever the rows are.
+    ``fixed`` holds f on the absorbing states 0..a, as Fractions or object
+    arrays of them.  Returns f exactly on those states and the integer
+    rows' states, and f on every state as floats (one array row per
+    state); the float rows each take one dot product.
     """
-    f = dict(fixed)
-    for n, row in rows.items():
-        acc, stay = c, 0
-        for k, p in row.items():
+    exact = dict(fixed)
+    f = np.array([np.asarray(v, dtype=float) for v in fixed.values()])
+    f = np.concatenate([f, np.zeros((len(rows.floats),) + f.shape[1:])])
+    for n, (lo, nums, den) in enumerate(rows.exact, rows.a + 1):
+        acc, stay = c * den, 0
+        for k, x in enumerate(nums, lo):
             if k == n:
-                stay = p
-            else:
-                acc = acc + p * f[k]
-        f[n] = acc / (1 - stay)
-    return f
+                stay = x
+            elif x:
+                acc = acc + x * exact[k]
+        exact[n] = acc / Fraction(den - stay)
+        f[n] = np.asarray(exact[n], dtype=float)
+    for n in range(rows.a + 1 + len(rows.exact), len(f)):
+        lo, probs = rows.floats[n - rows.a - 1]
+        stay = 0.0
+        if lo + len(probs) > n:  # the row ends on its self-loop
+            stay, probs = probs[-1], probs[:-1]
+        f[n] = (c + probs @ f[lo : lo + len(probs)]) / (1 - stay)
+    return exact, f
 
 
 def _recursive_means(
-    rows: dict[int, dict], max_n: int, a: int, zero_cost: int, cutoff: int
+    rows: _Rows, max_n: int, a: int, zero_cost: int
 ) -> tuple[np.ndarray, dict[int, Fraction]]:
     """means via x(n) = 1 + sum_k P(n,k) x(k), solving the k = n self-loop."""
     fixed = {k: Fraction(zero_cost if k == 0 else 0) for k in range(min(a, max_n) + 1)}
-    f = _upward_sweep(rows, fixed, 1)
-    means = np.array([float(f[n]) for n in range(max_n + 1)])
-    return means, {n: v for n, v in f.items() if n <= max(a, cutoff)}
+    exact, means = _upward_sweep(rows, fixed, 1)
+    return means, exact
 
 
 @dataclass(frozen=True)
@@ -419,14 +451,20 @@ class EndingStateTable:
     exact: dict[int, tuple[Fraction, ...]]
 
     def prob(self, n: int, i: int) -> float:
-        if not 1 <= i <= self.threshold_a:
-            raise ValueError(f"ending state {i} outside 1..{self.threshold_a}")
+        self._check(n, i)
         return float(self.probs[n, i])
 
     def exact_prob(self, n: int, i: int) -> Fraction:
+        self._check(n, i)
         if n not in self.exact:
             raise ValueError(f"no exact row for n={n}")
         return self.exact[n][i]
+
+    def _check(self, n: int, i: int) -> None:
+        if not 0 <= n <= self.max_n:
+            raise ValueError(f"row {n} outside 0..{self.max_n}")
+        if not 1 <= i <= self.threshold_a:
+            raise ValueError(f"ending state {i} outside 1..{self.threshold_a}")
 
 
 def ending_state_probs(
@@ -442,9 +480,8 @@ def ending_state_probs(
         unit = np.array([Fraction(0)] * (a + 1), dtype=object)
         unit[max(k, 1)] = Fraction(1)  # a wipe-out ends with one player
         fixed[k] = unit
-    f = _upward_sweep(_transient_rows(model, a, max_n), fixed, 0)
-    probs = np.array([f[n] for n in range(max_n + 1)], dtype=float)
-    exact = {n: tuple(v) for n, v in f.items() if n <= max(a, model.exact_cutoff)}
+    exact, probs = _upward_sweep(_transient_rows(model, a, max_n), fixed, 0)
+    exact = {n: tuple(v) for n, v in exact.items()}
     return EndingStateTable(
         model=model, max_n=max_n, threshold_a=a, probs=probs, exact=exact
     )

@@ -2,20 +2,29 @@
 
 Each model answers: starting a round with n players, how many survive?
 Exact rational pmfs are served up to ``exact_cutoff``; above it a floating
-backend takes over so phase tables can be pushed into the thousands.  The
-coin models' float rows are binomial windows with tails below
-``TAIL_TRUNCATION`` dropped; the peak models' float rows come from the
-exact peak-count recurrence run on probabilities, so they match the
-rational rows to rounding at every n.
+backend takes over so phase tables can be pushed into the thousands.
+
+Every model serves the same row in two shapes.  ``pmf_exact`` and
+``pmf_float`` are dicts ``{k: P(n, k)}``, for the condition checks and the
+command line.  ``exact_row`` (integer numerators over one denominator) and
+``float_rows`` (a first k and an array of masses, for a range of n at
+once) are what the engine reads.  The coin models compute their exact rows
+in integers, C(n,k) a^k (b-a)^(n-k) / b^n for p = a/b, and their float
+rows as binomial windows with tails below ``TAIL_TRUNCATION`` dropped,
+every row of a range from one unfrozen scipy call per quantity.  The peak
+models' float rows come from the exact peak-count recurrence run on
+probabilities, so they match the rational rows to rounding at every n.
 """
 from __future__ import annotations
 
 import abc
 import csv
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +51,19 @@ class SurvivorModel(abc.ABC):
 
     Subclasses provide :meth:`pmf_exact`; the floating backend defaults to
     a float cast of the exact pmf and is overridden where a cheaper or
-    unbounded-n path exists.
+    unbounded-n path exists.  The engine reads rows through
+    :meth:`exact_row` and :meth:`float_rows`, which default to views of
+    the two pmfs.
     """
 
     exact_cutoff: int = field(default=DEFAULT_EXACT_CUTOFF, kw_only=True)
 
     #: lowest state the chain can occupy (0 only for kill-everyone chains)
     absorbing_state = 1
+
+    def __post_init__(self) -> None:
+        if self.exact_cutoff < 0:
+            raise ValueError(f"need exact_cutoff >= 0, got {self.exact_cutoff}")
 
     @property
     @abc.abstractmethod
@@ -68,6 +83,28 @@ class SurvivorModel(abc.ABC):
 
     def pmf_float(self, n: int) -> dict[int, float]:
         return {k: float(p) for k, p in self.pmf_exact(n).items()}
+
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
+        """Row n as ``(lo, numerators, denominator)``: P(n, lo + i) is
+        ``numerators[i] / denominator``."""
+        pmf = {k: Fraction(p) for k, p in self.pmf_exact(n).items()}
+        den = math.lcm(*(p.denominator for p in pmf.values()))
+        lo = min(pmf)
+        nums = [0] * (max(pmf) - lo + 1)
+        for k, p in pmf.items():
+            nums[k - lo] = p.numerator * (den // p.denominator)
+        return lo, nums, den
+
+    def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+        """Float rows n = start..stop-1 as ``(lo, masses on lo, lo+1, ...)``."""
+        rows = []
+        for n in range(start, stop):
+            pmf = self.pmf_float(n)
+            lo = min(pmf)
+            probs = np.zeros(max(pmf) - lo + 1)
+            probs[np.array(list(pmf)) - lo] = list(pmf.values())
+            rows.append((lo, probs))
+        return rows
 
     def pmf(self, n: int) -> dict[int, Fraction] | dict[int, float]:
         """Exact rationals up to the cutoff, floats beyond."""
@@ -143,18 +180,28 @@ class DeterministicHalving(SurvivorModel):
         return {max(n // 2, 1): Fraction(1)}
 
 
-def _binomial_row_exact(n: int, p: Fraction) -> list[Fraction]:
-    q = 1 - p
-    return [math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)]
+def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
+    """Bi(n, p) for p = a/b as integers: C(n,k) a^k (b-a)^(n-k) over b^n."""
+    a, b = p.numerator, p.denominator
+    heads = list(accumulate(repeat(a, n), operator.mul, initial=1))
+    tails = list(accumulate(repeat(b - a, n), operator.mul, initial=1))
+    nums = [math.comb(n, k) * heads[k] * tails[n - k] for k in range(n + 1)]
+    return nums, b**n
 
 
-def _binomial_window(n: int, p: float) -> tuple[int, int, np.ndarray]:
-    """Support window of Bi(n, p) holding all but < 2e-15 of the mass."""
-    dist = stats.binom(n, p)
-    lo = int(dist.ppf(TAIL_TRUNCATION))
-    hi = int(dist.isf(TAIL_TRUNCATION))
-    ks = np.arange(lo, hi + 1)
-    return lo, hi, dist.pmf(ks)
+def _binomial_windows(ns: np.ndarray, p: float) -> tuple[list[int], list[np.ndarray]]:
+    """Support windows of Bi(n, p) for every n in ``ns``, each holding all
+    but < 2e-15 of the mass: the first k of each and its masses.
+
+    One unfrozen scipy call per quantity serves every row; a frozen
+    distribution per n would cost far more than the values."""
+    los = stats.binom.ppf(TAIL_TRUNCATION, ns, p).astype(np.int64)
+    his = stats.binom.isf(TAIL_TRUNCATION, ns, p).astype(np.int64)
+    widths = his - los + 1
+    ends = np.cumsum(widths)
+    ks = np.arange(ends[-1]) - np.repeat(ends - widths - los, widths)
+    masses = stats.binom.pmf(ks, np.repeat(ns, widths), p)
+    return los.tolist(), np.split(masses, ends[:-1])
 
 
 @dataclass(frozen=True)
@@ -162,13 +209,14 @@ class _Coin(SurvivorModel):
     """A round where each player survives on heads with probability p.
 
     Subclasses say what becomes of a wiped-out or thinned round: exact rows
-    from the whole binomial row, float rows from the window that holds all
-    but ``TAIL_TRUNCATION`` of the mass.
+    from the whole binomial row in integers, float rows from the window
+    that holds all but ``TAIL_TRUNCATION`` of the mass.
     """
 
     p: Fraction
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "p", Fraction(self.p))
         if not 0 < self.p < 1:
             raise ValueError(f"need p in (0,1), got {self.p}")
@@ -177,14 +225,29 @@ class _Coin(SurvivorModel):
     def declared_alpha(self) -> Fraction:
         return self.p
 
+    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+        lo, nums, den = self.exact_row(n)
+        return {k: Fraction(x, den) for k, x in enumerate(nums, lo) if x}
+
     def pmf_float(self, n: int) -> dict[int, float]:
         if n <= self.exact_cutoff:
-            return {k: float(v) for k, v in self.pmf_exact(n).items()}
-        return self._window_row(n, *_binomial_window(n, float(self.p)))
+            return super().pmf_float(n)
+        [(lo, probs)] = self.float_rows(n, n + 1)
+        return {k: v for k, v in enumerate(probs.tolist(), lo) if v > 0.0}
+
+    def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+        split = max(start, min(stop, self.exact_cutoff + 1))
+        rows = super().float_rows(start, split)
+        if split < stop:
+            ns = np.arange(split, stop)
+            rows += self._window_rows(ns.tolist(), *_binomial_windows(ns, float(self.p)))
+        return rows
 
     @abc.abstractmethod
-    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
-        """Float row from the Bi(n, p) masses ``probs`` on ``lo..hi``."""
+    def _window_rows(
+        self, ns: list[int], los: list[int], windows: list[np.ndarray]
+    ) -> list[tuple[int, np.ndarray]]:
+        """Float rows from the Bi(n, p) masses ``windows[i]`` on k >= ``los[i]``."""
 
 
 @dataclass(frozen=True)
@@ -196,20 +259,24 @@ class BiasedCoin(_Coin):
     def name(self) -> str:
         return f"biased-coin(p={self.p})"
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
-        row = _binomial_row_exact(n, self.p)
-        pmf = {k: row[k] for k in range(1, n + 1)}
-        pmf[n] += row[0]  # all-tails rescue maps to "everyone survives"
-        return pmf
+        nums, den = _binomial_numerators(n, self.p)
+        nums[n] += nums[0]  # all-tails rescue maps to "everyone survives"
+        return 1, nums[1:], den
 
-    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
-        pmf = {k: float(v) for k, v in zip(range(lo, hi + 1), probs) if v > 0.0}
-        pmf.pop(0, None)
-        rescue = float(1 - self.p) ** n  # all tails; the window holds all heads
-        if rescue >= TAIL_TRUNCATION:
-            pmf[n] = pmf.get(n, 0.0) + rescue
-        return pmf
+    def _window_rows(self, ns, los, windows):
+        q = float(1 - self.p)
+        rows = []
+        for n, lo, probs in zip(ns, los, windows):
+            if lo == 0:
+                lo, probs = 1, probs[1:]
+            rescue = q**n  # all tails; the window holds all heads
+            if rescue >= TAIL_TRUNCATION:
+                probs = np.concatenate([probs, np.zeros(n + 1 - lo - len(probs))])
+                probs[-1] += rescue
+            rows.append((lo, probs))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -232,20 +299,25 @@ class CoinMaxOne(_Coin):
     def name(self) -> str:
         return f"coin-max-one(p={self.p})"
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
-        row = _binomial_row_exact(n, self.p)
-        pmf = {k: row[k] for k in range(2, n + 1)}
-        pmf[1] = row[0] + row[1] if n >= 2 else Fraction(1)
-        return pmf
+        if n == 1:
+            return 1, [1], 1
+        nums, den = _binomial_numerators(n, self.p)
+        return 1, [nums[0] + nums[1]] + nums[2:], den
 
-    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
-        pmf = {k: float(v) for k, v in zip(range(lo, hi + 1), probs) if v > 0.0}
-        low_mass = sum(pmf.pop(k) for k in (0, 1) if k in pmf)
-        low_mass += float(stats.binom(n, float(self.p)).cdf(min(1, lo - 1)))
-        if low_mass >= TAIL_TRUNCATION:
-            pmf[1] = low_mass
-        return pmf
+    def _window_rows(self, ns, los, windows):
+        # mass of k <= 1 below each window
+        below = stats.binom.cdf(np.minimum(1, np.array(los) - 1), ns, float(self.p))
+        rows = []
+        for lo, probs, low in zip(los, windows, below.tolist()):
+            cut = min(max(2 - lo, 0), len(probs))  # window entries at k = 0, 1
+            low += sum(probs[:cut].tolist(), 0.0)
+            lo, probs = lo + cut, probs[cut:]
+            if low >= TAIL_TRUNCATION:
+                lo, probs = 1, np.concatenate([[low], np.zeros(max(lo - 2, 0)), probs])
+            rows.append((lo, probs))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -267,32 +339,29 @@ class DemonCoin(_Coin):
     def name(self) -> str:
         return f"demon-coin(p={self.p},nu={self.nu})"
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         if n < 0:
             raise ValueError(f"{self.name}: need n >= 0, got {n}")
         if n == 0:
-            return {0: Fraction(1)}
-        row = _binomial_row_exact(n, self.p)
-        keep, kill = 1 - self.nu, self.nu
-        pmf = {0: row[0] + kill * row[1]}
-        for j in range(1, n + 1):
-            mass = keep * row[j]
-            if j + 1 <= n:
-                mass += kill * row[j + 1]
-            pmf[j] = mass
-        return {k: v for k, v in pmf.items() if v != 0}
+            return 0, [1], 1
+        heads, den = _binomial_numerators(n, self.p)
+        kill, scale = self.nu.numerator, self.nu.denominator
+        keep = scale - kill
+        nums = [keep * h + kill * h1 for h, h1 in zip(heads, heads[1:] + [0])]
+        nums[0] = scale * heads[0] + kill * heads[1]  # nobody left either way
+        return 0, nums, den * scale
 
-    def _window_row(self, n: int, lo: int, hi: int, probs: np.ndarray) -> dict[int, float]:
-        heads = dict(zip(range(lo, hi + 1), probs))
+    def _window_rows(self, ns, los, windows):
         keep, kill = 1.0 - float(self.nu), float(self.nu)
-        pmf: dict[int, float] = {}
-        for j in range(max(lo - 1, 0), hi + 1):
-            mass = keep * heads.get(j, 0.0) + kill * heads.get(j + 1, 0.0)
-            if j == 0:
-                mass = heads.get(0, 0.0) + kill * heads.get(1, 0.0)
-            if mass > 0.0:
-                pmf[j] = mass
-        return pmf
+        rows = []
+        for lo, heads in zip(los, windows):
+            start = max(lo - 1, 0)
+            h = np.concatenate([np.zeros(lo - start), heads, [0.0]])  # k = start..
+            mass = keep * h[:-1] + kill * h[1:]
+            if start == 0:
+                mass[0] = h[0] + kill * h[1]
+            rows.append((start, mass))
+        return rows
 
     def shifted(self) -> "DummyShiftedDemon":
         """Absorption-at-one form: one never-eliminated dummy player is
@@ -365,6 +434,7 @@ class PeakSurvivors(SurvivorModel):
     variant: PeakVariant
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.exact_cutoff > DEFAULT_EXACT_CAP:
             raise ValueError(
                 f"{self.name}: exact_cutoff {self.exact_cutoff} exceeds the exact"
@@ -388,14 +458,17 @@ class PeakSurvivors(SurvivorModel):
         return dict(_PEAK_ROWS.table(self.variant).row(n).probs)
 
     def pmf_float(self, n: int) -> dict[int, float]:
-        # circular row n is linear-I row n - 1, linear-II row n is linear-I
-        # row n, each shifted by one peak
-        self._require_positive(n)
-        base = n - 1 if self.variant is PeakVariant.CIRCULAR else n
-        lo, probs = _PEAK_ROWS.linear_float(base)
-        if self.variant is not PeakVariant.LINEAR_I:
-            lo += 1
+        [(lo, probs)] = self.float_rows(n, n + 1)
         return dict(zip(range(lo, lo + len(probs)), probs.tolist()))
+
+    def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+        # circular row n is linear-I row n - 1, linear-II row n is linear-I
+        # row n, each shifted by one peak; the rows are shared, not copied
+        self._require_positive(start)
+        shift = 0 if self.variant is PeakVariant.LINEAR_I else 1
+        base = -1 if self.variant is PeakVariant.CIRCULAR else 0
+        rows = [_PEAK_ROWS.linear_float(n + base) for n in range(start, stop)]
+        return [(lo + shift, probs) for lo, probs in rows]
 
 
 def peak_linear_i(**kwargs) -> PeakSurvivors:
@@ -426,6 +499,7 @@ class ExplicitMatrix(SurvivorModel):
     alpha: Fraction | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         normalised = []
         for i, row in sorted(dict(self.rows).items()):
             row = dict(row)

@@ -46,6 +46,12 @@ def test_peak_cutoff_above_cap_is_rejected(tmp_path, capsys):
     assert "cap 120" in capsys.readouterr().err
 
 
+def test_negative_cutoff_is_rejected(tmp_path, capsys):
+    assert main(["table", "--model", "fair-coin", "--max-n", "10",
+                 "--exact-cutoff", "-3", "--out", str(tmp_path)]) == 2
+    assert "exact_cutoff >= 0" in capsys.readouterr().err
+
+
 def test_check_exit_codes(tmp_path):
     out = str(tmp_path)
     assert main(["check", "--model", "fair-coin", "--alpha", "0.5",

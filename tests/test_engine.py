@@ -254,6 +254,13 @@ def test_ending_state_validation():
     table = ending_state_probs(ToyHalving(), 10, 2)
     with pytest.raises(ValueError):
         table.prob(5, 3)
+    for n in (-1, 11):  # rows outside 0..max_n
+        with pytest.raises(ValueError, match="outside"):
+            table.prob(n, 2)
+        with pytest.raises(ValueError, match="outside"):
+            table.exact_prob(n, 2)
+    with pytest.raises(ValueError):
+        table.exact_prob(5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +310,52 @@ def test_demon_wipe_out_counts_as_one_player():
 @st.composite
 def _chains(draw):
     """Random rational lower-triangular chains on states 1..top (top <= 8),
-    with or without self-loops; every row can leave its state."""
+    with or without self-loops and wipe-outs to state 0; every row can
+    leave its state."""
     top = draw(st.integers(2, 8))
     loops = draw(st.booleans())
+    first = 0 if draw(st.booleans()) else 1
     rows = {}
     for i in range(2, top + 1):
-        down = draw(st.lists(st.integers(0, 4), min_size=i - 1, max_size=i - 1).filter(any))
+        down = draw(st.lists(st.integers(0, 4), min_size=i - first, max_size=i - first).filter(any))
         stay = draw(st.integers(0, 4)) if loops else 0
         total = sum(down) + stay
-        rows[i] = {j: Fraction(w, total) for j, w in enumerate(down + [stay], 1) if w}
+        rows[i] = {j: Fraction(w, total) for j, w in enumerate(down + [stay], first) if w}
     return ExplicitMatrix(rows=rows), loops
 
 
-@given(_chains(), st.integers(1, 2))
-def test_means_agree_on_random_chains(chain, a):
-    # recurrence, downward visit sweep and forward evolution, all exact
+@given(_chains(), st.integers(1, 2), st.sampled_from(InitConvention), st.data())
+def test_means_agree_on_random_chains(chain, a, init, data):
+    # integer columns, float rows, the downward visit sweep and forward
+    # evolution: equal wherever the rows are exact, within 1e-12 elsewhere
     model, loops = chain
     top = model.max_state
-    table = compute_phase_table(model, top, threshold_a=a)
-    floats = replace(model, exact_cutoff=0)
+    zero_cost = 1 if init is InitConvention.ALT_COST else 0
+    cut = data.draw(st.integers(1, top))
+    table = compute_phase_table(model, top, threshold_a=a, init=init)
+    float_model = replace(model, exact_cutoff=0)
+    mixed = compute_phase_table(replace(model, exact_cutoff=cut), top, threshold_a=a, init=init)
+    floats = compute_phase_table(float_model, top, threshold_a=a, init=init)
+    j_max = max(table.j_max, mixed.j_max)
+    for n in range(top + 1):  # ends on n = top, whose law the last check reads
+        law = _forward_phase_law(model, n, a, j_max, zero_cost=zero_cost)
+        for j in range(table.j_max + 1):
+            assert table.exact_prob(n, j) == law.get(j, Fraction(0))
+        if n <= cut:  # integer columns beside float rows in one table
+            for j in range(mixed.j_max + 1):
+                assert mixed.exact_prob(n, j) == law.get(j, Fraction(0))
+            assert mixed.exact_mean(n) == table.exact_mean(n)
     for n in range(1, top + 1):
-        assert occupancy_probs(model, n, threshold_a=a).mean_recovered == table.exact_mean(n)
-        float_mean = occupancy_probs(floats, n, threshold_a=a).mean_recovered
-        assert math.isclose(float_mean, table.mean(n), rel_tol=1e-12)
-    law = _forward_phase_law(model, top, a, table.j_max)
-    for j in range(table.j_max + 1):
-        assert table.exact_prob(top, j) == law.get(j, Fraction(0))
+        occ = occupancy_probs(model, n, threshold_a=a)
+        wiped = zero_cost * occ.visits.get(0, 0)
+        assert occ.mean_recovered + wiped == table.exact_mean(n)
+        occ = occupancy_probs(float_model, n, threshold_a=a)
+        wiped = zero_cost * occ.visits.get(0, 0.0)
+        assert math.isclose(occ.mean_recovered + wiped, table.mean(n), rel_tol=1e-12)
+    for other in (mixed, floats):
+        width = min(other.j_max, table.j_max) + 1
+        assert np.allclose(other.probs[:, :width], table.probs[:, :width], rtol=0, atol=1e-12)
+        assert np.allclose(other.means, table.means, rtol=1e-12, atol=0)
     if not loops:  # absorbed within top rounds, so the forward law is whole
         assert sum(j * p for j, p in law.items()) == table.exact_mean(top)
 

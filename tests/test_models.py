@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from electra import fixtures
 from electra.models import (
+    TAIL_TRUNCATION,
     BiasedCoin,
     CoinMaxOne,
     DemonCoin,
@@ -62,6 +64,68 @@ def test_float_backend_mass(n):
         pmf = model.pmf_float(n)
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
         assert all(p > 0 for p in pmf.values())
+
+
+def _reference_window_row(model, n):
+    """A coin model's float row built one n at a time from scalar scipy
+    calls: the Bi(n, p) window, then the model's rule for the low end."""
+    p = float(model.p)
+    lo = int(stats.binom.ppf(TAIL_TRUNCATION, n, p))
+    hi = int(stats.binom.isf(TAIL_TRUNCATION, n, p))
+    masses = stats.binom.pmf(np.arange(lo, hi + 1), n, p).tolist()
+    heads = {k: v for k, v in enumerate(masses, lo) if v > 0.0}
+    if isinstance(model, BiasedCoin):
+        heads.pop(0, None)
+        rescue = float(1 - model.p) ** n
+        if rescue >= TAIL_TRUNCATION:
+            heads[n] = heads.get(n, 0.0) + rescue
+        return heads
+    if isinstance(model, CoinMaxOne):
+        low = sum(heads.pop(k) for k in (0, 1) if k in heads)
+        low += float(stats.binom.cdf(min(1, lo - 1), n, p))
+        if low >= TAIL_TRUNCATION:
+            heads[1] = low
+        return heads
+    keep, kill = 1.0 - float(model.nu), float(model.nu)
+    row = {}
+    for j in range(max(lo - 1, 0), hi + 1):
+        mass = (1.0 if j == 0 else keep) * heads.get(j, 0.0) + kill * heads.get(j + 1, 0.0)
+        if mass > 0.0:
+            row[j] = mass
+    return row
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)])
+@pytest.mark.parametrize("kind", [BiasedCoin, CoinMaxOne, DemonCoin])
+def test_batched_coin_rows_are_bit_identical(kind, p):
+    # the batched kernel against per-n scipy calls, and the engine's array
+    # rows against the pmf_float dicts; n = 76..96 holds the p = 3/10 rescue
+    model = kind(p, Fraction(1, 3)) if kind is DemonCoin else kind(p)
+    rows = model.float_rows(76, 2001)
+    for n in list(range(76, 100)) + list(range(100, 2001, 50)):
+        want = _reference_window_row(model, n)
+        assert model.pmf_float(n) == want
+        lo, probs = rows[n - 76]
+        assert {k: v for k, v in enumerate(probs.tolist(), lo) if v != 0.0} == want
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)])
+def test_integer_coin_rows_match_fractions(p):
+    q = 1 - p
+    for n in range(1, 41):
+        row = [math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)]
+        biased = {k: row[k] for k in range(1, n + 1)}
+        biased[n] += row[0]
+        assert BiasedCoin(p).pmf_exact(n) == biased
+        max_one = {k: row[k] for k in range(2, n + 1)}
+        max_one[1] = row[0] + row[1] if n >= 2 else Fraction(1)
+        assert CoinMaxOne(p).pmf_exact(n) == max_one
+        nu = Fraction(1, 3)
+        demon = {j: (1 - nu) * row[j] + nu * (row[j + 1] if j < n else 0) for j in range(n + 1)}
+        demon[0] = row[0] + nu * row[1]
+        assert DemonCoin(p, nu).pmf_exact(n) == demon
+        lo, nums, den = DemonCoin(p, nu).exact_row(n)
+        assert {k: Fraction(x, den) for k, x in enumerate(nums, lo)} == demon
 
 
 def test_peak_model_rows_match_tables():
@@ -133,6 +197,10 @@ def test_parameter_validation():
         DemonCoin(Fraction(1, 2), Fraction(3, 2))
     with pytest.raises(ValueError):
         ToyHalving().pmf_exact(0)
+    for build in (ToyHalving, FairCoin, peak_linear_i):
+        with pytest.raises(ValueError, match="exact_cutoff"):
+            build(exact_cutoff=-1)
+    assert FairCoin(exact_cutoff=0).exact_cutoff == 0
 
 
 def test_deterministic_halving():
