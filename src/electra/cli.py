@@ -385,11 +385,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             stop_threshold=args.threshold, record_traces=args.traces,
         )
         records = run_election(config)
+        messages = records.messages
         _write_csv(
             out / "results.csv",
             ["variant", "n", "trial", "rounds", "messages"],
             (
-                [variant.value, args.n, t, int(records.rounds[t]), int(records.messages[t])]
+                [variant.value, args.n, t, int(records.rounds[t]), int(messages[t])]
                 for t in range(args.trials)
             ),
         )
@@ -398,7 +399,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             [variant.value, args.n, f"count-rounds-{j}", c, "", args.trials]
             for j, c in sorted(hist.items())
         ]
-        mean_messages = float(records.messages.mean())
+        mean_messages = float(messages.mean())
         scale = 2.0 * args.n * math.log(args.n) / math.log(3.0)
         summary_rows.append(
             [variant.value, args.n, "mean-messages", repr(mean_messages), "", args.trials]

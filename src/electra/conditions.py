@@ -68,19 +68,19 @@ def check_monotone(
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     violations: list[MonotoneViolation] = []
+    held: dict[bool, list] = {}  # backend -> cdf of row n from the last pair
     for n in range(1, n_max):
-        exact_pair = None
-        if n + 1 <= config.exact_scan_cap:
+        exact = n + 1 <= config.exact_scan_cap
+        if exact:
             try:
-                exact_pair = (model.pmf_exact(n), model.pmf_exact(n + 1))
+                cur = held[True] if True in held else _cdf(model, n, True)
+                nxt = _cdf(model, n + 1, True)
             except ValueError:
-                exact_pair = None
-        if exact_pair is not None:
-            cur = _cdf_values(exact_pair[0], n, Fraction(0))
-            nxt = _cdf_values(exact_pair[1], n + 1, Fraction(0))
-        else:
-            cur = _cdf_values(model.pmf_float(n), n, 0.0)
-            nxt = _cdf_values(model.pmf_float(n + 1), n + 1, 0.0)
+                exact = False
+        if not exact:
+            cur = held[False] if False in held else _cdf(model, n, False)
+            nxt = _cdf(model, n + 1, False)
+        held = {exact: nxt}
         for k in range(1, n + 1):
             gap = float(nxt[k] - cur[k])
             if gap > config.monotone_tol:
@@ -88,7 +88,10 @@ def check_monotone(
     return MonotoneCheck(violations=violations, n_max=n_max)
 
 
-def _cdf_values(pmf: dict, n: int, zero) -> list:
+def _cdf(model: SurvivorModel, n: int, exact: bool) -> list:
+    """P(Y_n <= k) for k = 0..n + 1, in the chosen backend."""
+    pmf = model.pmf_exact(n) if exact else model.pmf_float(n)
+    zero = Fraction(0) if exact else 0.0
     out = []
     acc = zero
     for k in range(0, n + 1):

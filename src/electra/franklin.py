@@ -8,14 +8,20 @@ The redraw variants hand out fresh keys each round and are exactly the
 chains the phase engine computes; simulating them supplies an
 engine-independent consistency check.
 
-Trials run in fixed-size batches, each with its own counter-based RNG
-substream keyed by (seed, batch index), so results are reproducible
-bit-for-bit and merge order-independently.
+One round-stepper, ``_play``, runs every game: it yields each round's
+survivor counts per group of equal-width trials, and ``run_election`` and
+``survivors_after_rounds`` only record what it yields.  Persistent keys
+pass to the next round by a mask select on the surviving rows; the
+redraw variants draw fresh keys per group.  Trials run in fixed-size
+batches, each with its own counter-based RNG substream keyed by (seed,
+batch index), so results are reproducible bit-for-bit and merge
+order-independently.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -73,9 +79,15 @@ class ElectionRecords:
 
     config: SimConfig
     rounds: np.ndarray
-    messages: np.ndarray
     trace_flat: np.ndarray | None
     trace_offsets: np.ndarray | None
+
+    @property
+    def messages(self) -> np.ndarray:
+        """Link traversals per trial: 2n per round, since eliminated
+        players keep relaying and each ring link is crossed twice per
+        round regardless of how many players are left."""
+        return self.rounds.astype(np.int64) * (2 * self.config.n)
 
     def trace(self, trial: int) -> np.ndarray:
         """Survivor counts after each round, starting from n."""
@@ -107,38 +119,62 @@ def _draw_distinct_keys(rng: np.random.Generator, m: int, width: int) -> np.ndar
 
 
 def _peak_mask(keys: np.ndarray, variant: RingVariant) -> np.ndarray:
-    """Boolean survivor mask per row; width must be >= 2."""
-    width = keys.shape[1]
-    if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
-        left = np.roll(keys, 1, axis=1)
-        right = np.roll(keys, -1, axis=1)
-        return (keys > left) & (keys > right)
+    """Boolean survivor mask per row; width must be >= 2.
+
+    Interior players compare with both row neighbours.  The end columns
+    wrap around on the circular rules, compare with their one neighbour
+    on linear-II, and never survive on linear-I.
+    """
     mask = np.zeros(keys.shape, dtype=bool)
-    if width >= 3:
-        mask[:, 1:-1] = (keys[:, 1:-1] > keys[:, :-2]) & (keys[:, 1:-1] > keys[:, 2:])
-    if variant is RingVariant.REDRAW_LINEAR_II:
-        mask[:, 0] = keys[:, 0] > keys[:, 1]
-        mask[:, -1] = keys[:, -1] > keys[:, -2]
+    inner = keys[:, 1:-1]
+    mask[:, 1:-1] = (inner > keys[:, :-2]) & (inner > keys[:, 2:])
+    first, last = keys[:, 0], keys[:, -1]
+    if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
+        mask[:, 0] = (first > last) & (first > keys[:, 1])
+        mask[:, -1] = (last > keys[:, -2]) & (last > first)
+    elif variant is RingVariant.REDRAW_LINEAR_II:
+        mask[:, 0] = first > keys[:, 1]
+        mask[:, -1] = last > keys[:, -2]
     return mask
 
 
-def _group_rows_by_width(
-    flat: np.ndarray, widths: np.ndarray, indices: np.ndarray
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Split a ragged row-major buffer into per-width key matrices."""
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    order = np.argsort(widths, kind="stable")
-    offsets = np.zeros(len(widths) + 1, dtype=np.int64)
-    np.cumsum(widths, out=offsets[1:])
-    for width in np.unique(widths):
-        if width == 0:
-            continue
-        rows = order[widths[order] == width]
-        block = np.empty((len(rows), int(width)), dtype=flat.dtype)
-        for out_row, row in enumerate(rows):
-            block[out_row] = flat[offsets[row] : offsets[row] + width]
-        groups[int(width)] = (block, indices[rows])
-    return groups
+def _play(
+    config: SimConfig, max_rounds: int | None = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Play every trial round by round, yielding ``(round, trials, counts)``.
+
+    Each yield covers one group of trials that entered the round with the
+    same number of players; counts are the survivors of that round.  A
+    trial leaves once its count is at most ``config.stop_threshold``, or
+    after ``max_rounds`` rounds.  Within a batch, groups play in ascending
+    width and keep their rows in order, which fixes the order of the key
+    draws and so the outcome of every seed.
+    """
+    persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    for start in range(0, config.trials, _BATCH):
+        stop = min(start + _BATCH, config.trials)
+        rng = _batch_rng(config.seed, start // _BATCH)
+        # width -> [(kept keys, or None to draw fresh ones; trial indices)]
+        parts = {}
+        if config.n > config.stop_threshold:
+            parts[config.n] = [(None, np.arange(start, stop, dtype=np.int64))]
+        round_ = 0
+        while parts and (max_rounds is None or round_ < max_rounds):
+            round_ += 1
+            groups, parts = sorted(parts.items()), {}
+            for width, group in groups:
+                idx = np.concatenate([i for _, i in group])
+                if group[0][0] is None:
+                    keys = _draw_distinct_keys(rng, len(idx), width)
+                else:
+                    keys = np.vstack([k for k, _ in group])
+                mask = _peak_mask(keys, config.variant)
+                survivors = mask.sum(axis=1, dtype=np.int64)
+                yield round_, idx, survivors
+                for w in np.unique(survivors[survivors > config.stop_threshold]):
+                    sel = survivors == w
+                    kept = keys[sel][mask[sel]].reshape(-1, w) if persistent else None
+                    parts.setdefault(int(w), []).append((kept, idx[sel]))
 
 
 def run_election(config: SimConfig) -> ElectionRecords:
@@ -150,69 +186,21 @@ def run_election(config: SimConfig) -> ElectionRecords:
     trial simply ends.  Identical configs give bit-identical records.
     """
     rounds = np.zeros(config.trials, dtype=np.int32)
-    messages = np.zeros(config.trials, dtype=np.int64)
-    traces: list[list[int]] | None = (
-        [[] for _ in range(config.trials)] if config.record_traces else None
-    )
-    persistent = config.variant is RingVariant.TRUE_PERSISTENT
-
-    for start in range(0, config.trials, _BATCH):
-        stop = min(start + _BATCH, config.trials)
-        rng = _batch_rng(config.seed, start // _BATCH)
-        m = stop - start
-        # active groups: width -> (keys or None, trial indices)
-        indices = np.arange(start, stop, dtype=np.int64)
-        groups: dict[int, tuple[np.ndarray | None, np.ndarray]] = {}
-        if config.n > config.stop_threshold:
-            keys0 = _draw_distinct_keys(rng, m, config.n) if persistent else None
-            groups[config.n] = (keys0, indices)
-        while groups:
-            next_groups: dict[int, list[tuple[np.ndarray | None, np.ndarray]]] = {}
-            for width, (keys, idx) in sorted(groups.items()):
-                if keys is None:
-                    keys = _draw_distinct_keys(rng, len(idx), width)
-                mask = _peak_mask(keys, config.variant)
-                survivors = mask.sum(axis=1).astype(np.int64)
-                rounds[idx] += 1
-                # 2n per round: eliminated players keep relaying, so each
-                # ring link is crossed twice per round regardless of width
-                messages[idx] += 2 * config.n
-                if traces is not None:
-                    for trial, count in zip(idx, survivors):
-                        traces[trial].append(int(count))
-                if persistent:
-                    flat = keys[mask]
-                    sub = _group_rows_by_width(flat, survivors, idx)
-                    for w, (block, sub_idx) in sub.items():
-                        if w > config.stop_threshold:
-                            next_groups.setdefault(w, []).append((block, sub_idx))
-                else:
-                    for w in np.unique(survivors):
-                        w = int(w)
-                        if w > config.stop_threshold:
-                            sub_idx = idx[survivors == w]
-                            next_groups.setdefault(w, []).append((None, sub_idx))
-            groups = {}
-            for w, parts in next_groups.items():
-                idx = np.concatenate([p[1] for p in parts])
-                if persistent:
-                    block = np.vstack([p[0] for p in parts])
-                else:
-                    block = None
-                groups[w] = (block, idx)
-
+    steps = []
+    for round_, idx, survivors in _play(config):
+        rounds[idx] = round_
+        if config.record_traces:
+            steps.append((round_, idx, survivors))
     trace_flat = trace_offsets = None
-    if traces is not None:
-        lengths = np.array([len(t) for t in traces], dtype=np.int64)
+    if config.record_traces:
         trace_offsets = np.zeros(config.trials + 1, dtype=np.int64)
-        np.cumsum(lengths, out=trace_offsets[1:])
-        trace_flat = np.fromiter(
-            itertools.chain.from_iterable(traces), dtype=np.int64, count=int(lengths.sum())
-        )
+        np.cumsum(rounds, out=trace_offsets[1:])
+        trace_flat = np.empty(trace_offsets[-1], dtype=np.int64)
+        for round_, idx, survivors in steps:
+            trace_flat[trace_offsets[idx] + (round_ - 1)] = survivors
     return ElectionRecords(
         config=config,
         rounds=rounds,
-        messages=messages,
         trace_flat=trace_flat,
         trace_offsets=trace_offsets,
     )
@@ -223,45 +211,15 @@ def survivors_after_rounds(
 ) -> np.ndarray:
     """Survivor count of every trial after a fixed number of rounds.
 
-    Leaner than :func:`run_election`: no traces, no message accounting,
-    stops after ``rounds`` eliminations (a trial ending earlier keeps its
-    final count).
+    Leaner than :func:`run_election`: no traces, stops after ``rounds``
+    eliminations (a trial ending earlier keeps its final count).
     """
+    if rounds < 1:
+        raise ValueError(f"need rounds >= 1, got {rounds}")
+    config = SimConfig(variant, n, trials, seed, record_traces=False)
     out = np.zeros(trials, dtype=np.int64)
-    persistent = variant is RingVariant.TRUE_PERSISTENT
-    for start in range(0, trials, _BATCH):
-        stop = min(start + _BATCH, trials)
-        rng = _batch_rng(seed, start // _BATCH)
-        m = stop - start
-        indices = np.arange(start, stop, dtype=np.int64)
-        keys = _draw_distinct_keys(rng, m, n) if persistent else None
-        groups: dict[int, tuple[np.ndarray | None, np.ndarray]] = {n: (keys, indices)}
-        for _ in range(rounds):
-            next_groups: dict[int, list[tuple[np.ndarray | None, np.ndarray]]] = {}
-            for width, (block, idx) in sorted(groups.items()):
-                if block is None:
-                    block = _draw_distinct_keys(rng, len(idx), width)
-                mask = _peak_mask(block, variant)
-                survivors = mask.sum(axis=1).astype(np.int64)
-                out[idx] = survivors
-                if persistent:
-                    flat = block[mask]
-                    for w, (sub_block, sub_idx) in _group_rows_by_width(
-                        flat, survivors, idx
-                    ).items():
-                        if w >= 2:
-                            next_groups.setdefault(w, []).append((sub_block, sub_idx))
-                else:
-                    for w in np.unique(survivors):
-                        w = int(w)
-                        if w >= 2:
-                            sub_idx = idx[survivors == w]
-                            next_groups.setdefault(w, []).append((None, sub_idx))
-            groups = {}
-            for w, parts in next_groups.items():
-                idx = np.concatenate([p[1] for p in parts])
-                block = np.vstack([p[0] for p in parts]) if persistent else None
-                groups[w] = (block, idx)
+    for _, idx, survivors in _play(config, rounds):
+        out[idx] = survivors
     return out
 
 
@@ -398,19 +356,15 @@ def mean_survival_ratios(records: ElectionRecords, max_rounds: int = 6) -> list[
     """
     if records.trace_flat is None:
         raise ValueError("needs traces; run with record_traces=True")
-    sums = np.zeros(max_rounds)
-    norms = np.zeros(max_rounds)
-    n = records.config.n
-    for trial in range(records.config.trials):
-        trace = records.trace(trial)
-        prev = n
-        for r, count in enumerate(trace[:max_rounds]):
-            sums[r] += count / prev if prev else 0.0
-            norms[r] += 1
-            prev = count
+    flat, offsets = records.trace_flat, records.trace_offsets
+    lengths = np.diff(offsets)
     out = []
     for r in range(max_rounds):
-        if norms[r] == 0:
+        at = offsets[:-1][lengths > r] + r
+        if not len(at):
             break
-        out.append(float(sums[r] / norms[r]))
+        # a trace continues only past counts above the stop threshold, so
+        # every count divided by here is at least 2
+        before = flat[at - 1] if r else records.config.n
+        out.append(float(np.mean(flat[at] / before)))
     return out

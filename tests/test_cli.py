@@ -115,6 +115,16 @@ def test_simulate_c2(tmp_path):
     assert refs and abs(float(refs[0]["point"]) - 0.1096868681) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "n,trials,message",
+    [("1", "10", "n >= 2"), ("0", "10", "n >= 2"), ("5", "0", "trials >= 1")],
+)
+def test_simulate_c2_rejects_bad_sizes(tmp_path, capsys, n, trials, message):
+    assert main(["simulate", "--variant", "true-persistent", "--estimate", "c2",
+                 "--n", n, "--trials", trials, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_conditional(tmp_path):
     assert main(["simulate", "--variant", "true-persistent", "--estimate",
                  "conditional", "--trials", "40000", "--seed", "3",

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from electra.engine import compute_phase_table
 from electra.franklin import (
+    _BATCH,
     RingVariant,
     SimConfig,
+    _circular_peak_count,
+    _peak_mask,
     closed_form_c2,
     conditional_second_round,
     estimate_c2,
@@ -146,3 +151,73 @@ def test_linear_i_emergency_exit_terminates():
     records = run_election(SimConfig(RingVariant.REDRAW_LINEAR_I, 2, 50, seed=2))
     assert np.all(records.rounds == 1)
     assert all(records.trace(t)[-1] == 0 for t in range(50))
+
+
+def _peak_flags(row, variant):
+    """Peak definition by hand: neighbours wrap around on the circular
+    rules; on a line the ends compare with their one neighbour (linear-II)
+    or never survive (linear-I)."""
+    last = len(row) - 1
+    flags = []
+    for i, v in enumerate(row):
+        if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
+            neighbours = (row[i - 1], row[(i + 1) % len(row)])
+        elif 0 < i < last:
+            neighbours = (row[i - 1], row[i + 1])
+        elif variant is RingVariant.REDRAW_LINEAR_II:
+            neighbours = (row[1] if i == 0 else row[last - 1],)
+        else:
+            neighbours = None
+        flags.append(neighbours is not None and all(v > u for u in neighbours))
+    return flags
+
+
+@given(st.integers(2, 9).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=width, max_size=width, unique=True),
+    min_size=1, max_size=6,
+)))
+def test_peak_mask_matches_definition(rows):
+    keys = np.array(rows, dtype=np.int64)
+    for variant in RingVariant:
+        mask = _peak_mask(keys, variant)
+        for row, flags in zip(rows, mask):
+            assert list(flags) == _peak_flags(row, variant)
+            if variant is RingVariant.REDRAW_CIRCULAR:
+                assert int(flags.sum()) == _circular_peak_count(tuple(row))
+
+
+@pytest.mark.parametrize("variant", list(RingVariant))
+def test_fixed_rounds_agree_with_full_traces(variant):
+    trials = _BATCH + 500
+    records = run_election(SimConfig(variant, 12, trials, seed=8))
+    for r in (1, 2, 3):
+        counts = survivors_after_rounds(variant, 12, trials, seed=8, rounds=r)
+        expected = [records.trace(t)[min(r, len(records.trace(t))) - 1] for t in range(trials)]
+        assert np.array_equal(counts, expected)
+
+
+def test_fixed_rounds_rejects_zero_rounds():
+    with pytest.raises(ValueError, match="rounds >= 1"):
+        survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 9, 10, seed=0, rounds=0)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(RingVariant.REDRAW_CIRCULAR, 81, 4000, seed=3),
+        SimConfig(RingVariant.REDRAW_LINEAR_I, 5, 3000, seed=6),  # many wipe out
+    ],
+)
+def test_mean_survival_ratios_match_loop(config):
+    records = run_election(config)
+    sums, norms = [0.0] * 6, [0] * 6
+    for trial in range(config.trials):
+        prev = config.n
+        for r, count in enumerate(records.trace(trial)[:6]):
+            sums[r] += count / prev if prev else 0.0
+            norms[r] += 1
+            prev = count
+    expected = [s / k for s, k in zip(sums, norms) if k]
+    ratios = mean_survival_ratios(records)
+    assert len(ratios) == len(expected)
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(ratios, expected))
