@@ -218,35 +218,26 @@ def _reconstruction_rows(table, alpha, n_lo, n_hi, terms, series):
     return rows
 
 
-def _gumbel_rows(table, alpha, n_hi):
-    """Cosmetic moment-matched Gumbel cdf overlay (the fit is expectedly bad)."""
+def _overlay_rows(table, alpha, n_hi, kind):
+    """Cosmetic overlays on the centered law of ``n_hi``: a moment-matched
+    Gumbel cdf on cdf plots (the fit is expectedly bad), a unit-window
+    normal cdf difference on pmf plots."""
     base = math.log(1.0 / float(alpha))
     law = table.row(n_hi)
     ln = math.log(n_hi) / base
     js = np.arange(len(law))
     mean = float(np.dot(js, law)) - ln
     var = float(np.dot((js - ln - mean) ** 2, law))
-    beta = math.sqrt(6.0 * var) / math.pi
-    mu = mean - 0.5772156649015329 * beta
     xs = np.linspace(-2.5, 2.5, 201)
-    cdf = np.exp(-np.exp(-(xs - mu) / beta))
-    return [[repr(float(x)), repr(float(y)), "gumbel_ref"] for x, y in zip(xs, cdf)]
-
-
-def _gauss_rows(table, alpha, n_hi):
-    """Cosmetic unit-window normal cdf-difference overlay."""
-    from scipy.special import ndtr
-
-    base = math.log(1.0 / float(alpha))
-    law = table.row(n_hi)
-    ln = math.log(n_hi) / base
-    js = np.arange(len(law))
-    mean = float(np.dot(js, law)) - ln
-    var = float(np.dot((js - ln - mean) ** 2, law))
-    sd = math.sqrt(var)
-    xs = np.linspace(-2.5, 2.5, 201)
-    vals = ndtr((xs - mean) / sd) - ndtr((xs - 1.0 - mean) / sd)
-    return [[repr(float(x)), repr(float(y)), "gauss_ref"] for x, y in zip(xs, vals)]
+    if kind == "cdf":
+        beta = math.sqrt(6.0 * var) / math.pi
+        mu = mean - 0.5772156649015329 * beta
+        ys, series = np.exp(-np.exp(-(xs - mu) / beta)), "gumbel_ref"
+    else:
+        ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)))  # normal cdf
+        sd = math.sqrt(var)
+        ys, series = ndtr((xs - mean) / sd) - ndtr((xs - 1.0 - mean) / sd), "gauss_ref"
+    return [[repr(float(x)), repr(float(y)), series] for x, y in zip(xs, ys)]
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -288,10 +279,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
             )
         else:
             rows += _scatter_rows(table, third, n_lo, n_hi, kind, "observed")
-            if args.overlays and kind == "cdf":
-                rows += _gumbel_rows(table, third, n_hi)
-            if args.overlays and kind == "pmf":
-                rows += _gauss_rows(table, third, n_hi)
+            if args.overlays:
+                rows += _overlay_rows(table, third, n_hi, kind)
     _write_csv(out / f"{args.figure}.csv", ["x", "y", "series"], rows)
     _echo_config(out, args)
     print(f"RESULT figure id={args.figure} points={len(rows)} out={out}")
@@ -386,14 +375,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         records = run_election(config)
         messages = records.messages
-        _write_csv(
-            out / "results.csv",
-            ["variant", "n", "trial", "rounds", "messages"],
-            (
-                [variant.value, args.n, t, int(records.rounds[t]), int(messages[t])]
-                for t in range(args.trials)
-            ),
-        )
+        prefix = f"{variant.value},{args.n},"
+        columns = enumerate(zip(records.rounds.tolist(), messages.tolist()))
+
+        def results(fh):
+            fh.write("variant,n,trial,rounds,messages\n")
+            fh.writelines(f"{prefix}{t},{r},{m}\n" for t, (r, m) in columns)
+
+        _atomic_write(out / "results.csv", results)
         hist = records.round_histogram()
         summary_rows += [
             [variant.value, args.n, f"count-rounds-{j}", c, "", args.trials]

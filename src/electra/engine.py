@@ -115,10 +115,6 @@ class PhaseTable:
             raise ValueError(f"no exact row for n={n} (cutoff {self.exact_cutoff})")
         return self.exact_rows[n]
 
-    def exact_cdf(self, n: int, j: int) -> Fraction:
-        row = self.exact_row(n)
-        return sum(row[: j + 1], Fraction(0))
-
     def mean(self, n: int) -> float:
         self._check_n(n)
         return float(self.means[n])

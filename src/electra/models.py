@@ -9,16 +9,18 @@ Every model serves the same row in two shapes.  ``pmf_exact`` and
 command line.  ``exact_row`` (integer numerators over one denominator) and
 ``float_rows`` (a first k and an array of masses, for a range of n at
 once) are what the engine reads.  The coin models compute their exact rows
-in integers, C(n,k) a^k (b-a)^(n-k) / b^n for p = a/b, and their float
-rows as binomial windows with tails below ``TAIL_TRUNCATION`` dropped,
-every row of a range from one unfrozen scipy call per quantity.  The peak
-models' float rows come from the exact peak-count recurrence run on
-probabilities, so they match the rational rows to rounding at every n.
+in integers, C(n,k) a^k (b-a)^(n-k) / b^n for p = a/b.  Float rows of both
+coin and peak models come from their exact recurrences run on
+probabilities, grown one n at a time into one shared cache per law
+(:class:`_GrownRows`), so they match the rational rows to rounding at
+every n.  Coin rows are windows of Bi(n, p) cut by tail mass below
+``TAIL_TRUNCATION``; peak rows keep the masses above it.
 """
 from __future__ import annotations
 
 import abc
 import csv
+import functools
 import math
 import operator
 import threading
@@ -28,11 +30,9 @@ from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .peaks import (
     DEFAULT_EXACT_CAP,
-    PeakTable,
     PeakVariant,
     build_peak_table,
     interior_peak_probs,
@@ -43,6 +43,9 @@ DEFAULT_EXACT_CUTOFF = 75
 
 #: probability mass below which floating-point tails are dropped
 TAIL_TRUNCATION = 1e-15
+
+#: masses below which a propagated coin row is trimmed, far below any served window
+FRONT_TRUNCATION = 1e-40
 
 
 @dataclass(frozen=True)
@@ -189,19 +192,82 @@ def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
     return nums, b**n
 
 
-def _binomial_windows(ns: np.ndarray, p: float) -> tuple[list[int], list[np.ndarray]]:
-    """Support windows of Bi(n, p) for every n in ``ns``, each holding all
-    but < 2e-15 of the mass: the first k of each and its masses.
+class _Shared:
+    """One value per key, built on first use behind one lock."""
 
-    One unfrozen scipy call per quantity serves every row; a frozen
-    distribution per n would cost far more than the values."""
-    los = stats.binom.ppf(TAIL_TRUNCATION, ns, p).astype(np.int64)
-    his = stats.binom.isf(TAIL_TRUNCATION, ns, p).astype(np.int64)
-    widths = his - los + 1
-    ends = np.cumsum(widths)
-    ks = np.arange(ends[-1]) - np.repeat(ends - widths - los, widths)
-    masses = stats.binom.pmf(ks, np.repeat(ns, widths), p)
-    return los.tolist(), np.split(masses, ends[:-1])
+    def __init__(self, build) -> None:
+        self._lock = threading.Lock()
+        self._build, self._values = build, {}
+
+    def __call__(self, key):
+        with self._lock:
+            if key not in self._values:
+                self._values[key] = self._build(key)
+            return self._values[key]
+
+
+class _GrownRows:
+    """Float rows of one recurrence, grown one n at a time behind one lock.
+
+    ``step(front, n)`` propagates the front from row n - 1 to row n and
+    ``serve(front)`` cuts the row kept for n from it.  Rows below the first
+    front's ``n`` are served its row.  Rows are shared by every caller, so
+    their arrays are read-only.
+    """
+
+    def __init__(self, front, n: int, step, serve) -> None:
+        self._lock = threading.Lock()
+        self._front, self._step, self._serve = front, step, serve
+        self._rows = [serve(front)] * (n + 1)
+
+    def __call__(self, n: int):
+        with self._lock:
+            while len(self._rows) <= n:
+                self._front = self._step(self._front, len(self._rows))
+                self._rows.append(self._serve(self._front))
+            return self._rows[n]
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values = values.copy()
+    values.flags.writeable = False
+    return values
+
+
+def _binomial_step(front: tuple[int, np.ndarray], n: int, p: float) -> tuple[int, np.ndarray]:
+    """Bi(n, p) from Bi(n - 1, p) by pmf(n,k) = q pmf(n-1,k) + p pmf(n-1,k-1),
+    trimmed to masses above ``FRONT_TRUNCATION``.  Every term is
+    non-negative, so floats carry it to rounding however far it runs."""
+    lo, prev = front
+    row = np.empty(len(prev) + 1)
+    np.multiply(prev, 1.0 - p, out=row[:-1])
+    row[-1] = 0.0
+    row[1:] += p * prev
+    # each edge moves out by one k a row, and only that new entry can fall short
+    first = int(row[0] <= FRONT_TRUNCATION)
+    last = len(row) - int(row[-1] <= FRONT_TRUNCATION)
+    return lo + first, row[first:last]
+
+
+def _binomial_window(front: tuple[int, np.ndarray]) -> tuple[int, np.ndarray, float]:
+    """The window of a Bi(n, p) front that holds all but < 2e-15 of the mass:
+    k below it carry less than ``TAIL_TRUNCATION`` in all, as do k above it
+    (the bounds ``ppf`` and ``isf`` give).  Returns its first k, its masses
+    and the mass of k <= 1, for :class:`CoinMaxOne`'s rescue."""
+    lo, row = front
+    start = int(row.cumsum().searchsorted(TAIL_TRUNCATION))
+    stop = len(row) - int(row[::-1].cumsum().searchsorted(TAIL_TRUNCATION))
+    return lo + start, _read_only(row[start:stop]), float(row[: max(2 - lo, 0)].sum())
+
+
+def _binomial_rows(p: Fraction) -> _GrownRows:
+    """A fresh cache of Bi(n, p) windows, from n = 0."""
+    step = functools.partial(_binomial_step, p=float(p))
+    return _GrownRows((0, np.ones(1)), 0, step, _binomial_window)
+
+
+#: the Bi(n, p) window cache every coin model with this p shares
+_coin_rows = _Shared(_binomial_rows)
 
 
 @dataclass(frozen=True)
@@ -209,8 +275,8 @@ class _Coin(SurvivorModel):
     """A round where each player survives on heads with probability p.
 
     Subclasses say what becomes of a wiped-out or thinned round: exact rows
-    from the whole binomial row in integers, float rows from the window
-    that holds all but ``TAIL_TRUNCATION`` of the mass.
+    from the whole binomial row in integers, float rows from the shared
+    Bi(n, p) window that holds all but < 2e-15 of the mass.
     """
 
     p: Fraction
@@ -238,16 +304,15 @@ class _Coin(SurvivorModel):
     def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
         split = max(start, min(stop, self.exact_cutoff + 1))
         rows = super().float_rows(start, split)
-        if split < stop:
-            ns = np.arange(split, stop)
-            rows += self._window_rows(ns.tolist(), *_binomial_windows(ns, float(self.p)))
-        return rows
+        windows = _coin_rows(self.p)
+        return rows + [self._window_row(n, *windows(n)) for n in range(split, stop)]
 
     @abc.abstractmethod
-    def _window_rows(
-        self, ns: list[int], los: list[int], windows: list[np.ndarray]
-    ) -> list[tuple[int, np.ndarray]]:
-        """Float rows from the Bi(n, p) masses ``windows[i]`` on k >= ``los[i]``."""
+    def _window_row(
+        self, n: int, lo: int, heads: np.ndarray, low: float
+    ) -> tuple[int, np.ndarray]:
+        """Float row n from the Bi(n, p) masses ``heads`` on k >= ``lo``;
+        ``low`` is the Bi(n, p) mass of k <= 1."""
 
 
 @dataclass(frozen=True)
@@ -265,18 +330,14 @@ class BiasedCoin(_Coin):
         nums[n] += nums[0]  # all-tails rescue maps to "everyone survives"
         return 1, nums[1:], den
 
-    def _window_rows(self, ns, los, windows):
-        q = float(1 - self.p)
-        rows = []
-        for n, lo, probs in zip(ns, los, windows):
-            if lo == 0:
-                lo, probs = 1, probs[1:]
-            rescue = q**n  # all tails; the window holds all heads
-            if rescue >= TAIL_TRUNCATION:
-                probs = np.concatenate([probs, np.zeros(n + 1 - lo - len(probs))])
-                probs[-1] += rescue
-            rows.append((lo, probs))
-        return rows
+    def _window_row(self, n, lo, probs, low):
+        if lo == 0:
+            lo, probs = 1, probs[1:]
+        rescue = float(1 - self.p) ** n  # all tails; the window holds all heads
+        if rescue >= TAIL_TRUNCATION:
+            probs = np.concatenate([probs, np.zeros(n + 1 - lo - len(probs))])
+            probs[-1] += rescue
+        return lo, probs
 
 
 @dataclass(frozen=True)
@@ -306,18 +367,12 @@ class CoinMaxOne(_Coin):
         nums, den = _binomial_numerators(n, self.p)
         return 1, [nums[0] + nums[1]] + nums[2:], den
 
-    def _window_rows(self, ns, los, windows):
-        # mass of k <= 1 below each window
-        below = stats.binom.cdf(np.minimum(1, np.array(los) - 1), ns, float(self.p))
-        rows = []
-        for lo, probs, low in zip(los, windows, below.tolist()):
-            cut = min(max(2 - lo, 0), len(probs))  # window entries at k = 0, 1
-            low += sum(probs[:cut].tolist(), 0.0)
-            lo, probs = lo + cut, probs[cut:]
-            if low >= TAIL_TRUNCATION:
-                lo, probs = 1, np.concatenate([[low], np.zeros(max(lo - 2, 0)), probs])
-            rows.append((lo, probs))
-        return rows
+    def _window_row(self, n, lo, probs, low):
+        cut = min(max(2 - lo, 0), len(probs))  # window entries at k = 0, 1
+        lo, probs = lo + cut, probs[cut:]
+        if low >= TAIL_TRUNCATION:
+            lo, probs = 1, np.concatenate([[low], np.zeros(max(lo - 2, 0)), probs])
+        return lo, probs
 
 
 @dataclass(frozen=True)
@@ -351,17 +406,14 @@ class DemonCoin(_Coin):
         nums[0] = scale * heads[0] + kill * heads[1]  # nobody left either way
         return 0, nums, den * scale
 
-    def _window_rows(self, ns, los, windows):
+    def _window_row(self, n, lo, heads, low):
         keep, kill = 1.0 - float(self.nu), float(self.nu)
-        rows = []
-        for lo, heads in zip(los, windows):
-            start = max(lo - 1, 0)
-            h = np.concatenate([np.zeros(lo - start), heads, [0.0]])  # k = start..
-            mass = keep * h[:-1] + kill * h[1:]
-            if start == 0:
-                mass[0] = h[0] + kill * h[1]
-            rows.append((start, mass))
-        return rows
+        start = max(lo - 1, 0)
+        h = np.concatenate([np.zeros(lo - start), heads, [0.0]])  # k = start..
+        mass = keep * h[:-1] + kill * h[1:]
+        if start == 0:
+            mass[0] = h[0] + kill * h[1]
+        return start, mass
 
     def shifted(self) -> "DummyShiftedDemon":
         """Absorption-at-one form: one never-eliminated dummy player is
@@ -392,38 +444,22 @@ class DummyShiftedDemon(SurvivorModel):
         return {k + 1: v for k, v in self.base.pmf_float(n - 1).items()}
 
 
-class _PeakRows:
-    """Peak rows shared by every :class:`PeakSurvivors`, behind one lock.
-
-    Exact tables are built once per variant, to ``DEFAULT_EXACT_CAP``.
-    Float rows are linear-I rows of the normalised recurrence, grown row by
-    row and kept as (first k, masses above ``TAIL_TRUNCATION``).  Row 0 is
-    the empty arrangement, so row n - 1 also serves circular row n.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._tables: dict[PeakVariant, PeakTable] = {}
-        self._front = np.ones(1)  # untrimmed float row len(self._floats) - 1
-        self._floats: list[tuple[int, np.ndarray]] = [(0, np.ones(1)), (0, np.ones(1))]
-
-    def table(self, variant: PeakVariant) -> PeakTable:
-        with self._lock:
-            if variant not in self._tables:
-                self._tables[variant] = build_peak_table(variant, DEFAULT_EXACT_CAP)
-            return self._tables[variant]
-
-    def linear_float(self, n: int) -> tuple[int, np.ndarray]:
-        with self._lock:
-            while len(self._floats) <= n:
-                self._front = interior_peak_probs(self._front, len(self._floats))
-                keep = np.flatnonzero(self._front > TAIL_TRUNCATION)
-                lo, hi = int(keep[0]), int(keep[-1])
-                self._floats.append((lo, self._front[lo : hi + 1].copy()))
-            return self._floats[n]
+def _above_truncation(row: np.ndarray) -> tuple[int, np.ndarray]:
+    keep = np.flatnonzero(row > TAIL_TRUNCATION)
+    lo, hi = int(keep[0]), int(keep[-1])
+    return lo, _read_only(row[lo : hi + 1])
 
 
-_PEAK_ROWS = _PeakRows()
+def _peak_rows() -> _GrownRows:
+    """A fresh cache of linear-I float rows of the normalised peak recurrence,
+    grown untrimmed and kept as (first k, masses above ``TAIL_TRUNCATION``).
+    Row 0, the empty arrangement, has row 1's law."""
+    return _GrownRows(np.ones(1), 1, interior_peak_probs, _above_truncation)
+
+
+#: shared by every PeakSurvivors: exact tables per variant, linear-I float rows
+_peak_table = _Shared(lambda variant: build_peak_table(variant, DEFAULT_EXACT_CAP))
+_linear_float = _peak_rows()
 
 
 @dataclass(frozen=True)
@@ -455,7 +491,7 @@ class PeakSurvivors(SurvivorModel):
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         self._require_positive(n)
-        return dict(_PEAK_ROWS.table(self.variant).row(n).probs)
+        return dict(_peak_table(self.variant).row(n).probs)
 
     def pmf_float(self, n: int) -> dict[int, float]:
         [(lo, probs)] = self.float_rows(n, n + 1)
@@ -467,7 +503,7 @@ class PeakSurvivors(SurvivorModel):
         self._require_positive(start)
         shift = 0 if self.variant is PeakVariant.LINEAR_I else 1
         base = -1 if self.variant is PeakVariant.CIRCULAR else 0
-        rows = [_PEAK_ROWS.linear_float(n + base) for n in range(start, stop)]
+        rows = [_linear_float(n + base) for n in range(start, stop)]
         return [(lo + shift, probs) for lo, probs in rows]
 
 

@@ -115,9 +115,8 @@ def _interior_peak_counts(max_n: int) -> list[list[int]]:
     """Counts of permutations of n symbols by number of interior peaks.
 
     Two-term recurrence W(n,k) = (2k+2) W(n-1,k) + (n-2k) W(n-1,k-1),
-    W(1,0) = 1; row n has entries k = 0..floor((n-1)/2).  The recurrence
-    is trusted only because build_peak_table checks it against the
-    brute-force enumerator.
+    W(1,0) = 1; row n has entries k = 0..floor((n-1)/2).  The tests check
+    it against the brute-force enumerator.
     """
     rows: list[list[int]] = [[], [1]]
     for n in range(2, max_n + 1):
@@ -202,23 +201,14 @@ class PeakTable:
                     writer.writerow([n, k, p.numerator, p.denominator])
 
 
-_VALIDATED: set[PeakVariant] = set()
-
-
 def build_peak_table(
-    variant: PeakVariant,
-    max_n: int,
-    *,
-    cap: int = DEFAULT_EXACT_CAP,
-    validate: bool = True,
+    variant: PeakVariant, max_n: int, *, cap: int = DEFAULT_EXACT_CAP
 ) -> PeakTable:
     """Build the exact peak-count table for n = 1..max_n.
 
     The base row counts come from the two-term recurrence for interior
     peaks; the circular table is the base table shifted by one in both n
     and k, and linear-II is the circular table advanced by one player.
-    On first use per process each variant is checked against the
-    brute-force enumerator (n <= 8), which is the trusted oracle.
     """
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {max_n}")
@@ -242,20 +232,7 @@ def build_peak_table(
         rows = [()] + [tuple([0] + base[n]) for n in range(1, max_n + 1)]
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown variant {variant!r}")
-    table = PeakTable(variant=variant, max_n=max_n, counts=tuple(rows))
-    if validate and variant not in _VALIDATED:
-        _validate_against_brute_force(table)
-        _VALIDATED.add(variant)
-    return table
-
-
-def _validate_against_brute_force(table: PeakTable) -> None:
-    for n in range(1, min(table.max_n, 8) + 1):
-        expected = brute_force_peaks(table.variant, n)
-        if table.row(n).probs != expected.probs:
-            raise AssertionError(
-                f"peak table {table.variant.value} disagrees with enumeration at n={n}"
-            )
+    return PeakTable(variant=variant, max_n=max_n, counts=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import electra
 from electra.cli import main
 
 
@@ -23,6 +28,15 @@ def test_table_fixture_checks_pass(tmp_path):
     assert pmf[0]["n"] == "1"
     config = json.loads((tmp_path / "table" / "config.json").read_text())
     assert config["model"] == "toy" and config["max_n"] == 16
+
+
+def test_import_leaves_scipy_stats_and_special_unloaded():
+    # every command pays the package's import, so it stays off both
+    code = "import sys, electra.cli; print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(electra.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_table_without_fixtures_for_other_models(tmp_path):

@@ -1,9 +1,12 @@
+import functools
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from electra import fixtures
 from electra.models import (
@@ -15,6 +18,8 @@ from electra.models import (
     ExplicitMatrix,
     FairCoin,
     ToyHalving,
+    _binomial_rows,
+    _coin_rows,
     model_from_name,
     peak_circular,
     peak_linear_i,
@@ -66,47 +71,111 @@ def test_float_backend_mass(n):
         assert all(p > 0 for p in pmf.values())
 
 
+@functools.cache
+def _exact_window(p, n):
+    """Bi(n, p) from integer rows over one denominator: the window [lo, hi]
+    that exact tail sums give (k below lo hold less than TAIL_TRUNCATION in
+    all, as do k above hi), its numerators, the numerators of k = 0, 1, and
+    the denominator."""
+    a, b = p.numerator, p.denominator
+    nums = [(b - a) ** n]  # C(n,k) a^k (b-a)^(n-k), k = 0..n
+    for k in range(n):
+        nums.append(nums[-1] * (n - k) * a // ((k + 1) * (b - a)))
+    den = b**n
+    cut = Fraction(TAIL_TRUNCATION)
+
+    def first_kept(masses):
+        total = 0
+        for i, x in enumerate(masses):
+            total += x
+            if total * cut.denominator >= cut.numerator * den:
+                return i
+
+    lo, hi = first_kept(nums), n - first_kept(reversed(nums))
+    return lo, hi, nums[lo : hi + 1], nums[:2], den
+
+
 def _reference_window_row(model, n):
-    """A coin model's float row built one n at a time from scalar scipy
-    calls: the Bi(n, p) window, then the model's rule for the low end."""
-    p = float(model.p)
-    lo = int(stats.binom.ppf(TAIL_TRUNCATION, n, p))
-    hi = int(stats.binom.isf(TAIL_TRUNCATION, n, p))
-    masses = stats.binom.pmf(np.arange(lo, hi + 1), n, p).tolist()
-    heads = {k: v for k, v in enumerate(masses, lo) if v > 0.0}
+    """A coin model's float row from integer rows: the exact Bi(n, p)
+    window, then the model's rule for the low end, rounded at the end."""
+    lo, hi, window, (tails, one), den = _exact_window(model.p, n)
+    heads = dict(enumerate(window, lo))
     if isinstance(model, BiasedCoin):
         heads.pop(0, None)
-        rescue = float(1 - model.p) ** n
-        if rescue >= TAIL_TRUNCATION:
-            heads[n] = heads.get(n, 0.0) + rescue
-        return heads
-    if isinstance(model, CoinMaxOne):
-        low = sum(heads.pop(k) for k in (0, 1) if k in heads)
-        low += float(stats.binom.cdf(min(1, lo - 1), n, p))
-        if low >= TAIL_TRUNCATION:
-            heads[1] = low
-        return heads
-    keep, kill = 1.0 - float(model.nu), float(model.nu)
-    row = {}
-    for j in range(max(lo - 1, 0), hi + 1):
-        mass = (1.0 if j == 0 else keep) * heads.get(j, 0.0) + kill * heads.get(j + 1, 0.0)
-        if mass > 0.0:
-            row[j] = mass
-    return row
+        if Fraction(tails, den) >= TAIL_TRUNCATION:  # the all-tails rescue
+            heads[n] = heads.get(n, 0) + tails
+    elif isinstance(model, CoinMaxOne):
+        heads.pop(0, None)
+        heads.pop(1, None)
+        if Fraction(tails + one, den) >= TAIL_TRUNCATION:
+            heads[1] = tails + one
+    else:
+        kill, scale = model.nu.numerator, model.nu.denominator
+        heads = {
+            j: (scale if j == 0 else scale - kill) * heads.get(j, 0) + kill * heads.get(j + 1, 0)
+            for j in range(max(lo - 1, 0), hi + 1)
+        }
+        den *= scale
+    return {k: x / den for k, x in heads.items() if x}
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)])
 @pytest.mark.parametrize("kind", [BiasedCoin, CoinMaxOne, DemonCoin])
 def test_batched_coin_rows_are_bit_identical(kind, p):
-    # the batched kernel against per-n scipy calls, and the engine's array
-    # rows against the pmf_float dicts; n = 76..96 holds the p = 3/10 rescue
-    model = kind(p, Fraction(1, 3)) if kind is DemonCoin else kind(p)
-    rows = model.float_rows(76, 2001)
-    for n in list(range(76, 100)) + list(range(100, 2001, 50)):
+    # the engine's array rows against the pmf_float dicts bit for bit, and
+    # both against integer rows: the window bounds exactly, the masses to
+    # 1e-12 relative; n < 100 holds the rescues at every p
+    model = kind(p, Fraction(1, 3), exact_cutoff=0) if kind is DemonCoin else kind(p, exact_cutoff=0)
+    rows = model.float_rows(1, 4097)
+    for n in sorted({*range(1, 100, 3), *range(50, 2001, 50), 100, 1000, 4096}):
+        lo, hi = _exact_window(p, n)[:2]
+        window, heads, _ = _coin_rows(p)(n)
+        assert (window, window + len(heads) - 1) == (lo, hi), n
+        got = model.pmf_float(n)
+        lo, probs = rows[n - 1]
+        assert {k: v for k, v in enumerate(probs.tolist(), lo) if v != 0.0} == got
         want = _reference_window_row(model, n)
-        assert model.pmf_float(n) == want
-        lo, probs = rows[n - 76]
-        assert {k: v for k, v in enumerate(probs.tolist(), lo) if v != 0.0} == want
+        assert set(got) == set(want), n
+        assert all(abs(got[k] - v) <= 1e-12 * v for k, v in want.items()), n
+
+
+def test_coin_rows_agree_across_threads():
+    # each round grows a fresh coin cache from four threads asking out of order
+    p = Fraction(3, 10)
+    sizes = list(range(0, 3000, 7))
+    reference = _binomial_rows(p)
+    expected = {n: reference(n) for n in sizes}
+    rng = np.random.default_rng(6)
+    rounds = 0
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and rounds < 20:
+            rows = _binomial_rows(p)
+            results = []
+
+            def ask(order):
+                results.append({n: rows(n) for n in order})
+
+            threads = [
+                threading.Thread(target=ask, args=(rng.permutation(sizes).tolist(),))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(results) == 4
+            for got in results:
+                for n, (lo, heads, low) in expected.items():
+                    assert got[n][0] == lo and got[n][2] == low, n
+                    assert np.array_equal(got[n][1], heads), n
+            rounds += 1
+    finally:
+        sys.setswitchinterval(switch)
+    assert rounds >= 1
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 10), Fraction(9, 10)])

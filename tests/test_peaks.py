@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from electra import fixtures
-from electra.models import PeakSurvivors, _PeakRows
+from electra.models import PeakSurvivors, _peak_rows
 from electra.peaks import (
     DEFAULT_EXACT_CAP,
     PeakVariant,
@@ -163,8 +163,8 @@ def test_float_rows_match_moment_formulas(variant, n):
 def test_float_rows_agree_across_threads():
     # each round grows a fresh cache from four threads asking out of order
     sizes = list(range(1, 1500, 7))
-    reference = _PeakRows()
-    expected = {n: reference.linear_float(n) for n in sizes}
+    reference = _peak_rows()
+    expected = {n: reference(n) for n in sizes}
     rng = np.random.default_rng(5)
     rounds = 0
     switch = sys.getswitchinterval()
@@ -172,11 +172,11 @@ def test_float_rows_agree_across_threads():
     try:
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline and rounds < 20:
-            rows = _PeakRows()
+            rows = _peak_rows()
             results = []
 
             def ask(order):
-                results.append({n: rows.linear_float(n) for n in order})
+                results.append({n: rows(n) for n in order})
 
             threads = [
                 threading.Thread(target=ask, args=(rng.permutation(sizes).tolist(),))
