@@ -99,7 +99,18 @@ def _build_model(args: argparse.Namespace) -> SurvivorModel:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r} ({exc})") from None
+
+
+def _alpha(args: argparse.Namespace, model: SurvivorModel) -> Fraction | None:
+    """``--alpha``, else the model's own; a ratio outside (0, 1) is a usage error."""
+    alpha = model.declared_alpha if args.alpha is None else args.alpha
+    if alpha is not None and not 0 < alpha < 1:
+        raise ValueError(f"need alpha in (0, 1), got {alpha}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +119,7 @@ def _fraction(text: str) -> Fraction:
 
 def cmd_table(args: argparse.Namespace) -> int:
     model = _build_model(args)
+    alpha = _alpha(args, model)
     out = _out_dir(args)
     init = InitConvention(args.init)
     table = compute_phase_table(
@@ -116,11 +128,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     )
     rows = []
     for n in range(1, min(args.max_n, model.exact_cutoff) + 1):
-        for k, p in sorted(model.pmf_exact(n).items()):
-            rows.append([n, k, p.numerator, p.denominator])
+        lo, nums, den = model.exact_row(n)
+        rows += ([n, k, *Fraction(x, den).as_integer_ratio()] for k, x in enumerate(nums, lo) if x)
     _write_csv(out / "survivor_pmf.csv", ["n", "k", "numerator", "denominator"], rows)
     table.to_csv(out / "phase_probs.csv", exact_path=out / "phase_probs_exact.csv")
-    table.means_to_csv(out / "phase_means.csv", alpha=args.alpha or model.declared_alpha)
+    table.means_to_csv(out / "phase_means.csv", alpha=alpha)
     _echo_config(out, args)
     status = 0
     if args.check_fixtures:
@@ -138,10 +150,10 @@ def _check_fixtures(model: SurvivorModel, args, table) -> int:
     def compare_pmf(reference: dict[tuple[int, int], Fraction]) -> None:
         max_ref = max(n for n, _ in reference)
         for n in range(1, min(args.max_n, max_ref) + 1):
-            pmf = model.pmf_exact(n)
+            lo, nums, den = model.exact_row(n)
             for k in range(0, n + 1):
                 want = reference.get((n, k), Fraction(0))
-                got = pmf.get(k, Fraction(0))
+                got = Fraction(nums[k - lo] if lo <= k < lo + len(nums) else 0, den)
                 if got != want:
                     failures.append(f"pmf({n},{k}) = {got}, published {want}")
 
@@ -421,11 +433,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_periodicity(args: argparse.Namespace) -> int:
     model = _build_model(args)
-    out = _out_dir(args)
-    alpha = args.alpha or model.declared_alpha
+    alpha = _alpha(args, model)
     if alpha is None:
         print("model declares no alpha; pass --alpha", file=sys.stderr)
         return 2
+    if args.n_lo < 1:
+        raise ValueError(f"need --n-lo >= 1, got {args.n_lo}")
+    out = _out_dir(args)
     table = compute_phase_table(model, args.n_hi, init=InitConvention(args.init))
     samples = periodicity_samples(table, float(alpha), args.n_lo, args.n_hi)
     fit = periodicity_reconstruct(samples, fourier_terms=args.fourier_terms)

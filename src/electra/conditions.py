@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -29,7 +30,7 @@ class CheckConfig:
     moment_bound: float = 1.0
     epsilon: float = 0.5
     delta_exponent: float = -0.25
-    exact_scan_cap: int = 300  # prefer exact pmfs in the monotone scan up to here
+    exact_scan_cap: int = 300  # prefer integer rows in the monotone scan up to here
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -60,45 +61,51 @@ def check_monotone(
     A violation is a pair (n, k) with
     P(Y_{n+1} <= k) > P(Y_n <= k) + tol.
 
-    Each consecutive pair is compared within a single backend - exact
-    rationals while the model can serve them (up to ``exact_scan_cap``),
-    the floating backend for both rows otherwise - so that a seam between
-    backends can never masquerade as a violation of the law itself.
+    Each consecutive pair is compared within a single backend - integer
+    rows while the model can serve them (up to ``exact_scan_cap``), float
+    rows for both otherwise - so that a seam between backends can never
+    masquerade as a violation of the law itself.  An exact gap is
+    ``(c1 d0 - c0 d1) / (d0 d1)`` on integer cdf prefix sums.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     violations: list[MonotoneViolation] = []
-    held: dict[bool, list] = {}  # backend -> cdf of row n from the last pair
+    held: dict[bool, object] = {}  # backend -> cdf of row n from the last pair
     for n in range(1, n_max):
         exact = n + 1 <= config.exact_scan_cap
         if exact:
             try:
-                cur = held[True] if True in held else _cdf(model, n, True)
-                nxt = _cdf(model, n + 1, True)
+                (c0, d0) = held[True] if True in held else _exact_cdf(model, n)
+                (c1, d1) = nxt = _exact_cdf(model, n + 1)
             except ValueError:
                 exact = False
+            else:
+                dd = d0 * d1
+                gaps = [(x1 * d0 - x0 * d1) / dd for x0, x1 in zip(c0[1:], c1[1 : n + 1])]
         if not exact:
-            cur = held[False] if False in held else _cdf(model, n, False)
-            nxt = _cdf(model, n + 1, False)
+            cur = held[False] if False in held else _float_cdf(model, n)
+            nxt = _float_cdf(model, n + 1)
+            gaps = (nxt[1 : n + 1] - cur[1:]).tolist()
         held = {exact: nxt}
-        for k in range(1, n + 1):
-            gap = float(nxt[k] - cur[k])
+        for k, gap in enumerate(gaps, 1):
             if gap > config.monotone_tol:
                 violations.append(MonotoneViolation(n=n, k=k, gap=gap))
     return MonotoneCheck(violations=violations, n_max=n_max)
 
 
-def _cdf(model: SurvivorModel, n: int, exact: bool) -> list:
-    """P(Y_n <= k) for k = 0..n + 1, in the chosen backend."""
-    pmf = model.pmf_exact(n) if exact else model.pmf_float(n)
-    zero = Fraction(0) if exact else 0.0
-    out = []
-    acc = zero
-    for k in range(0, n + 1):
-        acc = acc + pmf.get(k, zero)
-        out.append(acc)
-    out.append(acc)
-    return out
+def _exact_cdf(model: SurvivorModel, n: int) -> tuple[list[int], int]:
+    """P(Y_n <= k) for k = 0..n as integer prefix sums over one denominator."""
+    lo, nums, den = model.exact_row(n)
+    sums = [0] * lo + list(accumulate(nums))
+    return sums + sums[-1:] * (n + 1 - len(sums)), den
+
+
+def _float_cdf(model: SurvivorModel, n: int) -> np.ndarray:
+    """P(Y_n <= k) for k = 0..n, summed in order of k from the float row."""
+    [(lo, probs)] = model.float_rows(n, n + 1)
+    padded = np.zeros(n + 1)
+    padded[lo : lo + len(probs)] = probs
+    return np.cumsum(padded)
 
 
 @dataclass
@@ -130,17 +137,14 @@ def check_mean_increment(
         raise ValueError(f"need n_max >= 2, got {n_max}")
     exact_alpha = Fraction(alpha) if not isinstance(alpha, float) else None
     means = [model.mean(n) for n in range(1, n_max + 1)]
-    increments = []
-    deviations = []
-    for i in range(len(means) - 1):
-        d = means[i + 1] - means[i]
-        increments.append(float(d))
-        if exact_alpha is not None and isinstance(d, Fraction):
-            deviations.append(float(abs(d - exact_alpha)))
-        else:
-            deviations.append(abs(float(d) - float(alpha)))
-    increments = np.array(increments)
-    deviations = np.array(deviations)
+    diffs = [means[n] - means[n - 1] for n in range(1, n_max)]
+    increments = np.array([float(d) for d in diffs])
+    deviations = np.array([
+        float(abs(d - exact_alpha))
+        if exact_alpha is not None and n + 1 <= model.exact_cutoff  # d is exact
+        else abs(float(d) - float(alpha))
+        for n, d in enumerate(diffs, 1)
+    ])
     skip = max(config.increment_skip - 1, 0)
     tail = deviations[skip:]
     return IncrementCheck(
@@ -184,11 +188,11 @@ def check_concentration(
     tails = []
     deltas = []
     series = []
-    for n in range(1, n_max + 1):
+    for n, (lo, probs) in enumerate(model.float_rows(1, n_max + 1), 1):
         delta = float(delta_fn(n))
         radius = delta * n
         tail = 0.0
-        for k, p in model.pmf_float(n).items():
+        for k, p in enumerate(probs.tolist(), lo):
             if abs(k - a * n) > radius:
                 tail += p
         tails.append(tail)
@@ -229,17 +233,17 @@ def check_moment(
     if p < 2 or p % 2 != 0:
         raise ValueError(f"need even p >= 2, got {p}")
     ratios = []
-    use_exact = not isinstance(alpha, float)
-    exact_alpha = Fraction(alpha) if use_exact else None
+    a, exact = float(alpha), not isinstance(alpha, float)
     for n in range(1, n_max + 1):
-        pmf = model.pmf(n)
-        if use_exact and pmf and isinstance(next(iter(pmf.values())), Fraction):
-            moment = sum(((k - exact_alpha * n) ** p) * q for k, q in pmf.items())
-            ratios.append(float(moment) / n ** (p / 2))
+        if n <= model.exact_cutoff and exact:
+            # sum (k - alpha n)^p x / den in integers, for alpha = A/B
+            A, B = Fraction(alpha).as_integer_ratio()
+            lo, nums, den = model.exact_row(n)
+            moment = sum((k * B - A * n) ** p * x for k, x in enumerate(nums, lo)) / (B**p * den)
         else:
-            a = float(alpha)
-            moment = sum(abs(k - a * n) ** p * float(q) for k, q in pmf.items())
-            ratios.append(moment / n ** (p / 2))
+            [(lo, probs)] = model.float_rows(n, n + 1)
+            moment = sum(abs(k - a * n) ** p * q for k, q in enumerate(probs.tolist(), lo))
+        ratios.append(moment / n ** (p / 2))
     return MomentCheck(ratios=np.array(ratios), p=p, bound=config.moment_bound)
 
 

@@ -498,10 +498,16 @@ def _downward_sweep(
         mass = inflow.get(m)
         if not mass:
             continue
-        row = model.pmf(m)
-        visits[m] = mass / (1 - row.get(m, 0))
-        for k, p in row.items():
-            if k != m:
+        if m <= model.exact_cutoff:
+            lo, nums, den = model.exact_row(m)
+            probs = [Fraction(x, den) for x in nums]
+        else:
+            [(lo, probs)] = model.float_rows(m, m + 1)
+            probs = probs.tolist()
+        stay = probs[m - lo] if m < lo + len(probs) else 0
+        visits[m] = mass / (1 - stay)
+        for k, p in enumerate(probs, lo):
+            if k != m and p:
                 inflow[k] = inflow.get(k, 0) + visits[m] * p
     visits.update((k, v) for k, v in inflow.items() if k <= a and v)
     return visits, inflow

@@ -1,20 +1,15 @@
-"""Survivor-count laws for one elimination round, behind one interface.
+"""Survivor-count laws for one elimination round, behind one row interface.
 
-Each model answers: starting a round with n players, how many survive?
-Exact rational pmfs are served up to ``exact_cutoff``; above it a floating
-backend takes over so phase tables can be pushed into the thousands.
-
-Every model serves the same row in two shapes.  ``pmf_exact`` and
-``pmf_float`` are dicts ``{k: P(n, k)}``, for the condition checks and the
-command line.  ``exact_row`` (integer numerators over one denominator) and
-``float_rows`` (a first k and an array of masses, for a range of n at
-once) are what the engine reads.  The coin models compute their exact rows
-in integers, C(n,k) a^k (b-a)^(n-k) / b^n for p = a/b.  Float rows of both
-coin and peak models come from their exact recurrences run on
-probabilities, grown one n at a time into one shared cache per law
-(:class:`_GrownRows`), so they match the rational rows to rounding at
-every n.  Coin rows are windows of Bi(n, p) cut by tail mass below
-``TAIL_TRUNCATION``; peak rows keep the masses above it.
+Each model answers: starting a round with n players, how many survive?  It
+serves row n in two forms.  ``exact_row(n)`` gives integer numerators over
+one denominator; ``float_rows(start, stop)`` gives a first k and an array
+of masses for each n in a range.  Up to ``exact_cutoff`` a float row is its
+exact row rounded.  Beyond it the coin and peak models run their exact
+recurrences on probabilities, grown one n at a time into one shared cache
+per law (:class:`_GrownRows`), so phase tables reach the thousands.  Coin
+rows are windows of Bi(n, p) cut by tail mass below ``TAIL_TRUNCATION``;
+peak rows keep the masses above it.  The dicts ``pmf_exact`` and
+``pmf_float``, and ``mean`` and ``cdf``, are views over the two rows.
 """
 from __future__ import annotations
 
@@ -52,11 +47,10 @@ FRONT_TRUNCATION = 1e-40
 class SurvivorModel(abc.ABC):
     """One round of elimination: the law of the survivor count.
 
-    Subclasses provide :meth:`pmf_exact`; the floating backend defaults to
-    a float cast of the exact pmf and is overridden where a cheaper or
-    unbounded-n path exists.  The engine reads rows through
-    :meth:`exact_row` and :meth:`float_rows`, which default to views of
-    the two pmfs.
+    Subclasses provide :meth:`exact_row`, and override :meth:`_far_row`
+    where a float path beyond the cutoff exists.  The dicts
+    :meth:`pmf_exact` and :meth:`pmf_float`, and :meth:`mean` and
+    :meth:`cdf`, are views over :meth:`exact_row` and :meth:`float_rows`.
     """
 
     exact_cutoff: int = field(default=DEFAULT_EXACT_CUTOFF, kw_only=True)
@@ -73,7 +67,10 @@ class SurvivorModel(abc.ABC):
     def name(self) -> str: ...
 
     @abc.abstractmethod
-    def pmf_exact(self, n: int) -> dict[int, Fraction]: ...
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
+        """Row n as ``(lo, numerators, denominator)``: P(n, lo + i) is
+        ``numerators[i] / denominator``, and the numerators sum to the
+        denominator."""
 
     @property
     def declared_alpha(self) -> Fraction | None:
@@ -84,47 +81,54 @@ class SurvivorModel(abc.ABC):
     def can_reach_zero(self) -> bool:
         return self.absorbing_state == 0
 
-    def pmf_float(self, n: int) -> dict[int, float]:
-        return {k: float(p) for k, p in self.pmf_exact(n).items()}
-
-    def exact_row(self, n: int) -> tuple[int, list[int], int]:
-        """Row n as ``(lo, numerators, denominator)``: P(n, lo + i) is
-        ``numerators[i] / denominator``."""
-        pmf = {k: Fraction(p) for k, p in self.pmf_exact(n).items()}
-        den = math.lcm(*(p.denominator for p in pmf.values()))
-        lo = min(pmf)
-        nums = [0] * (max(pmf) - lo + 1)
-        for k, p in pmf.items():
-            nums[k - lo] = p.numerator * (den // p.denominator)
-        return lo, nums, den
-
     def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Float rows n = start..stop-1 as ``(lo, masses on lo, lo+1, ...)``."""
-        rows = []
-        for n in range(start, stop):
-            pmf = self.pmf_float(n)
-            lo = min(pmf)
-            probs = np.zeros(max(pmf) - lo + 1)
-            probs[np.array(list(pmf)) - lo] = list(pmf.values())
-            rows.append((lo, probs))
-        return rows
+        """Float rows n = start..stop-1 as ``(lo, masses on lo, lo+1, ...)``:
+        the exact row rounded up to the cutoff, :meth:`_far_row` beyond.
 
-    def pmf(self, n: int) -> dict[int, Fraction] | dict[int, float]:
-        """Exact rationals up to the cutoff, floats beyond."""
-        if n <= self.exact_cutoff:
-            return self.pmf_exact(n)
-        return self.pmf_float(n)
+        Coin and peak rows beyond the cutoff come from one shared cache per
+        law grown from n = 0, so one row at a large n builds and keeps every
+        row below it: ``FairCoin().pmf_float(30000)`` takes about 1.2 s and
+        244 MB.
+        """
+        return [
+            self._far_row(n) if n > self.exact_cutoff else self._rounded_row(n)
+            for n in range(start, stop)
+        ]
+
+    def _rounded_row(self, n: int) -> tuple[int, np.ndarray]:
+        """Exact row n as floats; int-by-int division is correctly rounded."""
+        lo, nums, den = self.exact_row(n)
+        return lo, np.array([x / den for x in nums])
+
+    def _far_row(self, n: int) -> tuple[int, np.ndarray]:
+        """Float row n beyond the cutoff; the exact row rounded by default."""
+        return self._rounded_row(n)
+
+    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+        """Row n as ``{k: P(n, k)}`` over its nonzero masses."""
+        lo, nums, den = self.exact_row(n)
+        return {k: Fraction(x, den) for k, x in enumerate(nums, lo) if x}
+
+    def pmf_float(self, n: int) -> dict[int, float]:
+        """Float row n as ``{k: P(n, k)}`` over its nonzero masses."""
+        [(lo, probs)] = self.float_rows(n, n + 1)
+        return {k: p for k, p in enumerate(probs.tolist(), lo) if p}
 
     def mean(self, n: int) -> Fraction | float:
-        pmf = self.pmf(n)
-        return sum(k * p for k, p in pmf.items())
+        """E[survivors]: exact up to the cutoff, float beyond."""
+        if n <= self.exact_cutoff:
+            lo, nums, den = self.exact_row(n)
+            return Fraction(sum(k * x for k, x in enumerate(nums, lo)), den)
+        [(lo, probs)] = self.float_rows(n, n + 1)
+        return sum(k * p for k, p in enumerate(probs.tolist(), lo))
 
     def cdf(self, n: int, k: int) -> Fraction | float:
-        pmf = self.pmf(n)
-        return sum(p for j, p in pmf.items() if j <= k)
-
-    def support(self, n: int) -> list[int]:
-        return sorted(self.pmf(n))
+        """P(survivors <= k): exact up to the cutoff, float beyond."""
+        if n <= self.exact_cutoff:
+            lo, nums, den = self.exact_row(n)
+            return Fraction(sum(nums[: max(k - lo + 1, 0)]), den)
+        [(lo, probs)] = self.float_rows(n, n + 1)
+        return sum(probs[: max(k - lo + 1, 0)].tolist())
 
     def sample_many(
         self, n: int, size: int, rng: np.random.Generator
@@ -157,13 +161,11 @@ class ToyHalving(SurvivorModel):
     def declared_alpha(self) -> Fraction:
         return Fraction(1, 2)
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
-        if n == 1:
-            return {1: Fraction(1)}
-        if n % 2 == 0:
-            return {n // 2: Fraction(1)}
-        return {n // 2: Fraction(1, 2), n // 2 + 1: Fraction(1, 2)}
+        if n % 2 == 0 or n == 1:
+            return max(n // 2, 1), [1], 1
+        return n // 2, [1, 1], 2
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,9 @@ class DeterministicHalving(SurvivorModel):
     def declared_alpha(self) -> Fraction:
         return Fraction(1, 2)
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
-        return {max(n // 2, 1): Fraction(1)}
+        return max(n // 2, 1), [1], 1
 
 
 def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
@@ -188,7 +190,8 @@ def _binomial_numerators(n: int, p: Fraction) -> tuple[list[int], int]:
     a, b = p.numerator, p.denominator
     heads = list(accumulate(repeat(a, n), operator.mul, initial=1))
     tails = list(accumulate(repeat(b - a, n), operator.mul, initial=1))
-    nums = [math.comb(n, k) * heads[k] * tails[n - k] for k in range(n + 1)]
+    combs = accumulate(range(n), lambda c, k: c * (n - k) // (k + 1), initial=1)
+    nums = [c * h * t for c, h, t in zip(combs, heads, reversed(tails))]
     return nums, b**n
 
 
@@ -275,8 +278,9 @@ class _Coin(SurvivorModel):
     """A round where each player survives on heads with probability p.
 
     Subclasses say what becomes of a wiped-out or thinned round: exact rows
-    from the whole binomial row in integers, float rows from the shared
-    Bi(n, p) window that holds all but < 2e-15 of the mass.
+    from the whole binomial row in integers, float rows beyond the cutoff
+    from the shared Bi(n, p) window that holds all but < 2e-15 of the mass
+    (``_coin_rows(p)(n)``: its first k, its masses, the mass of k <= 1).
     """
 
     p: Fraction
@@ -290,29 +294,6 @@ class _Coin(SurvivorModel):
     @property
     def declared_alpha(self) -> Fraction:
         return self.p
-
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
-        lo, nums, den = self.exact_row(n)
-        return {k: Fraction(x, den) for k, x in enumerate(nums, lo) if x}
-
-    def pmf_float(self, n: int) -> dict[int, float]:
-        if n <= self.exact_cutoff:
-            return super().pmf_float(n)
-        [(lo, probs)] = self.float_rows(n, n + 1)
-        return {k: v for k, v in enumerate(probs.tolist(), lo) if v > 0.0}
-
-    def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
-        split = max(start, min(stop, self.exact_cutoff + 1))
-        rows = super().float_rows(start, split)
-        windows = _coin_rows(self.p)
-        return rows + [self._window_row(n, *windows(n)) for n in range(split, stop)]
-
-    @abc.abstractmethod
-    def _window_row(
-        self, n: int, lo: int, heads: np.ndarray, low: float
-    ) -> tuple[int, np.ndarray]:
-        """Float row n from the Bi(n, p) masses ``heads`` on k >= ``lo``;
-        ``low`` is the Bi(n, p) mass of k <= 1."""
 
 
 @dataclass(frozen=True)
@@ -330,7 +311,8 @@ class BiasedCoin(_Coin):
         nums[n] += nums[0]  # all-tails rescue maps to "everyone survives"
         return 1, nums[1:], den
 
-    def _window_row(self, n, lo, probs, low):
+    def _far_row(self, n):
+        lo, probs, _ = _coin_rows(self.p)(n)
         if lo == 0:
             lo, probs = 1, probs[1:]
         rescue = float(1 - self.p) ** n  # all tails; the window holds all heads
@@ -367,7 +349,8 @@ class CoinMaxOne(_Coin):
         nums, den = _binomial_numerators(n, self.p)
         return 1, [nums[0] + nums[1]] + nums[2:], den
 
-    def _window_row(self, n, lo, probs, low):
+    def _far_row(self, n):
+        lo, probs, low = _coin_rows(self.p)(n)
         cut = min(max(2 - lo, 0), len(probs))  # window entries at k = 0, 1
         lo, probs = lo + cut, probs[cut:]
         if low >= TAIL_TRUNCATION:
@@ -406,7 +389,8 @@ class DemonCoin(_Coin):
         nums[0] = scale * heads[0] + kill * heads[1]  # nobody left either way
         return 0, nums, den * scale
 
-    def _window_row(self, n, lo, heads, low):
+    def _far_row(self, n):
+        lo, heads, _ = _coin_rows(self.p)(n)
         keep, kill = 1.0 - float(self.nu), float(self.nu)
         start = max(lo - 1, 0)
         h = np.concatenate([np.zeros(lo - start), heads, [0.0]])  # k = start..
@@ -435,13 +419,17 @@ class DummyShiftedDemon(SurvivorModel):
     def declared_alpha(self) -> Fraction:
         return self.base.declared_alpha
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
-        return {k + 1: v for k, v in self.base.pmf_exact(n - 1).items()}
+        lo, nums, den = self.base.exact_row(n - 1)
+        return lo + 1, nums, den
 
-    def pmf_float(self, n: int) -> dict[int, float]:
-        self._require_positive(n)
-        return {k + 1: v for k, v in self.base.pmf_float(n - 1).items()}
+    def _far_row(self, n: int) -> tuple[int, np.ndarray]:
+        # the base's float row, cut to its nonzero span: at nu = 0 or 1 a
+        # demon row ends on a zero mass, which the lifted chain drops
+        [(lo, probs)] = self.base.float_rows(n - 1, n)
+        nonzero = np.flatnonzero(probs).tolist()
+        return lo + 1 + nonzero[0], probs[nonzero[0] : nonzero[-1] + 1]
 
 
 def _above_truncation(row: np.ndarray) -> tuple[int, np.ndarray]:
@@ -489,22 +477,19 @@ class PeakSurvivors(SurvivorModel):
     def can_reach_zero(self) -> bool:
         return self.variant is PeakVariant.LINEAR_I
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
-        self._require_positive(n)
-        return dict(_peak_table(self.variant).row(n).probs)
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
+        """Row n straight from the cached table's counts over n!."""
+        table = _peak_table(self.variant)
+        table._check_n(n)  # a ValueError beyond the table's cap
+        counts = table.counts[n]
+        lo = 0 if counts[0] else 1  # circular and linear-II rows hold no k = 0
+        return lo, list(counts[lo:]), math.factorial(n)
 
-    def pmf_float(self, n: int) -> dict[int, float]:
-        [(lo, probs)] = self.float_rows(n, n + 1)
-        return dict(zip(range(lo, lo + len(probs)), probs.tolist()))
-
-    def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
+    def _far_row(self, n: int) -> tuple[int, np.ndarray]:
         # circular row n is linear-I row n - 1, linear-II row n is linear-I
         # row n, each shifted by one peak; the rows are shared, not copied
-        self._require_positive(start)
-        shift = 0 if self.variant is PeakVariant.LINEAR_I else 1
-        base = -1 if self.variant is PeakVariant.CIRCULAR else 0
-        rows = [_linear_float(n + base) for n in range(start, stop)]
-        return [(lo + shift, probs) for lo, probs in rows]
+        lo, probs = _linear_float(n - (self.variant is PeakVariant.CIRCULAR))
+        return lo + (self.variant is not PeakVariant.LINEAR_I), probs
 
 
 def peak_linear_i(**kwargs) -> PeakSurvivors:
@@ -568,14 +553,15 @@ class ExplicitMatrix(SurvivorModel):
     def max_state(self) -> int:
         return max(dict(self.rows))
 
-    def pmf_exact(self, n: int) -> dict[int, Fraction]:
+    def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
         rows = dict(self.rows)
-        if n == 1 and 1 not in rows:
-            return {1: Fraction(1)}
-        if n not in rows:
+        if n not in rows and n != 1:
             raise ValueError(f"{self.label}: no transition row for state {n}")
-        return dict(rows[n])
+        row = {k: Fraction(p) for k, p in rows.get(n, ((1, 1),))}  # 1 stays 1 if not given
+        den = math.lcm(*(p.denominator for p in row.values()))
+        lo = min(row)
+        return lo, [int(row.get(k, 0) * den) for k in range(lo, max(row) + 1)], den
 
     @classmethod
     def from_csv(

@@ -12,13 +12,11 @@ same recurrence on probabilities instead of counts
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -190,15 +188,6 @@ class PeakTable:
     def _check_n(self, n: int) -> None:
         if not 1 <= n <= self.max_n:
             raise ValueError(f"row {n} outside table range 1..{self.max_n}")
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write rows as ``n,k,numerator,denominator``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "k", "numerator", "denominator"])
-            for n in range(1, self.max_n + 1):
-                for k, p in sorted(self.row(n).probs.items()):
-                    writer.writerow([n, k, p.numerator, p.denominator])
 
 
 def build_peak_table(

@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import electra
-from electra.cli import main
+from electra.cli import _MODEL_CHOICES, main
 
 
 def _rows(path):
@@ -165,3 +167,83 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("ELECTRA_OUT", str(tmp_path / "envout"))
     assert main(["figure", "fig4"]) == 0
     assert (tmp_path / "envout" / "figure" / "fig4.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--model", "biased-coin", "--p", "1/0", "--max-n", "5"],
+    ["table", "--model", "demon", "--p", "1/2", "--nu", "3/0", "--max-n", "5"],
+    ["periodicity", "--model", "toy", "--alpha", "1/0"],
+    ["check", "--model", "toy", "--alpha", "not-a-number"],
+])
+def test_bad_fractions_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "not a fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--model", "toy", "--max-n", "8"],
+    ["periodicity", "--model", "toy", "--n-hi", "60"],
+])
+@pytest.mark.parametrize("alpha", ["0", "1", "2", "-1/3"])
+def test_alpha_outside_unit_interval_exits_2(tmp_path, capsys, command, alpha):
+    assert main(command + [f"--alpha={alpha}", "--out", str(tmp_path)]) == 2
+    assert "need alpha in (0, 1)" in capsys.readouterr().err
+
+
+def test_given_alpha_sets_the_log_base(tmp_path):
+    assert main(["table", "--model", "toy", "--max-n", "9", "--alpha", "1/3",
+                 "--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "table" / "phase_means.csv")
+    assert float(rows[9]["log_alpha_n"]) == pytest.approx(2.0)  # log_3 9
+
+
+def test_periodicity_rejects_n_lo_below_one(tmp_path, capsys):
+    assert main(["periodicity", "--model", "toy", "--n-lo", "0", "--n-hi", "60",
+                 "--out", str(tmp_path)]) == 2
+    assert "--n-lo" in capsys.readouterr().err
+
+
+def _mostly(good, bad):
+    """Valid values two draws in three, so most argv get past parsing."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
+
+
+_FUZZ_VALUES = _mostly(["1/2", "0.3", "9/10", "1/3"], ["1/0", "0", "1", "2", "-3", "x"])
+_FUZZ_SIZES = _mostly(["2", "5", "12"], ["-1", "0", "1"])
+_FUZZ_MODELS = st.sampled_from([m for m in _MODEL_CHOICES if m != "explicit"])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["table", "check", "periodicity"]))
+    argv = [command, "--model", draw(_FUZZ_MODELS)]
+    for flag in ("--p", "--nu", "--alpha"):
+        if draw(st.integers(0, 3)):
+            argv += [flag, draw(_FUZZ_VALUES)]
+    if draw(st.booleans()):
+        argv += ["--exact-cutoff", draw(_mostly(["0", "3"], ["-1", "200"]))]
+    if command == "table":
+        argv += ["--max-n", draw(_FUZZ_SIZES)]
+        argv += ["--threshold", draw(_mostly(["1", "2"], ["-1", "0"]))]
+        argv += ["--init", draw(st.sampled_from(["standard", "altcost"]))]
+    elif command == "check":
+        argv += ["--n-max", draw(_FUZZ_SIZES)]
+    else:
+        argv += ["--n-lo", draw(_FUZZ_SIZES), "--n-hi", draw(st.sampled_from(["1", "12", "20"]))]
+        argv += ["--fourier-terms", draw(st.sampled_from(["0", "1", "3"]))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
+    # every argv either runs or is refused as a usage error; nothing escapes
+    out = tmp_path_factory.mktemp("fuzz")
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2, argv
+    assert code in (0, 1, 2), argv

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from electra.conditions import (
+    DEFAULT_CONFIG,
     CheckConfig,
     check_concentration,
     check_mean_increment,
@@ -141,3 +142,46 @@ def test_missing_alpha_rejected():
     model = ExplicitMatrix(rows={2: {1: Fraction(1)}})
     with pytest.raises(ValueError, match="alpha"):
         run_condition_checks(model, 2)
+
+
+def _reference_monotone(model, n_max, config=DEFAULT_CONFIG):
+    """The monotone scan on Fraction (or float) cdfs built from the dict
+    rows, each pair within one backend, as a reference for the integer
+    prefix sums of ``check_monotone``."""
+
+    def cdf(n, exact):
+        pmf = model.pmf_exact(n) if exact else model.pmf_float(n)
+        zero = Fraction(0) if exact else 0.0
+        out, acc = [], zero
+        for k in range(n + 1):
+            acc = acc + pmf.get(k, zero)
+            out.append(acc)
+        return out
+
+    violations = []
+    for n in range(1, n_max):
+        exact = n + 1 <= config.exact_scan_cap
+        if exact:
+            try:
+                cur, nxt = cdf(n, True), cdf(n + 1, True)
+            except ValueError:
+                exact = False
+        if not exact:
+            cur, nxt = cdf(n, False), cdf(n + 1, False)
+        for k in range(1, n + 1):
+            gap = float(nxt[k] - cur[k])
+            if gap > config.monotone_tol:
+                violations.append((n, k, gap))
+    return violations
+
+
+@pytest.mark.parametrize(
+    "model, n_max",
+    [(BiasedCoin(Fraction(3, 10)), 80), (peak_linear_i(), 130)],  # 130 crosses the 120 seam
+    ids=["biased-coin-0.3", "peak-linear-i"],
+)
+def test_monotone_matches_fraction_reference(model, n_max):
+    got = [(v.n, v.k, v.gap) for v in check_monotone(model, n_max).violations]
+    assert got == _reference_monotone(model, n_max)  # gaps bit for bit
+    if isinstance(model, BiasedCoin):
+        assert len(got) > 382

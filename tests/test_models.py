@@ -23,6 +23,7 @@ from electra.models import (
     model_from_name,
     peak_circular,
     peak_linear_i,
+    peak_linear_ii,
 )
 
 
@@ -341,3 +342,45 @@ def test_model_from_name():
         model_from_name("nope")
     with pytest.raises(ValueError, match="CSV path"):
         model_from_name("explicit")
+
+
+ROW_FAMILIES = [
+    ToyHalving(exact_cutoff=40),
+    DeterministicHalving(exact_cutoff=40),
+    FairCoin(exact_cutoff=40),
+    BiasedCoin(Fraction(3, 10), exact_cutoff=40),
+    CoinMaxOne(Fraction(9, 10), exact_cutoff=40),
+    DemonCoin(Fraction(1, 2), Fraction(1), exact_cutoff=40),
+    DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=40).shifted(),
+    peak_linear_i(exact_cutoff=40),
+    peak_linear_ii(exact_cutoff=40),
+    peak_circular(exact_cutoff=40),
+    ExplicitMatrix(
+        rows={i: {j: Fraction(j, i * (i + 1) // 2) for j in range(1, i + 1)} for i in range(2, 9)},
+        exact_cutoff=8,
+    ),
+]
+
+
+@pytest.mark.parametrize("model", ROW_FAMILIES, ids=lambda m: m.name)
+def test_row_interface_views(model):
+    # up to the cutoff a float row is its exact row rounded, bit for bit, and
+    # the dicts, mean and cdf are views of the two rows on every n
+    top = model.exact_cutoff
+    rows = model.float_rows(1, top + 1)
+    for n in range(1, top + 1):
+        lo, nums, den = model.exact_row(n)
+        assert sum(nums) == den and min(nums) >= 0
+        flo, probs = rows[n - 1]
+        assert flo == lo and probs.tolist() == [x / den for x in nums], n
+        exact = {k: Fraction(x, den) for k, x in enumerate(nums, lo) if x}
+        assert model.pmf_exact(n) == exact
+        assert model.pmf_float(n) == {k: x / den for k, x in enumerate(nums, lo) if x}
+        assert model.mean(n) == sum(k * p for k, p in exact.items())
+        assert model.cdf(n, n // 2) == sum(p for k, p in exact.items() if k <= n // 2)
+    if isinstance(model, ExplicitMatrix):
+        return
+    for n in (top + 1, top + 7, 3 * top):
+        [(lo, probs)] = model.float_rows(n, n + 1)
+        assert model.pmf_float(n) == {k: p for k, p in enumerate(probs.tolist(), lo) if p}
+        assert model.mean(n) == sum(k * p for k, p in enumerate(probs.tolist(), lo))
