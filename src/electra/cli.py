@@ -105,6 +105,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r} ({exc})") from None
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got {text!r}")
+    return value
+
+
 def _alpha(args: argparse.Namespace, model: SurvivorModel) -> Fraction | None:
     """``--alpha``, else the model's own; a ratio outside (0, 1) is a usage error."""
     alpha = model.declared_alpha if args.alpha is None else args.alpha
@@ -495,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--threshold", type=int, default=1)
     table.add_argument("--init", choices=["standard", "altcost"], default="standard")
     table.add_argument("--alpha", type=_fraction, default=None)
-    table.add_argument("--residual-eps", type=float, default=1e-12)
+    table.add_argument("--residual-eps", type=_positive_float, default=1e-12)
     table.add_argument("--check-fixtures", action="store_true",
                        help="compare with the published small tables; exit 1 on mismatch")
     table.add_argument("--out", default=None)

@@ -165,7 +165,15 @@ class PhaseTable:
                     writer.writerow([n, repr(x), "", ""])
 
 
-def _validate_setup(model: SurvivorModel, max_n: int, a: int, init: InitConvention) -> None:
+def _validate_setup(
+    model: SurvivorModel,
+    max_n: int,
+    a: int,
+    init: InitConvention,
+    residual_eps: float = DEFAULT_RESIDUAL_EPS,
+) -> None:
+    if not (math.isfinite(residual_eps) and residual_eps > 0):
+        raise ValueError(f"need a finite residual_eps > 0, got {residual_eps}")
     if max_n < 1:
         raise ValueError(f"need max_n >= 1, got {max_n}")
     if a < 0:
@@ -192,7 +200,7 @@ def compute_phase_table(
     The recursive and the direct mean formulas are both evaluated and
     cross-checked before the table is returned.
     """
-    _validate_setup(model, max_n, threshold_a, init)
+    _validate_setup(model, max_n, threshold_a, init, residual_eps)
     cutoff = model.exact_cutoff
     a = threshold_a
     zero_cost = _zero_cost(init)

@@ -9,13 +9,16 @@ chains the phase engine computes; simulating them supplies an
 engine-independent consistency check.
 
 One round-stepper, ``_play``, runs every game: it yields each round's
-survivor counts per group of equal-width trials, and ``run_election`` and
-``survivors_after_rounds`` only record what it yields.  Persistent keys
-pass to the next round by a mask select on the surviving rows; the
-redraw variants draw fresh keys per group.  Trials run in fixed-size
-batches, each with its own counter-based RNG substream keyed by (seed,
-batch index), so results are reproducible bit-for-bit and merge
-order-independently.
+survivor counts per block of equal-width trials, and ``run_election`` and
+``survivors_after_rounds`` only record what it yields.  Groups with fresh
+keys (round one of every variant, every round of the redraw variants) are
+drawn, tie-checked, masked and regrouped 256 rows at a time, so no
+group's full key matrix ever exists; persistent keys pass to the next
+round by a mask select on the surviving rows, and those groups play
+whole.  A key is one raw Philox word shifted right by one bit (see
+``_raw_keys``).  Trials run in fixed-size batches, each with its own
+counter-based RNG substream keyed by (seed, batch index), so results are
+reproducible bit-for-bit and merge order-independently.
 """
 from __future__ import annotations
 
@@ -29,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 _BATCH = 4096
-_KEY_BITS = 63
+#: rows of fresh keys drawn, checked, masked and regrouped at once
+_CHUNK = 256
 
 
 class RingVariant(str, Enum):
@@ -107,15 +111,32 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
+def _raw_keys(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform keys in [0, 2^63): one raw 64-bit word each,
+    shifted right by one bit.  Bit for bit what
+    ``rng.integers(0, 2**63, count, dtype=np.int64)`` returns, since its
+    Lemire step for a range of 2^63 is exactly that shift."""
+    return (rng.bit_generator.random_raw(count) >> 1).view(np.int64)
+
+
 def _draw_distinct_keys(rng: np.random.Generator, m: int, width: int) -> np.ndarray:
-    """Uniform 63-bit integer keys, redrawing any row containing a tie."""
-    keys = rng.integers(0, 1 << _KEY_BITS, size=(m, width), dtype=np.int64)
+    """``m`` rows of ``width`` uniform 63-bit keys (see :func:`_raw_keys`),
+    redrawing any row containing a tie.
+
+    Every key of a row is distinct, not only neighbours: persistent keys
+    that are not adjacent now can become neighbours in a later round.
+    ``_play`` calls this one row chunk at a time, so the sorted copy that
+    finds ties stays a chunk's size.  Drawing the rows in chunks gives the
+    keys of one whole draw unless a tie fires (about width^2 / 2^64 per
+    row), since the chunks read one stream of words in order.
+    """
+    keys = _raw_keys(rng, m * width).reshape(m, width)
     while True:
         sorted_rows = np.sort(keys, axis=1)
         bad = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
         if not bad.any():
             return keys
-        keys[bad] = rng.integers(0, 1 << _KEY_BITS, size=(int(bad.sum()), width), dtype=np.int64)
+        keys[bad] = _raw_keys(rng, int(bad.sum()) * width).reshape(-1, width)
 
 
 def _peak_mask(keys: np.ndarray, variant: RingVariant) -> np.ndarray:
@@ -143,12 +164,15 @@ def _play(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Play every trial round by round, yielding ``(round, trials, counts)``.
 
-    Each yield covers one group of trials that entered the round with the
+    Each yield covers one block of trials that entered the round with the
     same number of players; counts are the survivors of that round.  A
-    trial leaves once its count is at most ``config.stop_threshold``, or
-    after ``max_rounds`` rounds.  Within a batch, groups play in ascending
-    width and keep their rows in order, which fixes the order of the key
-    draws and so the outcome of every seed.
+    group with fresh keys plays in blocks of ``_CHUNK`` rows, a group with
+    kept keys in one block.  A trial leaves once its count is at most
+    ``config.stop_threshold``, or after ``max_rounds`` rounds.  Within a
+    batch, groups play in ascending width and every block regroups its
+    rows in order, so each width group holds its trials and keys in the
+    same order however it was cut; that fixes the order of the key draws
+    and so the outcome of every seed.
     """
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
     for start in range(0, config.trials, _BATCH):
@@ -165,16 +189,20 @@ def _play(
             for width, group in groups:
                 idx = np.concatenate([i for _, i in group])
                 if group[0][0] is None:
-                    keys = _draw_distinct_keys(rng, len(idx), width)
+                    blocks = (
+                        (rows, _draw_distinct_keys(rng, len(rows), width))
+                        for rows in np.split(idx, range(_CHUNK, len(idx), _CHUNK))
+                    )
                 else:
-                    keys = np.vstack([k for k, _ in group])
-                mask = _peak_mask(keys, config.variant)
-                survivors = mask.sum(axis=1, dtype=np.int64)
-                yield round_, idx, survivors
-                for w in np.unique(survivors[survivors > config.stop_threshold]):
-                    sel = survivors == w
-                    kept = keys[sel][mask[sel]].reshape(-1, w) if persistent else None
-                    parts.setdefault(int(w), []).append((kept, idx[sel]))
+                    blocks = [(idx, np.vstack([k for k, _ in group]))]
+                for rows, keys in blocks:
+                    mask = _peak_mask(keys, config.variant)
+                    survivors = mask.sum(axis=1, dtype=np.int64)
+                    yield round_, rows, survivors
+                    for w in np.unique(survivors[survivors > config.stop_threshold]):
+                        sel = survivors == w
+                        kept = keys[sel][mask[sel]].reshape(-1, w) if persistent else None
+                        parts.setdefault(int(w), []).append((kept, rows[sel]))
 
 
 def run_election(config: SimConfig) -> ElectionRecords:

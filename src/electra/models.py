@@ -549,13 +549,19 @@ class ExplicitMatrix(SurvivorModel):
     def declared_alpha(self) -> Fraction | None:
         return self.alpha
 
+    @functools.cached_property
+    def _row_lookup(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+        """``rows`` by state, built once per model (not a field, so the
+        model stays equal and hashable by its rows)."""
+        return dict(self.rows)
+
     @property
     def max_state(self) -> int:
-        return max(dict(self.rows))
+        return max(self._row_lookup)
 
     def exact_row(self, n: int) -> tuple[int, list[int], int]:
         self._require_positive(n)
-        rows = dict(self.rows)
+        rows = self._row_lookup
         if n not in rows and n != 1:
             raise ValueError(f"{self.label}: no transition row for state {n}")
         row = {k: Fraction(p) for k, p in rows.get(n, ((1, 1),))}  # 1 stays 1 if not given

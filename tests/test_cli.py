@@ -68,6 +68,15 @@ def test_negative_cutoff_is_rejected(tmp_path, capsys):
     assert "exact_cutoff >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+def test_residual_eps_must_be_finite_and_positive(tmp_path, capsys, eps):
+    with pytest.raises(SystemExit) as err:
+        main(["table", "--model", "toy", "--max-n", "5", f"--residual-eps={eps}",
+              "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "need a finite number > 0" in capsys.readouterr().err
+
+
 def test_check_exit_codes(tmp_path):
     out = str(tmp_path)
     assert main(["check", "--model", "fair-coin", "--alpha", "0.5",

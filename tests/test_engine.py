@@ -135,6 +135,9 @@ def test_setup_validation():
         )
     with pytest.raises(ValueError):
         compute_phase_table(FairCoin(), 0)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="residual_eps"):
+            compute_phase_table(FairCoin(), 10, residual_eps=eps)
 
 
 def test_threshold_at_or_above_start():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,13 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from electra import franklin
 from electra.engine import compute_phase_table
 from electra.franklin import (
     _BATCH,
     RingVariant,
     SimConfig,
+    _batch_rng,
     _circular_peak_count,
+    _draw_distinct_keys,
     _peak_mask,
+    _raw_keys,
     closed_form_c2,
     conditional_second_round,
     estimate_c2,
@@ -221,3 +226,69 @@ def test_mean_survival_ratios_match_loop(config):
     ratios = mean_survival_ratios(records)
     assert len(ratios) == len(expected)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(ratios, expected))
+
+
+# SHA-256 over (rounds, trace_flat) of run_election for n in (2, 9, 30, 100)
+# and trials in (100, 9000), seed n + trials; fixed when the fresh-key
+# rounds were still drawn as whole group matrices.
+_GRID_DIGESTS = {
+    (RingVariant.TRUE_PERSISTENT, 1): "ca1fbf729b138948313cc1d84abe398d40599081638fbc78ae6d72b651f9eff1",
+    (RingVariant.TRUE_PERSISTENT, 3): "b62dd852c60cb0f1a2c527b1563d03822348eb53682109190613fd1c24797ab2",
+    (RingVariant.REDRAW_CIRCULAR, 1): "043004a766fbeb2614f4add6e20985e969434538b333d1bf29378709be0961dc",
+    (RingVariant.REDRAW_CIRCULAR, 3): "74e29b364ecfb52f1e335dd880c6e27d151a4dc83f29c590cf1612845f5ea4cd",
+    (RingVariant.REDRAW_LINEAR_I, 1): "4e804fef68c9054c5354a346cd69a8081a3cb51e9d60517b1114f98864e2c2ec",
+    (RingVariant.REDRAW_LINEAR_I, 3): "68248ebae121c15407828996257c90e67d2e0b90445db029dfd80475beb131ed",
+    (RingVariant.REDRAW_LINEAR_II, 1): "3288715cb7f7dda3fd29b8af8c2acadeec88708006ebbfc07cd47229692a4d7e",
+    (RingVariant.REDRAW_LINEAR_II, 3): "4142927ae90d65b7460584754ee1479510a014a6a0590951c1450aed39a0d4f8",
+}
+
+
+@pytest.mark.parametrize("variant,threshold", list(_GRID_DIGESTS))
+def test_election_outputs_are_pinned(variant, threshold):
+    digest = hashlib.sha256()
+    for n in (2, 9, 30, 100):
+        for trials in (100, 9000):
+            config = SimConfig(variant, n, trials, seed=n + trials, stop_threshold=threshold)
+            records = run_election(config)
+            digest.update(records.rounds.astype("<i4").tobytes())
+            digest.update(records.trace_flat.astype("<i8").tobytes())
+    assert digest.hexdigest() == _GRID_DIGESTS[variant, threshold]
+
+
+def test_two_round_counts_are_pinned():
+    counts = survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 600, seed=1)
+    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == "e259d9e8cb2244c2b630649fc756ba941b8e823f6b7bcdce58b77366ca5940e3"
+
+
+def test_tie_redraws_only_the_tied_row(monkeypatch):
+    draws = []
+
+    def tie_in_first_draw(rng, count):
+        keys = _raw_keys(rng, count)
+        if not draws:
+            keys[5 + 3] = keys[5 + 0]  # row 1 of a (4, 5) draw: a tie, not adjacent
+        draws.append(keys.copy())
+        return keys
+
+    monkeypatch.setattr(franklin, "_raw_keys", tie_in_first_draw)
+    keys = _draw_distinct_keys(_batch_rng(5, 0), 4, 5)
+    assert [len(d) for d in draws] == [20, 5]
+    first = draws[0].reshape(4, 5)
+    assert np.array_equal(keys[[0, 2, 3]], first[[0, 2, 3]])
+    assert np.array_equal(keys[1], draws[1])
+    assert all(len(set(row)) == 5 for row in keys.tolist())
+
+
+@pytest.mark.parametrize("seed,shape", [(0, (1,)), (3, (7, 5)), (11, (256, 100)), (2**40, (3, 10_000))])
+def test_raw_keys_equal_bounded_integers(seed, shape):
+    # the raw-word draw stands in for numpy's bounded draw of 63-bit keys;
+    # a numpy release that changes that draw should fail here, not shift
+    # every seed silently
+    count = math.prod(shape)
+    expected = _batch_rng(seed, 1).integers(0, 2**63, size=shape, dtype=np.int64)
+    assert np.array_equal(_raw_keys(_batch_rng(seed, 1), count).reshape(shape), expected)
+    rng = _batch_rng(seed, 1)
+    head = _raw_keys(rng, count // 2)
+    assert np.array_equal(np.concatenate([head, _raw_keys(rng, count - count // 2)]),
+                          expected.ravel())

@@ -321,6 +321,23 @@ def test_explicit_matrix_is_immutable_and_hashable():
     assert hash(model) == hash(reordered)
 
 
+def test_explicit_matrix_rows_of_a_long_chain():
+    # every row comes from one lookup built once, not a dict per row
+    n_states = 2000
+    rows = {i: {i - 1: Fraction(2, 3), i: Fraction(1, 3)} for i in range(2, n_states + 1)}
+    model = ExplicitMatrix(rows=rows)
+    floats = model.float_rows(1, n_states + 1)
+    assert len(floats) == n_states
+    for n, (lo, probs) in enumerate(floats, 1):
+        lo_exact, nums, den = model.exact_row(n)
+        assert lo == lo_exact
+        assert probs.tolist() == [x / den for x in nums]
+    assert model._row_lookup is model._row_lookup
+    assert hash(model) == hash(ExplicitMatrix(rows=rows))
+    with pytest.raises(AttributeError):
+        model.rows = ()
+
+
 def test_explicit_matrix_validation():
     with pytest.raises(ValueError, match="sums to"):
         ExplicitMatrix(rows={2: {1: Fraction(1, 2)}})
