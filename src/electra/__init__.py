@@ -31,7 +31,6 @@ from .engine import (
     PhaseTable,
     compute_phase_table,
     ending_state_probs,
-    mean_phases,
     occupancy_probs,
     passage_probs,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "fair_coin_phi",
     "law_from_phase",
     "laplace_transform",
-    "mean_phases",
     "model_from_name",
     "occupancy_probs",
     "passage_probs",

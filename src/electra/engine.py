@@ -7,8 +7,10 @@ The law of the number of rounds is built column by column:
 
     rounds(n, j) = sum_k P(n, k) * rounds(k, j - 1)
 
-with the initialization convention deciding what a wiped-out round (state
-0) costs: nothing under STANDARD, one extra phase under ALT_COST.
+The absorbing states are ordinary entries of every column: state k holds
+``[j == cost(k)]``, where cost(0), what a wiped-out round adds, is one
+phase under ALT_COST and every other cost is zero.  So each transient
+entry is the plain sum over its whole row, absorbing entries included.
 
 Everything else comes from two sweeps over the transient states.  The
 upward sweep applies the first-step identity with the k = n self-loop
@@ -57,10 +59,6 @@ _J_CAP = 20_000
 class InitConvention(str, Enum):
     STANDARD = "standard"  # ending with nobody left costs nothing extra
     ALT_COST = "altcost"  # the final forced pick costs one phase
-
-
-def _zero_cost(init: InitConvention) -> int:
-    return 1 if init is InitConvention.ALT_COST else 0
 
 
 @dataclass
@@ -197,47 +195,37 @@ def compute_phase_table(
     """Fill the phase-count table for all starting sizes up to ``max_n``.
 
     Columns are appended until every row is complete to ``residual_eps``.
-    The recursive and the direct mean formulas are both evaluated and
-    cross-checked before the table is returned.
+    The recursive and the direct mean formulas are both evaluated; a gap
+    between them beyond the truncation tolerance means the table is
+    inconsistent and raises ``ValueError``.
     """
     _validate_setup(model, max_n, threshold_a, init, residual_eps)
     cutoff = model.exact_cutoff
     a = threshold_a
-    zero_cost = _zero_cost(init)
+    # absorbing state k adds cost[k] phases; only a wiped-out round can cost
+    cost = [int(init is InitConvention.ALT_COST)] + [0] * min(a, max_n)
     rows = _transient_rows(model, a, max_n)
-    matrix, b0, b1 = _float_system(rows, max_n + 1, zero_cost)
-    exact_columns = _exact_columns(rows, zero_cost)
-    exact_states = slice(a + 1, a + 1 + len(rows.exact))
-
-    # column 0: absorbing states with zero cost
+    matrix = _float_system(rows, max_n + 1)
+    float_cols, exact_cols = [], []
     col = np.zeros(max_n + 1)
-    for k in range(0, min(a, max_n) + 1):
-        if not (k == 0 and zero_cost):
-            col[k] = 1.0
-    float_cols = [col]
-    exact_cols = [[Fraction(0)] * len(rows.exact)]
-    settled = col.copy()
+    settled = np.zeros(max_n + 1)
     best_worst = math.inf
     stalled = 0
 
-    while True:
-        j = len(float_cols)
+    for j, exact_col in enumerate(_exact_columns(rows, cost)):
         if j > _J_CAP:
             raise RuntimeError(
                 f"phase law did not absorb within {_J_CAP} columns for {model.name}"
             )
-        col = matrix @ float_cols[-1]
-        col[: a + 1] = 0.0
-        if j == 1:
-            col += b0
-        if j == 2:
-            col += b1
-        # the exact column overwrites its float mirror on the exact rows
-        exact_cols.append(next(exact_columns))
-        col[exact_states] = [float(p) for p in exact_cols[-1]]
+        if j:
+            col = matrix @ col
+        # the exact column, absorbing states included, overwrites its float mirror
+        col[: len(exact_col)] = [float(p) for p in exact_col]
         float_cols.append(col)
-
-        settled = settled + col
+        exact_cols.append(exact_col)
+        settled += col
+        if not j:
+            continue  # every table reaches column 1, whatever column 0 settles
         worst = (1.0 - settled[a + 1 :]).max() if max_n > a else 0.0
         if worst < residual_eps:
             break
@@ -253,25 +241,14 @@ def compute_phase_table(
 
     probs = np.column_stack(float_cols)
     j_max = probs.shape[1] - 1
-    # absorbing rows are point masses
-    for k in range(0, min(a, max_n) + 1):
-        probs[k, :] = 0.0
-        probs[k, zero_cost if k == 0 else 0] = 1.0
-    cum = np.cumsum(probs, axis=1)
-
-    exact_rows: dict[int, tuple[Fraction, ...]] = {}
-    for n in range(0, min(max_n, cutoff) + 1):
-        if n <= a:
-            row = [Fraction(0)] * (j_max + 1)
-            row[zero_cost if n == 0 else 0] = Fraction(1)
-        else:
-            row = [column[n - a - 1] for column in exact_cols]
-        exact_rows[n] = tuple(row)
-
-    means_rec, exact_means = _recursive_means(rows, max_n, a, zero_cost)
+    exact_rows = dict(enumerate(itertools.islice(zip(*exact_cols), min(max_n, cutoff) + 1)))
+    exact_means, means = _upward_sweep(rows, dict(enumerate(map(Fraction, cost))), 1)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
-    mean_gap = float(np.max(np.abs(means_rec - means_direct)))
-    table = PhaseTable(
+    mean_gap = float(np.max(np.abs(means - means_direct)))
+    tol = max(1e-10, residual_eps * (j_max + 20))
+    if mean_gap > tol:
+        raise ValueError(f"mean formulas disagree by {mean_gap:.3e} (tolerance {tol:.1e})")
+    return PhaseTable(
         model=model,
         max_n=max_n,
         threshold_a=a,
@@ -280,15 +257,13 @@ def compute_phase_table(
         residual_eps=residual_eps,
         j_max=j_max,
         probs=probs,
-        cum=cum,
+        cum=np.cumsum(probs, axis=1),
         exact_rows=exact_rows,
-        means=means_rec,
+        means=means,
         means_direct=means_direct,
         exact_means=exact_means,
         mean_gap=mean_gap,
     )
-    mean_phases(table)  # enforce the two-formula agreement contract
-    return table
 
 
 @dataclass(frozen=True)
@@ -312,59 +287,33 @@ def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
     return _Rows(a, exact, floats + model.float_rows(top + 1, max_n + 1))
 
 
-def _float_system(
-    rows: _Rows, size: int, zero_cost: int
-) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Transitions between transient states as a CSR matrix, plus the
-    mass each row sends to the zero-cost (``b0``) and the costly (``b1``)
-    absorbing states."""
-    a = rows.a
-    data, cols = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+def _float_system(rows: _Rows, size: int) -> sparse.csr_matrix:
+    """Every transition out of a transient state as a CSR matrix, the
+    entries into absorbing states included; absorbing rows are empty."""
     lengths = np.zeros(size, dtype=np.int64)
-    b0 = np.zeros(size)
-    b1 = np.zeros(size)
-    for n, (lo, probs) in enumerate(rows.floats, a + 1):
-        if lo <= a:
-            for k, p in enumerate(probs[: a + 1 - lo].tolist(), lo):
-                if k == 0 and zero_cost:
-                    b1[n] += p
-                else:
-                    b0[n] += p
-            lo, probs = a + 1, probs[a + 1 - lo :]
-        data.append(probs)
-        cols.append(np.arange(lo, lo + len(probs)))
-        lengths[n] = len(probs)
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    matrix = sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(cols), indptr), shape=(size, size)
+    lengths[rows.a + 1 :] = [len(probs) for _, probs in rows.floats]
+    data = np.concatenate([np.zeros(0), *(probs for _, probs in rows.floats)])
+    cols = np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(lo + np.arange(len(probs)) for lo, probs in rows.floats)]
     )
-    return matrix, b0, b1
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sparse.csr_matrix((data, cols, indptr), shape=(size, size))
 
 
-def _exact_columns(rows: _Rows, zero_cost: int) -> Iterator[list[Fraction]]:
-    """Exact phase columns j = 1, 2, ... on the integer rows' states.
+def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[list[Fraction]]:
+    """Exact phase columns j = 0, 1, ..., indexed by state: absorbing
+    state k holds ``[j == cost[k]]``, each integer row's state the sum over
+    its whole row of the previous column.
 
     A column is kept as integer numerators over one denominator, the lcm
     of its entries', so each entry costs one integer dot product with its
     row and one reduction.
     """
-    a = rows.a
-    steps, b0, b1 = [], [], []
-    for lo, nums, den in rows.exact:
-        cut = max(a + 1 - lo, 0)
-        wiped = nums[0] if zero_cost and lo == 0 and cut else 0
-        b0.append(sum(nums[:cut]) - wiped)
-        b1.append(wiped)
-        steps.append((max(lo - a - 1, 0), nums[cut:], den))
-    nums, den = [0] * len(steps), 1  # column 0 is zero on transient states
-    for j in itertools.count(1):
-        column = []
-        for i, (start, row, row_den) in enumerate(steps):
-            total = sum(map(operator.mul, row, nums[start : start + len(row)]))
-            if j == 1:
-                total += b0[i] * den
-            if j == 2:
-                total += b1[i] * den
+    nums, den = [0] * (len(cost) + len(rows.exact)), 1  # column -1 is zero
+    for j in itertools.count():
+        column = [Fraction(int(j == c)) for c in cost]
+        for lo, row, row_den in rows.exact:
+            total = sum(map(operator.mul, row, nums[lo : lo + len(row)]))
             column.append(Fraction(total, row_den * den))
         yield column
         den = math.lcm(*(p.denominator for p in column))
@@ -400,44 +349,6 @@ def _upward_sweep(
             stay, probs = probs[-1], probs[:-1]
         f[n] = (c + probs @ f[lo : lo + len(probs)]) / (1 - stay)
     return exact, f
-
-
-def _recursive_means(
-    rows: _Rows, max_n: int, a: int, zero_cost: int
-) -> tuple[np.ndarray, dict[int, Fraction]]:
-    """means via x(n) = 1 + sum_k P(n,k) x(k), solving the k = n self-loop."""
-    fixed = {k: Fraction(zero_cost if k == 0 else 0) for k in range(min(a, max_n) + 1)}
-    exact, means = _upward_sweep(rows, fixed, 1)
-    return means, exact
-
-
-@dataclass(frozen=True)
-class MeanSeries:
-    """The two mean formulas side by side."""
-
-    recursive: np.ndarray
-    direct: np.ndarray
-    max_gap: float
-
-
-def mean_phases(table: PhaseTable, *, tol: float | None = None) -> MeanSeries:
-    """Expected phase counts, checked two ways.
-
-    The recursive form is exact (rational below the cutoff); the direct
-    form sums the computed law and carries the column-truncation error.
-    A gap beyond ``tol`` means the table is inconsistent and is an error.
-    """
-    if tol is None:
-        tol = max(1e-10, table.residual_eps * (table.j_max + 20))
-    if table.mean_gap > tol:
-        raise ValueError(
-            f"mean formulas disagree by {table.mean_gap:.3e} (tolerance {tol:.1e})"
-        )
-    return MeanSeries(
-        recursive=table.means.copy(),
-        direct=table.means_direct.copy(),
-        max_gap=table.mean_gap,
-    )
 
 
 @dataclass

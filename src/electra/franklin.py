@@ -31,6 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .peaks import PeakVariant, count_peaks
+
 _BATCH = 4096
 #: rows of fresh keys drawn, checked, masked and regrouped at once
 _CHUNK = 256
@@ -168,11 +170,12 @@ def _play(
     same number of players; counts are the survivors of that round.  A
     group with fresh keys plays in blocks of ``_CHUNK`` rows, a group with
     kept keys in one block.  A trial leaves once its count is at most
-    ``config.stop_threshold``, or after ``max_rounds`` rounds.  Within a
-    batch, groups play in ascending width and every block regroups its
-    rows in order, so each width group holds its trials and keys in the
-    same order however it was cut; that fixes the order of the key draws
-    and so the outcome of every seed.
+    ``config.stop_threshold``, or after ``max_rounds`` rounds; the last
+    round allowed regroups nothing.  Within a batch, groups play in
+    ascending width and every block regroups its rows in order, so each
+    width group holds its trials and keys in the same order however it was
+    cut; that fixes the order of the key draws and so the outcome of every
+    seed.
     """
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
     for start in range(0, config.trials, _BATCH):
@@ -183,7 +186,7 @@ def _play(
         if config.n > config.stop_threshold:
             parts[config.n] = [(None, np.arange(start, stop, dtype=np.int64))]
         round_ = 0
-        while parts and (max_rounds is None or round_ < max_rounds):
+        while parts:
             round_ += 1
             groups, parts = sorted(parts.items()), {}
             for width, group in groups:
@@ -199,6 +202,8 @@ def _play(
                     mask = _peak_mask(keys, config.variant)
                     survivors = mask.sum(axis=1, dtype=np.int64)
                     yield round_, rows, survivors
+                    if round_ == max_rounds:
+                        continue  # no round follows, so nobody regroups
                     for w in np.unique(survivors[survivors > config.stop_threshold]):
                         sel = survivors == w
                         kept = keys[sel][mask[sel]].reshape(-1, w) if persistent else None
@@ -280,15 +285,6 @@ def estimate_c2(
     )
 
 
-def _circular_peak_count(values: tuple[int, ...]) -> int:
-    n = len(values)
-    return sum(
-        1
-        for i in range(n)
-        if values[i] > values[i - 1] and values[i] > values[(i + 1) % n]
-    )
-
-
 def _circular_peak_keys(values: tuple[int, ...]) -> tuple[int, ...]:
     n = len(values)
     return tuple(
@@ -310,25 +306,14 @@ def exhaustive_second_round(
     conditioned = 0
     hits = 0
     for perm in itertools.permutations(range(ring_size)):
-        if _circular_peak_count(perm) != first_round:
+        if count_peaks(perm, PeakVariant.CIRCULAR) != first_round:
             continue
         conditioned += 1
-        if _circular_peak_count(_circular_peak_keys(perm)) == second_round:
+        if count_peaks(_circular_peak_keys(perm), PeakVariant.CIRCULAR) == second_round:
             hits += 1
     if conditioned == 0:
         raise ValueError("conditioning event impossible")
     return Fraction(hits, conditioned)
-
-
-def exhaustive_redraw_round(*, ring_size: int = 4, survivors: int = 2) -> Fraction:
-    """Exact one-round survivor probability for a fresh ring, by
-    enumeration (independent of the recurrence tables)."""
-    hits = sum(
-        1
-        for perm in itertools.permutations(range(ring_size))
-        if _circular_peak_count(perm) == survivors
-    )
-    return Fraction(hits, math.factorial(ring_size))
 
 
 def conditional_second_round(
@@ -341,7 +326,17 @@ def conditional_second_round(
     second_round: int = 2,
     min_events: int = 1000,
 ) -> SimEstimate:
-    """Monte Carlo version of :func:`exhaustive_second_round`."""
+    """Monte Carlo version of :func:`exhaustive_second_round`.
+
+    Both rounds are played on the circle, so only the circular variants
+    are accepted: true-persistent keeps the first round's keys,
+    redraw-circular draws fresh ones.
+    """
+    if variant not in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
+        raise ValueError(
+            "the conditional estimate needs a circular variant "
+            f"(true-persistent or redraw-circular), got {variant.value}"
+        )
     events = 0
     hits = 0
     for start in range(0, trials, _BATCH):

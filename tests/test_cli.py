@@ -156,6 +156,14 @@ def test_simulate_conditional(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("variant", ["redraw-linear-i", "redraw-linear-ii"])
+def test_simulate_conditional_rejects_linear_variants(tmp_path, capsys, variant):
+    assert main(["simulate", "--variant", variant, "--estimate", "conditional",
+                 "--trials", "200000", "--seed", "3", "--out", str(tmp_path)]) == 2
+    assert "circular variant" in capsys.readouterr().err
+    assert not (tmp_path / "simulate" / "summary.csv").exists()
+
+
 def test_periodicity_command(tmp_path):
     assert main(["periodicity", "--model", "toy", "--n-lo", "50", "--n-hi", "400",
                  "--fourier-terms", "6", "--out", str(tmp_path)]) == 0
@@ -224,9 +232,19 @@ _FUZZ_SIZES = _mostly(["2", "5", "12"], ["-1", "0", "1"])
 _FUZZ_MODELS = st.sampled_from([m for m in _MODEL_CHOICES if m != "explicit"])
 
 
+_FUZZ_VARIANTS = ["true-persistent", "redraw-circular", "redraw-linear-i", "redraw-linear-ii"]
+
+
 @st.composite
 def _fuzz_argv(draw):
-    command = draw(st.sampled_from(["table", "check", "periodicity"]))
+    command = draw(st.sampled_from(["table", "check", "periodicity", "simulate"]))
+    if command == "simulate":
+        argv = [command, "--variant", draw(st.sampled_from(_FUZZ_VARIANTS))]
+        argv += ["--estimate", draw(st.sampled_from(["histogram", "c2", "conditional"]))]
+        argv += ["--n", draw(_mostly(["2", "5", "64"], ["-1", "0", "1"]))]
+        argv += ["--trials", draw(_mostly(["1", "7", "64"], ["-1", "0"]))]
+        argv += ["--threshold", draw(st.sampled_from(["0", "1", "3"]))]
+        return argv + (["--traces"] if draw(st.booleans()) else [])
     argv = [command, "--model", draw(_FUZZ_MODELS)]
     for flag in ("--p", "--nu", "--alpha"):
         if draw(st.integers(0, 3)):
@@ -256,3 +274,5 @@ def test_cli_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
         code = exc.code
         assert code == 2, argv
     assert code in (0, 1, 2), argv
+    if "conditional" in argv and "redraw-linear" in argv[2]:
+        assert code == 2, argv  # the conditional estimate is circular only

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -12,11 +13,11 @@ from electra.engine import (
     InitConvention,
     compute_phase_table,
     ending_state_probs,
-    mean_phases,
     occupancy_probs,
     passage_probs,
 )
 from electra.models import (
+    BiasedCoin,
     CoinMaxOne,
     DemonCoin,
     DeterministicHalving,
@@ -64,8 +65,7 @@ def test_rows_complete_and_monotone(linear_500, fair_4096):
 
 def test_mean_formulas_agree(fair_4096, toy_1024, linear_500):
     for table in (fair_4096, toy_1024, linear_500):
-        series = mean_phases(table)
-        assert series.max_gap < 1e-10
+        assert table.mean_gap < 1e-10
     # strictly decreasing chains absorb completely: exact equality of the
     # direct and recursive means
     for n in range(1, linear_500.exact_cutoff + 1):
@@ -200,6 +200,46 @@ def test_phase_law_matches_forward_oracle(model, start, a, init):
     for j in range(table.j_max + 1):
         assert table.exact_prob(start, j) == oracle.get(j, Fraction(0))
     assert sum(oracle.values(), Fraction(0)) > 1 - Fraction(1, 10**9)
+
+
+# SHA-256 over j_max and every nonzero exact entry as "n,j,numerator,denominator";
+# fixed when the absorbing states were still point masses filled in after
+# the column loop.
+_TABLE_DIGESTS = [
+    (lambda: FairCoin(exact_cutoff=100), 100, 1, InitConvention.STANDARD, 46,
+     "64f69c8b1adf0b48c7d2ce6454ca500fe22d5ff2174b603ec06cdcf4d48d08b7"),
+    (peak_linear_i, 60, 1, InitConvention.STANDARD, 5,
+     "187e8f86a044e26095d3d5ea49937ef776daf50c597620836925360daa624d92"),
+    (peak_linear_i, 60, 1, InitConvention.ALT_COST, 6,
+     "40d10333f534f0c926cf4c9130f802815bea69f7c77589438195ade33bb3e2ac"),
+    (peak_circular, 60, 1, InitConvention.STANDARD, 5,
+     "d6cdc413b3418ec576db764910e757810d8e4f860146e4bd1596f46344807fcc"),
+    (lambda: DemonCoin(Fraction(1, 2), Fraction(1, 3)), 60, 0, InitConvention.STANDARD, 31,
+     "2e68d3f6576c7f4546cfccbce622f11195bc6d5a6a8591ecc50c09a3ee421772"),
+    (lambda: BiasedCoin(Fraction(3, 10)), 60, 3, InitConvention.STANDARD, 22,
+     "2cf4868362921ab10ac6f0d34cc11b2b5de19fd7620468a18a2fdab6205d12d7"),
+    (ToyHalving, 200, 3, InitConvention.STANDARD, 7,
+     "789ee25ac1840f30b8018cd7d6d2f53c168995bc40501bbd1ab309b83c16a888"),
+    (FairCoin, 5, 9, InitConvention.STANDARD, 1,  # every state absorbing
+     "74aef14f87b8be871012c4933fc9771f08cd788c0fd20f96e4e8cb932eb32838"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,max_n,a,init,j_max,expected",
+    _TABLE_DIGESTS,
+    ids=["fair-100", "linear-i", "linear-i-altcost", "circular", "demon-a0", "biased-a3",
+         "toy-a3", "fair-a9"],
+)
+def test_exact_rows_are_pinned(build, max_n, a, init, j_max, expected):
+    table = compute_phase_table(build(), max_n, threshold_a=a, init=init)
+    digest = hashlib.sha256(f"j_max={table.j_max}\n".encode())
+    for n, row in sorted(table.exact_rows.items()):
+        for j, p in enumerate(row):
+            if p:
+                digest.update(f"{n},{j},{p.numerator},{p.denominator}\n".encode())
+    assert table.j_max == j_max
+    assert digest.hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------

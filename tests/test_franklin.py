@@ -14,14 +14,12 @@ from electra.franklin import (
     RingVariant,
     SimConfig,
     _batch_rng,
-    _circular_peak_count,
     _draw_distinct_keys,
     _peak_mask,
     _raw_keys,
     closed_form_c2,
     conditional_second_round,
     estimate_c2,
-    exhaustive_redraw_round,
     exhaustive_second_round,
     mean_survival_ratios,
     run_election,
@@ -29,6 +27,7 @@ from electra.franklin import (
 )
 from electra.metrics import IntegerLaw, dtv, law_from_phase
 from electra.models import peak_circular, peak_linear_i, peak_linear_ii
+from electra.peaks import PeakVariant, count_peaks
 
 
 def test_two_players_one_round():
@@ -55,8 +54,6 @@ def test_seed_changes_outcomes():
 
 def test_exhaustive_second_round_exact():
     assert exhaustive_second_round() == Fraction(10, 34)
-    # a fresh 4-ring gives 2 survivors with probability 1/3 by enumeration
-    assert exhaustive_redraw_round(ring_size=4, survivors=2) == Fraction(1, 3)
 
 
 def test_closed_form_c2():
@@ -118,6 +115,13 @@ def test_conditional_second_round_monte_carlo():
     assert abs(est.point - exact) < 3 * est.stderr + 1e-12
     redraw = conditional_second_round(100_000, seed=13, variant=RingVariant.REDRAW_CIRCULAR)
     assert abs(redraw.point - 1.0 / 3.0) < 4 * redraw.stderr
+
+
+@pytest.mark.parametrize("variant", [RingVariant.REDRAW_LINEAR_I, RingVariant.REDRAW_LINEAR_II])
+def test_conditional_rejects_linear_variants(variant):
+    # both rounds are played on the circle, which a linear rule is not
+    with pytest.raises(ValueError, match="circular variant"):
+        conditional_second_round(200_000, seed=3, variant=variant)
 
 
 def test_conditional_requires_enough_events():
@@ -188,7 +192,7 @@ def test_peak_mask_matches_definition(rows):
         for row, flags in zip(rows, mask):
             assert list(flags) == _peak_flags(row, variant)
             if variant is RingVariant.REDRAW_CIRCULAR:
-                assert int(flags.sum()) == _circular_peak_count(tuple(row))
+                assert int(flags.sum()) == count_peaks(row, PeakVariant.CIRCULAR)
 
 
 @pytest.mark.parametrize("variant", list(RingVariant))
