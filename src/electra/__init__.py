@@ -2,7 +2,7 @@
 
 The package splits into:
 
-- :mod:`electra.peaks` - exact peak-count tables for random permutations;
+- :mod:`electra.peaks` - the peak-count recurrence for random permutations;
 - :mod:`electra.models` - survivor-law catalog behind one interface;
 - :mod:`electra.engine` - exact phase-count laws, ending states, occupancy;
 - :mod:`electra.conditions` - finite-range convergence-hypothesis checks;
@@ -79,14 +79,7 @@ from .models import (
     peak_linear_i,
     peak_linear_ii,
 )
-from .peaks import (
-    PeakTable,
-    PeakVariant,
-    RationalDist,
-    brute_force_peaks,
-    build_peak_table,
-    peak_moments,
-)
+from .peaks import PeakVariant, brute_force_peaks, peak_moments
 
 __all__ = [
     "BiasedCoin",
@@ -104,19 +97,16 @@ __all__ = [
     "LimitScatter",
     "Occupancy",
     "PeakSurvivors",
-    "PeakTable",
     "PeakVariant",
     "PeriodicityFit",
     "PeriodicitySamples",
     "PhaseTable",
-    "RationalDist",
     "RingVariant",
     "SimConfig",
     "SimEstimate",
     "SurvivorModel",
     "ToyHalving",
     "brute_force_peaks",
-    "build_peak_table",
     "ceil_shift_law",
     "check_concentration",
     "check_mean_increment",

@@ -186,6 +186,10 @@ def _check_fixtures(model: SurvivorModel, args, table) -> int:
         if args.init == "standard" and args.threshold == 1:
             compare_phase(fixtures.as_fractions(fixtures.PHASE_CIRCULAR_STANDARD), table)
     elif name == "toy-halving":
+        if args.threshold != 1:  # the closed form is the threshold-1 law
+            print(f"no published fixtures for {name} at threshold {args.threshold}",
+                  file=sys.stderr)
+            return 1
         for n in range(2, args.max_n + 1):
             j = n.bit_length() - 1  # 2^j <= n < 2^{j+1}
             want = 2 - Fraction(n, 2**j)

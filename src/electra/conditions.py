@@ -9,6 +9,7 @@ the acceptance suite) judges the trend.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -62,31 +63,28 @@ def check_monotone(
     P(Y_{n+1} <= k) > P(Y_n <= k) + tol.
 
     Each consecutive pair is compared within a single backend - integer
-    rows while the model can serve them (up to ``exact_scan_cap``), float
-    rows for both otherwise - so that a seam between backends can never
-    masquerade as a violation of the law itself.  An exact gap is
-    ``(c1 d0 - c0 d1) / (d0 d1)`` on integer cdf prefix sums.
+    rows up to ``exact_scan_cap``, float rows for both beyond - so that a
+    seam between backends can never masquerade as a violation of the law
+    itself.  An exact gap is ``(c1 d0 - c0 d1) / (d0 d1)`` on integer cdf
+    prefix sums, with both denominators divided by their gcd first.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     violations: list[MonotoneViolation] = []
-    held: dict[bool, object] = {}  # backend -> cdf of row n from the last pair
     for n in range(1, n_max):
         exact = n + 1 <= config.exact_scan_cap
+        cdf = _exact_cdf if exact else _float_cdf
+        # row n's cdf carries over from the last pair unless the backend switched
+        cur = cdf(model, n) if n in (1, config.exact_scan_cap) else nxt
+        nxt = cdf(model, n + 1)
         if exact:
-            try:
-                (c0, d0) = held[True] if True in held else _exact_cdf(model, n)
-                (c1, d1) = nxt = _exact_cdf(model, n + 1)
-            except ValueError:
-                exact = False
-            else:
-                dd = d0 * d1
-                gaps = [(x1 * d0 - x0 * d1) / dd for x0, x1 in zip(c0[1:], c1[1 : n + 1])]
-        if not exact:
-            cur = held[False] if False in held else _float_cdf(model, n)
-            nxt = _float_cdf(model, n + 1)
+            (c0, d0), (c1, d1) = cur, nxt
+            g = math.gcd(d0, d1)
+            r0, r1 = d1 // g, d0 // g  # small: (n + 1, 1) for n! and (n + 1)!
+            dd = d1 * r1
+            gaps = [(x1 * r1 - x0 * r0) / dd for x0, x1 in zip(c0[1:], c1[1 : n + 1])]
+        else:
             gaps = (nxt[1 : n + 1] - cur[1:]).tolist()
-        held = {exact: nxt}
         for k, gap in enumerate(gaps, 1):
             if gap > config.monotone_tol:
                 violations.append(MonotoneViolation(n=n, k=k, gap=gap))

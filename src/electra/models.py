@@ -8,7 +8,8 @@ exact row rounded.  Beyond it the coin and peak models run their exact
 recurrences on probabilities, grown one n at a time into one shared cache
 per law (:class:`_GrownRows`), so phase tables reach the thousands.  Coin
 rows are windows of Bi(n, p) cut by tail mass below ``TAIL_TRUNCATION``;
-peak rows keep the masses above it.  The dicts ``pmf_exact`` and
+peak rows keep the masses above it.  Peak exact rows grow by the same step
+on integer counts, in a second cache, at any n.  The dicts ``pmf_exact`` and
 ``pmf_float``, and ``mean`` and ``cdf``, are views over the two rows.
 """
 from __future__ import annotations
@@ -26,12 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .peaks import (
-    DEFAULT_EXACT_CAP,
-    PeakVariant,
-    build_peak_table,
-    interior_peak_probs,
-)
+from .peaks import PeakVariant, interior_peak_step
 
 #: largest n served as exact rationals unless a model is told otherwise
 DEFAULT_EXACT_CUTOFF = 75
@@ -210,12 +206,12 @@ class _Shared:
 
 
 class _GrownRows:
-    """Float rows of one recurrence, grown one n at a time behind one lock.
+    """Rows of one recurrence, grown one n at a time behind one lock.
 
     ``step(front, n)`` propagates the front from row n - 1 to row n and
     ``serve(front)`` cuts the row kept for n from it.  Rows below the first
     front's ``n`` are served its row.  Rows are shared by every caller, so
-    their arrays are read-only.
+    they are read-only arrays or tuples.
     """
 
     def __init__(self, front, n: int, step, serve) -> None:
@@ -442,28 +438,34 @@ def _peak_rows() -> _GrownRows:
     """A fresh cache of linear-I float rows of the normalised peak recurrence,
     grown untrimmed and kept as (first k, masses above ``TAIL_TRUNCATION``).
     Row 0, the empty arrangement, has row 1's law."""
-    return _GrownRows(np.ones(1), 1, interior_peak_probs, _above_truncation)
+    return _GrownRows(
+        np.ones(1), 1, lambda prev, n: interior_peak_step(prev, n) / n, _above_truncation
+    )
 
 
-#: shared by every PeakSurvivors: exact tables per variant, linear-I float rows
-_peak_table = _Shared(lambda variant: build_peak_table(variant, DEFAULT_EXACT_CAP))
+def _peak_counts() -> _GrownRows:
+    """A fresh cache of linear-I rows as Python-int counts over n!, grown by
+    the same step as :func:`_peak_rows`; row 0 has row 1's counts."""
+    return _GrownRows(
+        np.ones(1, dtype=object), 1, interior_peak_step, lambda front: tuple(front.tolist())
+    )
+
+
+#: linear-I rows shared by every PeakSurvivors: float masses and exact counts
 _linear_float = _peak_rows()
+_linear_counts = _peak_counts()
 
 
 @dataclass(frozen=True)
 class PeakSurvivors(SurvivorModel):
     """Survivors of a redraw round are the peaks of a fresh random
-    permutation under the chosen boundary rule."""
+    permutation under the chosen boundary rule.
+
+    Every row is a linear-I row shifted: circular row n is linear-I row
+    n - 1 plus one peak, linear-II row n is linear-I row n plus one peak.
+    """
 
     variant: PeakVariant
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.exact_cutoff > DEFAULT_EXACT_CAP:
-            raise ValueError(
-                f"{self.name}: exact_cutoff {self.exact_cutoff} exceeds the exact"
-                f" peak-table cap {DEFAULT_EXACT_CAP}"
-            )
 
     @property
     def name(self) -> str:
@@ -477,19 +479,22 @@ class PeakSurvivors(SurvivorModel):
     def can_reach_zero(self) -> bool:
         return self.variant is PeakVariant.LINEAR_I
 
+    def _linear_row(self, n: int) -> tuple[int, int]:
+        """``(m, shift)``: row n is linear-I row m with every k moved up by shift."""
+        self._require_positive(n)
+        circular = self.variant is PeakVariant.CIRCULAR
+        return n - circular, int(self.variant is not PeakVariant.LINEAR_I)
+
     def exact_row(self, n: int) -> tuple[int, list[int], int]:
-        """Row n straight from the cached table's counts over n!."""
-        table = _peak_table(self.variant)
-        table._check_n(n)  # a ValueError beyond the table's cap
-        counts = table.counts[n]
-        lo = 0 if counts[0] else 1  # circular and linear-II rows hold no k = 0
-        return lo, list(counts[lo:]), math.factorial(n)
+        """Row n as linear-I counts of m over m!, shifted."""
+        m, shift = self._linear_row(n)
+        return shift, list(_linear_counts(m)), math.factorial(m)
 
     def _far_row(self, n: int) -> tuple[int, np.ndarray]:
-        # circular row n is linear-I row n - 1, linear-II row n is linear-I
-        # row n, each shifted by one peak; the rows are shared, not copied
-        lo, probs = _linear_float(n - (self.variant is PeakVariant.CIRCULAR))
-        return lo + (self.variant is not PeakVariant.LINEAR_I), probs
+        # the cached rows are shared, not copied
+        m, shift = self._linear_row(n)
+        lo, probs = _linear_float(m)
+        return lo + shift, probs
 
 
 def peak_linear_i(**kwargs) -> PeakSurvivors:

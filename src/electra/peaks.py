@@ -4,11 +4,11 @@ Three boundary conventions are supported.  A position is a peak when its
 value exceeds both neighbours; the variants differ in how the sequence
 ends are treated (wrap around, sentinel +inf, or sentinel -inf).
 
-Exact distributions are held as arbitrary-precision integer counts over
-permutations, so every probability is an exact rational.  The counts grow
-like n!, so exact tables stop at a cap.  The floating backend runs the
-same recurrence on probabilities instead of counts
-(:func:`interior_peak_probs`), which carries every row to rounding at any n.
+Every variant's law is the interior-peak (linear-I) law shifted by one
+player or one peak.  :func:`interior_peak_step` grows that law one n at a
+time: on Python-int counts over n!, so every probability is an exact
+rational at any n, and on probabilities, which carries every row to
+rounding.  :func:`brute_force_peaks` enumerates permutations as an oracle.
 """
 from __future__ import annotations
 
@@ -21,9 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-#: largest n for which exact rational tables may be built (counts grow with n!)
-DEFAULT_EXACT_CAP = 120
-
 #: brute-force enumeration walks all n! permutations
 BRUTE_FORCE_LIMIT = 10
 
@@ -34,34 +31,6 @@ class PeakVariant(str, Enum):
     LINEAR_I = "linear-i"  # ends never peaks (sentinels +inf); zero peaks possible
     LINEAR_II = "linear-ii"  # an end is a peak when above its one neighbour
     CIRCULAR = "circular"  # indices wrap; at least one peak always exists
-
-
-@dataclass(frozen=True)
-class RationalDist:
-    """Probability distribution over integers with exact rational masses."""
-
-    probs: dict[int, Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
-
-    def mean(self) -> Fraction:
-        return sum((Fraction(k) * p for k, p in self.probs.items()), Fraction(0))
-
-    def variance(self) -> Fraction:
-        m = self.mean()
-        return sum(
-            ((Fraction(k) - m) ** 2 * p for k, p in self.probs.items()), Fraction(0)
-        )
-
-    def cdf(self, k: int) -> Fraction:
-        return sum((p for j, p in self.probs.items() if j <= k), Fraction(0))
-
-    def support(self) -> list[int]:
-        return sorted(k for k, p in self.probs.items() if p != 0)
-
-    def as_floats(self) -> dict[int, float]:
-        return {k: float(p) for k, p in self.probs.items()}
 
 
 def count_peaks(values: Sequence[int], variant: PeakVariant) -> int:
@@ -91,10 +60,11 @@ def count_peaks(values: Sequence[int], variant: PeakVariant) -> int:
     return interior + ends
 
 
-def brute_force_peaks(variant: PeakVariant, n: int) -> RationalDist:
-    """Exact peak-count distribution by enumerating all n! permutations.
+def brute_force_peaks(variant: PeakVariant, n: int) -> dict[int, Fraction]:
+    """Exact peak-count distribution ``{k: P(k peaks)}`` by enumerating all
+    n! permutations.
 
-    Independent oracle for the recurrence-built tables; rejects n above
+    Independent oracle for the recurrence rows; rejects n above
     ``BRUTE_FORCE_LIMIT``.
     """
     if n < 1:
@@ -106,122 +76,24 @@ def brute_force_peaks(variant: PeakVariant, n: int) -> RationalDist:
         k = count_peaks(perm, variant)
         counts[k] = counts.get(k, 0) + 1
     total = math.factorial(n)
-    return RationalDist({k: Fraction(c, total) for k, c in sorted(counts.items())})
+    return {k: Fraction(c, total) for k, c in sorted(counts.items())}
 
 
-def _interior_peak_counts(max_n: int) -> list[list[int]]:
-    """Counts of permutations of n symbols by number of interior peaks.
+def interior_peak_step(prev: np.ndarray, n: int) -> np.ndarray:
+    """Row n of W(n, k), the permutations of n symbols with k interior peaks,
+    from row n - 1 (n >= 2): W(n,k) = (2k+2) W(n-1,k) + (n-2k) W(n-1,k-1),
+    W(1,0) = 1, on k = 0..floor((n-1)/2).
 
-    Two-term recurrence W(n,k) = (2k+2) W(n-1,k) + (n-2k) W(n-1,k-1),
-    W(1,0) = 1; row n has entries k = 0..floor((n-1)/2).  The tests check
-    it against the brute-force enumerator.
-    """
-    rows: list[list[int]] = [[], [1]]
-    for n in range(2, max_n + 1):
-        prev = rows[n - 1]
-        row = []
-        for k in range((n - 1) // 2 + 1):
-            c = (2 * k + 2) * prev[k] if k < len(prev) else 0
-            if 0 <= k - 1 < len(prev):
-                c += (n - 2 * k) * prev[k - 1]
-            row.append(c)
-        rows.append(row)
-    return rows
-
-
-def interior_peak_probs(prev: np.ndarray, n: int) -> np.ndarray:
-    """Row n of p(n, k) = W(n, k) / n! from row n - 1, for n >= 2.
-
-    The counts recurrence divided by n!:
-    p(n,k) = ((2k+2) p(n-1,k) + (n-2k) p(n-1,k-1)) / n.  Every term is
-    non-negative, so floats carry it to rounding however far it runs.
+    On an object array of Python ints it gives the exact counts.  Divided
+    by n it gives the probabilities W(n, k) / n! from the previous row's;
+    every term is non-negative, so floats carry it to rounding however far
+    it runs.  The tests check it against the brute-force enumerator.
     """
     k = np.arange((n - 1) // 2 + 1)
-    row = np.zeros(len(k))
+    row = np.zeros(len(k), dtype=prev.dtype)
     row[: len(prev)] = (2 * k[: len(prev)] + 2) * prev
     row[1:] += (n - 2 * k[1:]) * prev[: len(k) - 1]
-    return row / n
-
-
-@dataclass(frozen=True)
-class PeakTable:
-    """Exact peak-count table: integer counts and derived rational pmf rows.
-
-    ``counts[n][k]`` is the number of permutations of n symbols with
-    exactly k peaks; ``counts[n]`` always starts at k = 0 so the column
-    index is the peak count itself.
-    """
-
-    variant: PeakVariant
-    max_n: int
-    counts: tuple[tuple[int, ...], ...]
-
-    def count(self, n: int, k: int) -> int:
-        self._check_n(n)
-        row = self.counts[n]
-        return row[k] if 0 <= k < len(row) else 0
-
-    def prob(self, n: int, k: int) -> Fraction:
-        return Fraction(self.count(n, k), math.factorial(n))
-
-    def row(self, n: int) -> RationalDist:
-        self._check_n(n)
-        total = math.factorial(n)
-        return RationalDist(
-            {
-                k: Fraction(c, total)
-                for k, c in enumerate(self.counts[n])
-                if c != 0
-            }
-        )
-
-    def k_max(self, n: int) -> int:
-        self._check_n(n)
-        return len(self.counts[n]) - 1
-
-    def mean(self, n: int) -> Fraction:
-        return self.row(n).mean()
-
-    def variance(self, n: int) -> Fraction:
-        return self.row(n).variance()
-
-    def _check_n(self, n: int) -> None:
-        if not 1 <= n <= self.max_n:
-            raise ValueError(f"row {n} outside table range 1..{self.max_n}")
-
-
-def build_peak_table(
-    variant: PeakVariant, max_n: int, *, cap: int = DEFAULT_EXACT_CAP
-) -> PeakTable:
-    """Build the exact peak-count table for n = 1..max_n.
-
-    The base row counts come from the two-term recurrence for interior
-    peaks; the circular table is the base table shifted by one in both n
-    and k, and linear-II is the circular table advanced by one player.
-    """
-    if max_n < 1:
-        raise ValueError(f"need max_n >= 1, got {max_n}")
-    if max_n > cap:
-        raise ValueError(
-            f"max_n={max_n} exceeds the exact-table cap {cap}; "
-            "use the floating backend for larger n"
-        )
-    base = _interior_peak_counts(max(max_n + 1, 2))
-    if variant is PeakVariant.LINEAR_I:
-        rows = [tuple(base[n]) for n in range(max_n + 1)]
-        rows[0] = ()
-    elif variant is PeakVariant.CIRCULAR:
-        # P_C(n, k) = P_L(n-1, k-1): counts scale by n since n! = n * (n-1)!
-        rows = [(), (0, 1)]
-        for n in range(2, max_n + 1):
-            rows.append(tuple([0] + [n * c for c in base[n - 1]]))
-        rows = rows[: max_n + 1]
-    elif variant is PeakVariant.LINEAR_II:
-        # one more player in the ring: counts equal the base row shifted in k
-        rows = [()] + [tuple([0] + base[n]) for n in range(1, max_n + 1)]
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown variant {variant!r}")
-    return PeakTable(variant=variant, max_n=max_n, counts=tuple(rows))
+    return row
 
 
 @dataclass(frozen=True)

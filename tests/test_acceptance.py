@@ -36,12 +36,13 @@ from electra.models import (
     BiasedCoin,
     DeterministicHalving,
     FairCoin,
+    PeakSurvivors,
     PeakVariant,
     ToyHalving,
     peak_circular,
     peak_linear_i,
 )
-from electra.peaks import brute_force_peaks, build_peak_table
+from electra.peaks import brute_force_peaks
 
 
 def _report(criterion: int, message: str) -> None:
@@ -49,12 +50,12 @@ def _report(criterion: int, message: str) -> None:
 
 
 def test_criterion_1_table_fidelity(linear_500, circular_500):
-    pl = build_peak_table(PeakVariant.LINEAR_I, 7)
+    pl = peak_linear_i()
     for (n, k), v in fixtures.as_fractions(fixtures.PEAK_LINEAR_I).items():
-        assert pl.prob(n, k) == v
-    pc = build_peak_table(PeakVariant.CIRCULAR, 7)
+        assert pl.pmf_exact(n).get(k, 0) == v
+    pc = peak_circular()
     for (n, k), v in fixtures.as_fractions(fixtures.PEAK_CIRCULAR).items():
-        assert pc.prob(n, k) == v
+        assert pc.pmf_exact(n).get(k, 0) == v
     for (n, j), v in fixtures.as_fractions(fixtures.PHASE_LINEAR_I_STANDARD).items():
         assert linear_500.exact_prob(n, j) == v
     alt = compute_phase_table(peak_linear_i(), 5, init=InitConvention.ALT_COST)
@@ -69,9 +70,9 @@ def test_criterion_1_table_fidelity(linear_500, circular_500):
 
 def test_criterion_2_oracle_equivalence():
     for variant in PeakVariant:
-        table = build_peak_table(variant, 8)
+        model = PeakSurvivors(variant)
         for n in range(1, 9):
-            assert table.row(n).probs == brute_force_peaks(variant, n).probs
+            assert model.pmf_exact(n) == brute_force_peaks(variant, n)
     _report(2, "recurrence equals enumeration for all variants, n <= 8")
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,10 +57,24 @@ def test_float_only_coin_tables(tmp_path):
                  "--exact-cutoff", "0", "--out", str(tmp_path)]) == 0
 
 
-def test_peak_cutoff_above_cap_is_rejected(tmp_path, capsys):
-    assert main(["table", "--model", "peak-linear-i", "--max-n", "300",
-                 "--exact-cutoff", "200", "--out", str(tmp_path)]) == 2
-    assert "cap 120" in capsys.readouterr().err
+def test_peak_cutoff_above_120_runs(tmp_path):
+    # exact peak rows have no cap: row 130 is written as a reduced fraction
+    assert main(["table", "--model", "peak-linear-i", "--max-n", "140",
+                 "--exact-cutoff", "130", "--out", str(tmp_path)]) == 0
+    pmf = _rows(tmp_path / "table" / "survivor_pmf.csv")
+    row = [r for r in pmf if r["n"] == "130"]
+    assert sum(Fraction(int(r["numerator"]), int(r["denominator"])) for r in row) == 1
+
+
+def test_toy_fixtures_only_at_threshold_one(tmp_path, capsys):
+    # the toy closed form is the threshold-1 law; other thresholds have none
+    assert main(["table", "--model", "toy", "--max-n", "300", "--threshold", "3",
+                 "--check-fixtures", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "no published fixtures for toy-halving at threshold 3" in err
+    assert "FIXTURE MISMATCH" not in err
+    assert main(["table", "--model", "toy", "--max-n", "300",
+                 "--check-fixtures", "--out", str(tmp_path)]) == 0
 
 
 def test_negative_cutoff_is_rejected(tmp_path, capsys):

@@ -7,44 +7,39 @@ import numpy as np
 import pytest
 
 from electra import fixtures
-from electra.models import PeakSurvivors, _peak_rows
-from electra.peaks import (
-    DEFAULT_EXACT_CAP,
-    PeakVariant,
-    RationalDist,
-    brute_force_peaks,
-    build_peak_table,
-    count_peaks,
-    peak_moments,
-)
+from electra.models import PeakSurvivors, _peak_counts, _peak_rows
+from electra.peaks import PeakVariant, brute_force_peaks, count_peaks, peak_moments
 
 ALL_VARIANTS = list(PeakVariant)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_recurrence_matches_enumeration(variant):
-    table = build_peak_table(variant, 8)
+    model = PeakSurvivors(variant)
     for n in range(1, 9):
-        assert table.row(n).probs == brute_force_peaks(variant, n).probs
+        assert model.pmf_exact(n) == brute_force_peaks(variant, n)
+
+
+def _prob(model, n, k):
+    return model.pmf_exact(n).get(k, Fraction(0))
 
 
 def test_published_linear_rows():
-    table = build_peak_table(PeakVariant.LINEAR_I, 7)
+    model = PeakSurvivors(PeakVariant.LINEAR_I)
     for (n, k), value in fixtures.as_fractions(fixtures.PEAK_LINEAR_I).items():
-        assert table.prob(n, k) == value
-    assert table.prob(2, 0) == 1  # no interior peak with two players
+        assert _prob(model, n, k) == value
+    assert _prob(model, 2, 0) == 1  # no interior peak with two players
 
 
 def test_published_circular_rows():
-    table = build_peak_table(PeakVariant.CIRCULAR, 7)
+    model = PeakSurvivors(PeakVariant.CIRCULAR)
     for (n, k), value in fixtures.as_fractions(fixtures.PEAK_CIRCULAR).items():
-        assert table.prob(n, k) == value
+        assert _prob(model, n, k) == value
 
 
 def test_linear_ii_row5_frozen():
     # frozen from enumerating all 120 orderings
-    dist = brute_force_peaks(PeakVariant.LINEAR_II, 5)
-    assert dist.probs == {
+    assert brute_force_peaks(PeakVariant.LINEAR_II, 5) == {
         1: Fraction(2, 15),
         2: Fraction(11, 15),
         3: Fraction(2, 15),
@@ -52,11 +47,11 @@ def test_linear_ii_row5_frozen():
 
 
 def test_brute_force_examples():
-    assert brute_force_peaks(PeakVariant.LINEAR_I, 4).probs == {
+    assert brute_force_peaks(PeakVariant.LINEAR_I, 4) == {
         0: Fraction(1, 3),
         1: Fraction(2, 3),
     }
-    assert brute_force_peaks(PeakVariant.LINEAR_I, 1).probs == {0: Fraction(1)}
+    assert brute_force_peaks(PeakVariant.LINEAR_I, 1) == {0: Fraction(1)}
     with pytest.raises(ValueError):
         brute_force_peaks(PeakVariant.LINEAR_I, 11)
 
@@ -72,29 +67,35 @@ def test_count_peaks_boundary_rules():
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_rows_are_distributions(variant):
-    table = build_peak_table(variant, 30)
+    model = PeakSurvivors(variant)
     for n in range(1, 31):
-        row = table.row(n)
-        assert row.total() == 1
-        assert all(0 <= p <= 1 for p in row.probs.values())
+        row = model.pmf_exact(n)
+        assert sum(row.values()) == 1
+        assert all(0 <= p <= 1 for p in row.values())
         lo, hi = {
             PeakVariant.LINEAR_I: (0, (n - 1) // 2),
             PeakVariant.CIRCULAR: (1, max(n // 2, 1)),
             PeakVariant.LINEAR_II: (1, (n + 1) // 2),
         }[variant]
-        assert min(row.support()) >= lo
-        assert max(row.support()) <= hi
+        assert min(row) >= lo
+        assert max(row) <= hi
 
 
 def test_circular_linear_identity():
-    lin = build_peak_table(PeakVariant.LINEAR_I, 39)
-    circ = build_peak_table(PeakVariant.CIRCULAR, 40)
+    lin = PeakSurvivors(PeakVariant.LINEAR_I)
+    circ = PeakSurvivors(PeakVariant.CIRCULAR)
     for n in range(2, 41):
-        for k in range(1, circ.k_max(n) + 1):
-            assert circ.prob(n, k) == lin.prob(n - 1, k - 1)
+        for k in range(1, max(circ.pmf_exact(n)) + 1):
+            assert _prob(circ, n, k) == _prob(lin, n - 1, k - 1)
     # a circular arrangement always has a peak
     for n in range(1, 41):
-        assert circ.prob(n, 0) == 0
+        assert _prob(circ, n, 0) == 0
+
+
+def _mean_variance(model, n):
+    row = model.pmf_exact(n)
+    mean = sum(k * p for k, p in row.items())
+    return mean, sum((k - mean) ** 2 * p for k, p in row.items())
 
 
 def test_moment_formulas_against_exact_rows():
@@ -103,11 +104,10 @@ def test_moment_formulas_against_exact_rows():
         (PeakVariant.CIRCULAR, 5),
         (PeakVariant.LINEAR_II, 4),
     ]:
-        table = build_peak_table(variant, 25)
+        model = PeakSurvivors(variant)
         for n in range(lo, 26):
             moments = peak_moments(variant, n)
-            assert table.mean(n) == moments.mean
-            assert table.variance(n) == moments.variance
+            assert _mean_variance(model, n) == (moments.mean, moments.variance)
 
 
 def test_moment_examples():
@@ -115,10 +115,8 @@ def test_moment_examples():
     assert (m.mean, m.variance) == (Fraction(5, 3), Fraction(16, 45))
     m3 = peak_moments(PeakVariant.CIRCULAR, 3)
     assert m3.mean == 1 and m3.variance is None
-    table = build_peak_table(PeakVariant.LINEAR_I, 20)
     m20 = peak_moments(PeakVariant.LINEAR_I, 20)
-    assert table.mean(20) == m20.mean
-    assert table.variance(20) == m20.variance
+    assert _mean_variance(PeakSurvivors(PeakVariant.LINEAR_I), 20) == (m20.mean, m20.variance)
     with pytest.raises(ValueError):
         peak_moments(PeakVariant.LINEAR_I, 1)
     with pytest.raises(ValueError):
@@ -126,20 +124,20 @@ def test_moment_examples():
 
 
 def test_build_guards():
-    with pytest.raises(ValueError):
-        build_peak_table(PeakVariant.LINEAR_I, 0)
-    with pytest.raises(ValueError):
-        build_peak_table(PeakVariant.LINEAR_I, 121)
-    big = build_peak_table(PeakVariant.LINEAR_I, 130, cap=130)
-    assert big.row(130).total() == 1
+    for variant in ALL_VARIANTS:
+        model = PeakSurvivors(variant)
+        with pytest.raises(ValueError):
+            model.exact_row(0)
+        lo, nums, den = model.exact_row(130)  # exact rows have no cap
+        assert sum(nums) == den
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_float_rows_match_rational_rows(variant):
+    exact_model = PeakSurvivors(variant, exact_cutoff=150)
     model = PeakSurvivors(variant, exact_cutoff=0)  # recurrence rows at every n
-    table = build_peak_table(variant, DEFAULT_EXACT_CAP)
-    for n in range(1, DEFAULT_EXACT_CAP + 1):
-        exact = table.row(n).as_floats()
+    for n in range(1, 151):
+        exact = {k: float(p) for k, p in exact_model.pmf_exact(n).items()}
         floats = model.pmf_float(n)
         assert set(floats) <= set(exact)
         gap = max(abs(floats.get(k, 0.0) - p) for k, p in exact.items())
@@ -161,18 +159,29 @@ def test_float_rows_match_moment_formulas(variant, n):
 
 
 def test_float_rows_agree_across_threads():
-    # each round grows a fresh cache from four threads asking out of order
-    sizes = list(range(1, 1500, 7))
-    reference = _peak_rows()
+    # each round grows a fresh cache from four threads asking out of order;
+    # the float rows and the integer counts share the step and the cache
+    for build, top in ((_peak_rows, 1500), (_peak_counts, 300)):
+        _hammer(build, list(range(1, top, 7)))
+
+
+def _same_row(got, want) -> bool:
+    if isinstance(want[-1], np.ndarray):  # (first k, masses)
+        return got[0] == want[0] and np.array_equal(got[1], want[1])
+    return got == want  # a tuple of counts
+
+
+def _hammer(build, sizes):
+    reference = build()
     expected = {n: reference(n) for n in sizes}
     rng = np.random.default_rng(5)
     rounds = 0
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        deadline = time.monotonic() + 2.0
+        deadline = time.monotonic() + 1.0
         while time.monotonic() < deadline and rounds < 20:
-            rows = _peak_rows()
+            rows = build()
             results = []
 
             def ask(order):
@@ -189,17 +198,9 @@ def test_float_rows_agree_across_threads():
                 assert not t.is_alive()
             assert len(results) == 4
             for got in results:
-                for n, (lo, probs) in expected.items():
-                    assert got[n][0] == lo and np.array_equal(got[n][1], probs), n
+                for n, want in expected.items():
+                    assert _same_row(got[n], want), n
             rounds += 1
     finally:
         sys.setswitchinterval(switch)
     assert rounds >= 1
-
-
-def test_rational_dist_helpers():
-    dist = RationalDist({0: Fraction(1, 3), 1: Fraction(2, 3)})
-    assert dist.mean() == Fraction(2, 3)
-    assert dist.cdf(0) == Fraction(1, 3)
-    assert dist.variance() == Fraction(2, 9)
-    assert dist.support() == [0, 1]
