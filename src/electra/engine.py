@@ -28,10 +28,15 @@ probabilities read it.
 
 Rows come from the model: integer rows up to its ``exact_cutoff``, float
 arrays beyond.  That alone decides which results are exact.  Exact phase
-columns are integer numerators over one denominator per column; float
-columns are one sparse product.  Float rows read the already-exact low
-results, so exactness degrades only where the rationals would be
-unaffordable anyway.
+columns are integer numerators over one denominator per column.  The
+float rows are swept in n order: each row's block of columns is one
+``einsum`` over the rows below it, adding in ascending k with the
+self-loop last, the order of a sparse row product.  A first sweep over
+the float rows of every transient state predicts the column count, so
+the exact columns are pulled to it and no further; the final sweep reads
+the rounded exact rows and replays the stop rule.  Float rows read the
+already-exact low results, so exactness degrades only where the
+rationals would be unaffordable anyway.
 """
 from __future__ import annotations
 
@@ -39,14 +44,13 @@ import csv
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .models import SurvivorModel
 
@@ -54,6 +58,8 @@ from .models import SurvivorModel
 DEFAULT_RESIDUAL_EPS = 1e-12
 
 _J_CAP = 20_000
+
+_fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise on object arrays
 
 
 class InitConvention(str, Enum):
@@ -205,44 +211,19 @@ def compute_phase_table(
     # absorbing state k adds cost[k] phases; only a wiped-out round can cost
     cost = [int(init is InitConvention.ALT_COST)] + [0] * min(a, max_n)
     rows = _transient_rows(model, a, max_n)
-    matrix = _float_system(rows, max_n + 1)
-    float_cols, exact_cols = [], []
-    col = np.zeros(max_n + 1)
-    settled = np.zeros(max_n + 1)
-    best_worst = math.inf
-    stalled = 0
-
-    for j, exact_col in enumerate(_exact_columns(rows, cost)):
-        if j > _J_CAP:
-            raise RuntimeError(
-                f"phase law did not absorb within {_J_CAP} columns for {model.name}"
-            )
-        if j:
-            col = matrix @ col
-        # the exact column, absorbing states included, overwrites its float mirror
-        col[: len(exact_col)] = [float(p) for p in exact_col]
-        float_cols.append(col)
-        exact_cols.append(exact_col)
-        settled += col
-        if not j:
-            continue  # every table reaches column 1, whatever column 0 settles
-        worst = (1.0 - settled[a + 1 :]).max() if max_n > a else 0.0
-        if worst < residual_eps:
-            break
-        # pmf tails truncated by a floating backend can floor the residual
-        # above eps; accept once progress stops and the rows are complete
-        # to the contractual 1e-9
-        if worst < 0.99 * best_worst:
-            best_worst, stalled = worst, 0
-        else:
-            stalled += 1
-            if stalled >= 100 and worst < 1e-9:
-                break
-
-    probs = np.column_stack(float_cols)
+    # the float rows alone predict the column count, so the costly exact
+    # columns are pulled to it and no further
+    units = ([int(j == c) for c in cost] for j in itertools.count())
+    guess, _ = _fill_columns(
+        rows, units, a + 1, 64, lambda width: 2 * width, residual_eps, model.name
+    )
+    probs, exact_cols = _fill_columns(
+        rows, _exact_columns(rows, cost), a + 1 + len(rows.exact), guess.shape[1],
+        lambda width: width + 1, residual_eps, model.name,
+    )
     j_max = probs.shape[1] - 1
     exact_rows = dict(enumerate(itertools.islice(zip(*exact_cols), min(max_n, cutoff) + 1)))
-    exact_means, means = _upward_sweep(rows, dict(enumerate(map(Fraction, cost))), 1)
+    exact_means, means = _upward_sweep(rows, dict(enumerate(cost)), 1)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
     mean_gap = float(np.max(np.abs(means - means_direct)))
     tol = max(1e-10, residual_eps * (j_max + 20))
@@ -268,7 +249,8 @@ def compute_phase_table(
 
 @dataclass(frozen=True)
 class _Rows:
-    """Rows of the transient states a+1..max_n, ascending.
+    """Rows of the transient states a+1..max_n, ascending (none if
+    max_n <= a).
 
     ``exact`` holds the integer rows ``(lo, numerators, denominator)`` of
     the states up to the model's cutoff; ``floats`` holds ``(lo, masses)``
@@ -276,6 +258,7 @@ class _Rows:
     """
 
     a: int
+    max_n: int
     exact: list[tuple[int, list[int], int]]
     floats: list[tuple[int, np.ndarray]]
 
@@ -284,20 +267,80 @@ def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
     top = max(a, min(model.exact_cutoff, max_n))
     exact = [model.exact_row(n) for n in range(a + 1, top + 1)]
     floats = [(lo, np.array([x / den for x in nums])) for lo, nums, den in exact]
-    return _Rows(a, exact, floats + model.float_rows(top + 1, max_n + 1))
+    return _Rows(a, max_n, exact, floats + model.float_rows(top + 1, max_n + 1))
 
 
-def _float_system(rows: _Rows, size: int) -> sparse.csr_matrix:
-    """Every transition out of a transient state as a CSR matrix, the
-    entries into absorbing states included; absorbing rows are empty."""
-    lengths = np.zeros(size, dtype=np.int64)
-    lengths[rows.a + 1 :] = [len(probs) for _, probs in rows.floats]
-    data = np.concatenate([np.zeros(0), *(probs for _, probs in rows.floats)])
-    cols = np.concatenate(
-        [np.zeros(0, dtype=np.int64), *(lo + np.arange(len(probs)) for lo, probs in rows.floats)]
-    )
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    return sparse.csr_matrix((data, cols, indptr), shape=(size, size))
+def _fill_columns(
+    rows: _Rows,
+    base: Iterator[list],
+    first: int,
+    width: int,
+    grow: Callable[[int], int],
+    residual_eps: float,
+    name: str,
+) -> tuple[np.ndarray, list[list]]:
+    """The phase table cut at the column where the stop rule fires.
+
+    Column j of the states below ``first`` is the j-th list from ``base``;
+    the states from ``first`` up are swept.  The table starts ``width``
+    columns wide and is widened to ``grow(width)`` until the rule fires.
+    Returns the table and the base columns it used.
+    """
+    probs = np.zeros((rows.max_n + 1, 0))
+    used: list[list] = []
+    while True:
+        done, probs = probs.shape[1], np.pad(probs, ((0, 0), (0, width - probs.shape[1])))
+        for j, column in enumerate(itertools.islice(base, width - done), done):
+            probs[: len(column), j] = column
+            used.append(column)
+        _sweep(probs, rows, first, max(done, 1))
+        stop = _stop_column(probs, rows.a, residual_eps)
+        if stop is not None:
+            return np.ascontiguousarray(probs[:, : stop + 1]), used[: stop + 1]
+        if width > _J_CAP:
+            raise RuntimeError(f"phase law did not absorb within {_J_CAP} columns for {name}")
+        width = min(grow(width), _J_CAP + 1)
+
+
+def _sweep(probs: np.ndarray, rows: _Rows, first: int, j0: int) -> None:
+    """Fill columns j0.. of the states first..max_n in place, n ascending.
+
+    Each entry adds ``P(n, k) * probs[k, j - 1]`` in ascending k, the
+    self-loop last, so it has the bits of a sparse row product.
+    """
+    for n in range(first, len(probs)):
+        lo, masses = rows.floats[n - rows.a - 1]
+        stay = 0.0
+        if lo + len(masses) > n:  # the row ends on its self-loop
+            stay, masses = float(masses[-1]), masses[:-1]
+        out = probs[n, j0:]
+        np.einsum("w,wj->j", masses, probs[lo : lo + len(masses), j0 - 1 : -1], out=out)
+        if stay:
+            steps = itertools.accumulate(out.tolist(), lambda prev, x: x + stay * prev,
+                                         initial=float(probs[n, j0 - 1]))
+            out[:] = list(steps)[1:]
+
+
+def _stop_column(probs: np.ndarray, a: int, residual_eps: float) -> int | None:
+    """The first column j >= 1 by which every transient row holds all but
+    ``residual_eps`` of its mass, or None if no column of ``probs`` does.
+
+    Float rows with truncated tails can floor the residual above eps, so
+    the rule also fires once progress has stalled for 100 columns with
+    every row complete to the contractual 1e-9.
+    """
+    worst = (1.0 - np.cumsum(probs[a + 1 :], axis=1)).max(axis=0, initial=-math.inf)
+    best, stalled = math.inf, 0
+    for j, residual in enumerate(worst.tolist()[1:], 1):
+        if residual < residual_eps:
+            return j
+        if residual < 0.99 * best:
+            best, stalled = residual, 0
+        else:
+            stalled += 1
+            if stalled >= 100 and residual < 1e-9:
+                return j
+    return None
 
 
 def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[list[Fraction]]:
@@ -325,23 +368,31 @@ def _upward_sweep(
 ) -> tuple[dict[int, object], np.ndarray]:
     """Solve f(n) = (c + sum_{k<n} P(n,k) f(k)) / (1 - P(n,n)) upward.
 
-    ``fixed`` holds f on the absorbing states 0..a, as Fractions or object
-    arrays of them.  Returns f exactly on those states and the integer
-    rows' states, and f on every state as floats (one array row per
-    state); the float rows each take one dot product.
+    ``fixed`` holds f on the absorbing states 0..a, as integers or object
+    arrays of them.  Returns f exactly, as Fractions or object arrays of
+    them, on those states and the integer rows' states, and f on every
+    state as floats (one array row per state).  The exact values are kept
+    as integer numerators over one common denominator, so each integer row
+    takes one integer dot product; the float rows each take one dot
+    product.
     """
-    exact = dict(fixed)
+    exact = {k: _fraction(v, 1) for k, v in fixed.items()}
     f = np.array([np.asarray(v, dtype=float) for v in fixed.values()])
     f = np.concatenate([f, np.zeros((len(rows.floats),) + f.shape[1:])])
-    for n, (lo, nums, den) in enumerate(rows.exact, rows.a + 1):
-        acc, stay = c * den, 0
-        for k, x in enumerate(nums, lo):
-            if k == n:
-                stay = x
-            elif x:
-                acc = acc + x * exact[k]
-        exact[n] = acc / Fraction(den - stay)
+    nums, scale = list(fixed.values()), 1  # exact f(k) = nums[k] / scale
+    for n, (lo, row, den) in enumerate(rows.exact, rows.a + 1):
+        stay = row[n - lo] if lo + len(row) > n else 0
+        # nums stops at state n - 1, so the self-loop drops out of the sum
+        numer = c * den * scale + sum(map(operator.mul, row, nums[lo:n]))
+        denom = (den - stay) * scale
+        exact[n] = _fraction(numer, denom)
         f[n] = np.asarray(exact[n], dtype=float)
+        common = math.gcd(denom, *np.ravel(numer).tolist())
+        grown = math.lcm(scale, denom // common)
+        if grown != scale:
+            nums = [x * (grown // scale) for x in nums]
+        nums.append(numer // common * (grown // (denom // common)))
+        scale = grown
     for n in range(rows.a + 1 + len(rows.exact), len(f)):
         lo, probs = rows.floats[n - rows.a - 1]
         stay = 0.0
@@ -392,8 +443,8 @@ def ending_state_probs(
     a = threshold_a
     fixed = {}
     for k in range(min(a, max_n) + 1):
-        unit = np.array([Fraction(0)] * (a + 1), dtype=object)
-        unit[max(k, 1)] = Fraction(1)  # a wipe-out ends with one player
+        unit = np.zeros(a + 1, dtype=object)
+        unit[max(k, 1)] = 1  # a wipe-out ends with one player
         fixed[k] = unit
     exact, probs = _upward_sweep(_transient_rows(model, a, max_n), fixed, 0)
     exact = {n: tuple(v) for n, v in exact.items()}

@@ -33,9 +33,15 @@ def test_table_fixture_checks_pass(tmp_path):
     assert config["model"] == "toy" and config["max_n"] == 16
 
 
-def test_import_leaves_scipy_stats_and_special_unloaded():
-    # every command pays the package's import, so it stays off both
-    code = "import sys, electra.cli; print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+def test_import_and_table_leave_scipy_unloaded():
+    # every command pays the package's import, and a table build with
+    # exact and float rows needs nothing beyond numpy
+    code = (
+        "import sys, electra.cli; from electra.engine import compute_phase_table; "
+        "from electra.models import FairCoin; "
+        "compute_phase_table(FairCoin(exact_cutoff=20), 200); "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(electra.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electra import fixtures
+from electra import engine, fixtures
 from electra.engine import (
     InitConvention,
     compute_phase_table,
@@ -240,6 +240,78 @@ def test_exact_rows_are_pinned(build, max_n, a, init, j_max, expected):
                 digest.update(f"{n},{j},{p.numerator},{p.denominator}\n".encode())
     assert table.j_max == j_max
     assert digest.hexdigest() == expected
+
+
+def _reference_probs(table):
+    """Plain-Python oracle for the float law: rows up to the cutoff are the
+    rounded exact rows; every other entry is ``s = 0.0; s += p * x`` over
+    its row in ascending k, which puts the self-loop last.  Python floats
+    never fuse a multiply-add, so this pins the bits on any machine."""
+    model, a, top = table.model, table.threshold_a, table.max_n
+    zero_cost = int(table.init is InitConvention.ALT_COST)
+    ref = []
+    for n in range(min(a, top) + 1):
+        ref.append([float(j == (zero_cost if n == 0 else 0)) for j in range(table.j_max + 1)])
+    for n in range(len(ref), min(model.exact_cutoff, top) + 1):
+        ref.append([float(p) for p in table.exact_row(n)])
+    for n, (lo, masses) in enumerate(model.float_rows(len(ref), top + 1), len(ref)):
+        row = [0.0]
+        for j in range(1, table.j_max + 1):
+            s = 0.0
+            for k, p in enumerate(masses.tolist(), lo):
+                s += p * (ref[k][j - 1] if k < n else row[j - 1])
+            row.append(s)
+        ref.append(row)
+    return ref
+
+
+@pytest.mark.parametrize(
+    "build,max_n,a,init",
+    [
+        (lambda: FairCoin(exact_cutoff=0), 300, 1, InitConvention.STANDARD),
+        (lambda: BiasedCoin(Fraction(9, 10), exact_cutoff=0), 100, 1, InitConvention.STANDARD),
+        (peak_linear_i, 200, 1, InitConvention.ALT_COST),
+        (lambda: DemonCoin(Fraction(1, 2), Fraction(1, 3)), 200, 0, InitConvention.STANDARD),
+        (lambda: BiasedCoin(Fraction(3, 10)), 200, 3, InitConvention.STANDARD),
+        (peak_circular, 300, 1, InitConvention.STANDARD),
+    ],
+    ids=["fair-cut0", "biased-0.9-cut0", "linear-i-altcost", "demon-a0", "biased-a3", "circular"],
+)
+def test_float_law_matches_python_reference(build, max_n, a, init):
+    # the row sweep adds in ascending k, self-loop last: bit for bit the
+    # plain-Python sum, so a change of summation order shows here
+    table = compute_phase_table(build(), max_n, threshold_a=a, init=init)
+    assert table.probs.tolist() == _reference_probs(table)
+
+
+@pytest.mark.parametrize("eps,j_max", [(1e-16, 161), (1e-14, 56)])
+def test_stall_rule_column_counts(eps, j_max):
+    # at eps 1e-16 the truncated float rows floor the residual, and the
+    # table stops 100 columns after progress stalled
+    assert compute_phase_table(FairCoin(exact_cutoff=0), 500, residual_eps=eps).j_max == j_max
+
+
+@pytest.mark.parametrize("width", [2, 30, 200])
+def test_column_fill_widens_or_cuts_to_the_stop_rule(width):
+    # the final fill starts at the predicted width; from any start it must
+    # widen one column at a time, or cut, to the same table
+    model, a = FairCoin(exact_cutoff=30), 1
+    table = compute_phase_table(model, 60)
+    rows = engine._transient_rows(model, a, 60)
+    probs, columns = engine._fill_columns(
+        rows, engine._exact_columns(rows, [0, 0]), a + 1 + len(rows.exact), width,
+        lambda w: w + 1, table.residual_eps, model.name,
+    )
+    assert probs.tolist() == table.probs.tolist()
+    assert [tuple(c) for c in columns] == list(zip(*table.exact_rows.values()))
+
+
+def test_near_stalling_chain_hits_column_cap():
+    # the chain leaves state 2 at rate 1e-6 per round: the column guard
+    # fires before any exact column is pulled
+    model = ExplicitMatrix(rows={2: {1: Fraction(1, 10**6), 2: 1 - Fraction(1, 10**6)}})
+    with pytest.raises(RuntimeError, match="did not absorb within 20000 columns"):
+        compute_phase_table(model, 2)
 
 
 # ---------------------------------------------------------------------------
