@@ -9,16 +9,26 @@ chains the phase engine computes; simulating them supplies an
 engine-independent consistency check.
 
 One round-stepper, ``_play``, runs every game: it yields each round's
-survivor counts per block of equal-width trials, and ``run_election`` and
-``survivors_after_rounds`` only record what it yields.  Groups with fresh
-keys (round one of every variant, every round of the redraw variants) are
-drawn, tie-checked, masked and regrouped 256 rows at a time, so no
-group's full key matrix ever exists; persistent keys pass to the next
-round by a mask select on the surviving rows, and those groups play
-whole.  A key is one raw Philox word shifted right by one bit (see
-``_raw_keys``).  Trials run in fixed-size batches, each with its own
-counter-based RNG substream keyed by (seed, batch index), so results are
-reproducible bit-for-bit and merge order-independently.
+survivor counts per batch, and ``run_election`` and
+``survivors_after_rounds`` only record what it yields.  A round is played
+on flat arrays: trial ids, widths and, for persistent keys, one
+back-to-back array of kept keys.  It is cut into spans of whole rows
+holding at most ``_SPAN`` words, and each span draws its fresh keys (round
+one of every variant, every round of the redraw variants) with one call,
+masks its peaks with one flat kernel (``_peak_mask``), counts survivors
+with one segmented sum and compresses kept keys into the next round's
+buffer, so fresh keys exist only a span at a time.  Rows with fresh keys
+stay in stable ascending width order, and a key is one raw Philox word
+shifted right by one bit (see ``_raw_keys``), so every row reads fixed
+words of its batch's stream.
+
+A row with a tie anywhere is redrawn from the words right after its
+span's draw.  So where the rows are cut into spans changes the outcome
+only in a seed where a tie fires, about w^2 / 2^64 per row of width w;
+without one, every cut reads the same words.  Trials run in fixed-size
+batches, each with its own counter-based RNG substream keyed by (seed,
+batch index), so results are reproducible bit-for-bit and merge
+order-independently.
 """
 from __future__ import annotations
 
@@ -31,11 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .peaks import PeakVariant, count_peaks
-
 _BATCH = 4096
-#: rows of fresh keys drawn, checked, masked and regrouped at once
-_CHUNK = 256
+#: most key words of one span of rows, drawn, masked and counted at once
+_SPAN = 1 << 18
 
 
 class RingVariant(str, Enum):
@@ -121,44 +129,81 @@ def _raw_keys(rng: np.random.Generator, count: int) -> np.ndarray:
     return (rng.bit_generator.random_raw(count) >> 1).view(np.int64)
 
 
-def _draw_distinct_keys(rng: np.random.Generator, m: int, width: int) -> np.ndarray:
-    """``m`` rows of ``width`` uniform 63-bit keys (see :func:`_raw_keys`),
-    redrawing any row containing a tie.
+def _offsets(widths: np.ndarray) -> np.ndarray:
+    """Row starts of back-to-back rows, with the total words appended."""
+    offsets = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    return offsets
+
+
+def _spans(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Cut back-to-back rows into ``(lo, hi)`` row ranges of whole rows,
+    each holding at most ``_SPAN`` words, or one row if it is longer."""
+    lo, rows = 0, len(offsets) - 1
+    while lo < rows:
+        hi = int(np.searchsorted(offsets, offsets[lo] + _SPAN, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _draw_distinct_keys(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
+    """Back-to-back rows of uniform 63-bit keys (see :func:`_raw_keys`),
+    row r holding ``offsets[r + 1] - offsets[r]`` keys, redrawing any row
+    containing a tie.
 
     Every key of a row is distinct, not only neighbours: persistent keys
-    that are not adjacent now can become neighbours in a later round.
-    ``_play`` calls this one row chunk at a time, so the sorted copy that
-    finds ties stays a chunk's size.  Drawing the rows in chunks gives the
-    keys of one whole draw unless a tie fires (about width^2 / 2^64 per
-    row), since the chunks read one stream of words in order.
+    that are not adjacent now can become neighbours in a later round.  All
+    rows are drawn with one call; the tied rows are then drawn again, in
+    row order, from the words that follow, and so on until no row ties.
+    The tie check sorts a copy of the keys, one row sort per run of equal
+    widths, so rows of one width should be adjacent.
     """
-    keys = _raw_keys(rng, m * width).reshape(m, width)
-    while True:
-        sorted_rows = np.sort(keys, axis=1)
-        bad = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
-        if not bad.any():
-            return keys
-        keys[bad] = _raw_keys(rng, int(bad.sum()) * width).reshape(-1, width)
+    keys = _raw_keys(rng, int(offsets[-1]))
+    widths = np.diff(offsets)
+    ordered = keys.copy()
+    cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        ordered[offsets[lo] : offsets[hi]].reshape(-1, widths[lo]).sort(axis=1)
+    repeats = ordered[1:] == ordered[:-1]
+    repeats[offsets[1:-1] - 1] = False  # a row's last key and the next row's first
+    if not repeats.any():
+        return keys
+    tied = np.unique(np.searchsorted(offsets, np.flatnonzero(repeats), side="right") - 1)
+    fresh = _draw_distinct_keys(rng, _offsets(widths[tied]))
+    for row, redrawn in zip(tied.tolist(), np.split(fresh, np.cumsum(widths[tied])[:-1])):
+        keys[offsets[row] : offsets[row + 1]] = redrawn
+    return keys
 
 
-def _peak_mask(keys: np.ndarray, variant: RingVariant) -> np.ndarray:
-    """Boolean survivor mask per row; width must be >= 2.
+def _peak_mask(keys: np.ndarray, offsets: np.ndarray, variant: RingVariant) -> np.ndarray:
+    """Survivor mask of back-to-back rows, row r being
+    ``keys[offsets[r]:offsets[r + 1]]``; every width must be >= 2.
 
-    Interior players compare with both row neighbours.  The end columns
-    wrap around on the circular rules, compare with their one neighbour
-    on linear-II, and never survive on linear-I.
+    Interior players compare with both row neighbours.  The first and last
+    player of a row wrap around on the circular rules, compare with their
+    one neighbour on linear-II, and never survive on linear-I.
     """
-    mask = np.zeros(keys.shape, dtype=bool)
-    inner = keys[:, 1:-1]
-    mask[:, 1:-1] = (inner > keys[:, :-2]) & (inner > keys[:, 2:])
-    first, last = keys[:, 0], keys[:, -1]
+    mask = np.empty(len(keys), dtype=bool)
+    inner = keys[1:-1]
+    np.greater(inner, keys[:-2], out=mask[1:-1])
+    mask[1:-1] &= inner > keys[2:]
+    first, last = offsets[:-1], offsets[1:] - 1
+    head, tail = keys[first], keys[last]
     if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
-        mask[:, 0] = (first > last) & (first > keys[:, 1])
-        mask[:, -1] = (last > keys[:, -2]) & (last > first)
+        mask[first] = (head > tail) & (head > keys[first + 1])
+        mask[last] = (tail > keys[last - 1]) & (tail > head)
     elif variant is RingVariant.REDRAW_LINEAR_II:
-        mask[:, 0] = first > keys[:, 1]
-        mask[:, -1] = last > keys[:, -2]
+        mask[first] = head > keys[first + 1]
+        mask[last] = tail > keys[last - 1]
+    else:
+        mask[first] = mask[last] = False
     return mask
+
+
+def _row_counts(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Survivors per row of a back-to-back mask."""
+    return np.add.reduceat(mask, offsets[:-1], dtype=np.int64)
 
 
 def _play(
@@ -166,48 +211,61 @@ def _play(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Play every trial round by round, yielding ``(round, trials, counts)``.
 
-    Each yield covers one block of trials that entered the round with the
-    same number of players; counts are the survivors of that round.  A
-    group with fresh keys plays in blocks of ``_CHUNK`` rows, a group with
-    kept keys in one block.  A trial leaves once its count is at most
-    ``config.stop_threshold``, or after ``max_rounds`` rounds; the last
-    round allowed regroups nothing.  Within a batch, groups play in
-    ascending width and every block regroups its rows in order, so each
-    width group holds its trials and keys in the same order however it was
-    cut; that fixes the order of the key draws and so the outcome of every
-    seed.
+    Each yield covers one round of one batch: the trials that entered it
+    and the survivors of each.  A round is played on flat arrays, one row
+    per trial with its keys back to back, cut by :func:`_spans` into spans
+    of at most ``_SPAN`` words: each span draws its fresh keys with one
+    call, masks its peaks and counts its survivors, and kept keys pass on
+    by one compress into the next round's buffer.  A trial leaves once its
+    count is at most ``config.stop_threshold``, or after ``max_rounds``
+    rounds; the last round allowed keeps no keys.  Rows that get fresh
+    keys stay in stable ascending width order, so every round draws its
+    keys in one fixed order, which fixes the outcome of every seed; rows
+    with kept keys draw nothing and keep the order they survived in.
     """
+    if config.n <= config.stop_threshold:
+        return
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
     for start in range(0, config.trials, _BATCH):
         stop = min(start + _BATCH, config.trials)
         rng = _batch_rng(config.seed, start // _BATCH)
-        # width -> [(kept keys, or None to draw fresh ones; trial indices)]
-        parts = {}
-        if config.n > config.stop_threshold:
-            parts[config.n] = [(None, np.arange(start, stop, dtype=np.int64))]
+        trials = np.arange(start, stop, dtype=np.int64)
+        widths = np.full(len(trials), config.n, dtype=np.int64)
+        kept = None  # back-to-back kept keys of the rows, or None to draw
         round_ = 0
-        while parts:
+        while len(trials):
             round_ += 1
-            groups, parts = sorted(parts.items()), {}
-            for width, group in groups:
-                idx = np.concatenate([i for _, i in group])
-                if group[0][0] is None:
-                    blocks = (
-                        (rows, _draw_distinct_keys(rng, len(rows), width))
-                        for rows in np.split(idx, range(_CHUNK, len(idx), _CHUNK))
-                    )
+            carry = persistent and round_ != max_rounds
+            offsets = _offsets(widths)
+            counts = np.empty(len(trials), dtype=np.int64)
+            if carry:
+                # circular peaks are never adjacent: at most half of a row
+                survivors, filled = np.empty(int(offsets[-1]) // 2, dtype=np.int64), 0
+            for lo, hi in _spans(offsets):
+                span = offsets[lo : hi + 1] - offsets[lo]
+                if kept is None:
+                    keys = _draw_distinct_keys(rng, span)
                 else:
-                    blocks = [(idx, np.vstack([k for k, _ in group]))]
-                for rows, keys in blocks:
-                    mask = _peak_mask(keys, config.variant)
-                    survivors = mask.sum(axis=1, dtype=np.int64)
-                    yield round_, rows, survivors
-                    if round_ == max_rounds:
-                        continue  # no round follows, so nobody regroups
-                    for w in np.unique(survivors[survivors > config.stop_threshold]):
-                        sel = survivors == w
-                        kept = keys[sel][mask[sel]].reshape(-1, w) if persistent else None
-                        parts.setdefault(int(w), []).append((kept, rows[sel]))
+                    keys = kept[offsets[lo] : offsets[hi]]
+                mask = _peak_mask(keys, span, config.variant)
+                counts[lo:hi] = _row_counts(mask, span)
+                if carry:
+                    stays = counts[lo:hi] > config.stop_threshold
+                    if not stays.all():
+                        mask &= np.repeat(stays, widths[lo:hi])
+                    words = int(counts[lo:hi][stays].sum())
+                    np.compress(mask, keys, out=survivors[filled : filled + words])
+                    filled += words
+            yield round_, trials, counts
+            if round_ == max_rounds:
+                break
+            stays = counts > config.stop_threshold
+            trials, widths = trials[stays], counts[stays]
+            if persistent:
+                kept = survivors[:filled]
+            else:
+                order = np.argsort(widths, kind="stable")
+                trials, widths = trials[order], widths[order]
 
 
 def run_election(config: SimConfig) -> ElectionRecords:
@@ -285,13 +343,12 @@ def estimate_c2(
     )
 
 
-def _circular_peak_keys(values: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(values)
-    return tuple(
-        values[i]
-        for i in range(n)
-        if values[i] > values[i - 1] and values[i] > values[(i + 1) % n]
-    )
+def _circle_round(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Circular peak mask and survivor counts of back-to-back rows of one
+    width."""
+    offsets = np.arange(len(keys) // width + 1, dtype=np.int64) * width
+    mask = _peak_mask(keys, offsets, RingVariant.TRUE_PERSISTENT)
+    return mask, _row_counts(mask, offsets)
 
 
 def exhaustive_second_round(
@@ -302,17 +359,22 @@ def exhaustive_second_round(
     Enumerates every ordering of ``ring_size`` distinct keys, conditions
     on ``first_round`` survivors, and counts orderings whose survivors
     (keeping their keys, in ring order) leave ``second_round`` players.
+    Both rounds are played on all orderings at once, as back-to-back rows.
     """
-    conditioned = 0
-    hits = 0
-    for perm in itertools.permutations(range(ring_size)):
-        if count_peaks(perm, PeakVariant.CIRCULAR) != first_round:
-            continue
-        conditioned += 1
-        if count_peaks(_circular_peak_keys(perm), PeakVariant.CIRCULAR) == second_round:
-            hits += 1
+    if first_round < 2:
+        raise ValueError(f"need first_round >= 2, got {first_round}")
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(ring_size))),
+        dtype=np.int64,
+        count=math.factorial(ring_size) * ring_size,
+    )
+    mask, counts = _circle_round(perms, ring_size)
+    selected = counts == first_round
+    conditioned = int(selected.sum())
     if conditioned == 0:
         raise ValueError("conditioning event impossible")
+    kept = np.compress(mask & np.repeat(selected, ring_size), perms)
+    hits = int((_circle_round(kept, first_round)[1] == second_round).sum())
     return Fraction(hits, conditioned)
 
 
@@ -342,19 +404,18 @@ def conditional_second_round(
     for start in range(0, trials, _BATCH):
         stop = min(start + _BATCH, trials)
         rng = _batch_rng(seed, start // _BATCH)
-        keys = _draw_distinct_keys(rng, stop - start, ring_size)
-        mask = _peak_mask(keys, RingVariant.TRUE_PERSISTENT)
-        survivors = mask.sum(axis=1)
-        selected = survivors == first_round
-        events += int(selected.sum())
-        if not selected.any():
+        keys = _draw_distinct_keys(rng, np.arange(stop - start + 1, dtype=np.int64) * ring_size)
+        mask, counts = _circle_round(keys, ring_size)
+        selected = counts == first_round
+        chosen = int(selected.sum())
+        events += chosen
+        if not chosen:
             continue
         if variant is RingVariant.TRUE_PERSISTENT:
-            flat = keys[selected][mask[selected]].reshape(-1, first_round)
+            kept = np.compress(mask & np.repeat(selected, ring_size), keys)
         else:
-            flat = _draw_distinct_keys(rng, int(selected.sum()), first_round)
-        second = _peak_mask(flat, RingVariant.TRUE_PERSISTENT).sum(axis=1)
-        hits += int((second == second_round).sum())
+            kept = _draw_distinct_keys(rng, np.arange(chosen + 1, dtype=np.int64) * first_round)
+        hits += int((_circle_round(kept, first_round)[1] == second_round).sum())
     if events < min_events:
         raise ValueError(
             f"only {events} conditioning events; raise trials (need >= {min_events})"

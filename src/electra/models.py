@@ -200,9 +200,10 @@ class _Shared:
 
     def __call__(self, key):
         with self._lock:
-            if key not in self._values:
-                self._values[key] = self._build(key)
-            return self._values[key]
+            value = self._values.get(key)
+            if value is None:
+                value = self._values[key] = self._build(key)
+            return value
 
 
 class _GrownRows:
@@ -307,11 +308,16 @@ class BiasedCoin(_Coin):
         nums[n] += nums[0]  # all-tails rescue maps to "everyone survives"
         return 1, nums[1:], den
 
+    @functools.cached_property
+    def _tails(self) -> float:
+        """The float tails probability, float(1 - p)."""
+        return float(1 - self.p)
+
     def _far_row(self, n):
         lo, probs, _ = _coin_rows(self.p)(n)
         if lo == 0:
             lo, probs = 1, probs[1:]
-        rescue = float(1 - self.p) ** n  # all tails; the window holds all heads
+        rescue = self._tails**n  # all tails; the window holds all heads
         if rescue >= TAIL_TRUNCATION:
             probs = np.concatenate([probs, np.zeros(n + 1 - lo - len(probs))])
             probs[-1] += rescue

@@ -17,6 +17,7 @@ from electra.franklin import (
     _draw_distinct_keys,
     _peak_mask,
     _raw_keys,
+    _row_counts,
     closed_form_c2,
     conditional_second_round,
     estimate_c2,
@@ -54,6 +55,12 @@ def test_seed_changes_outcomes():
 
 def test_exhaustive_second_round_exact():
     assert exhaustive_second_round() == Fraction(10, 34)
+
+
+def test_exhaustive_second_round_needs_a_second_round():
+    # one survivor plays no second round, and the peak kernel needs width >= 2
+    with pytest.raises(ValueError, match="first_round >= 2"):
+        exhaustive_second_round(first_round=1)
 
 
 def test_closed_form_c2():
@@ -181,18 +188,25 @@ def _peak_flags(row, variant):
     return flags
 
 
-@given(st.integers(2, 9).flatmap(lambda width: st.lists(
-    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=width, max_size=width, unique=True),
-    min_size=1, max_size=6,
-)))
+@given(st.lists(st.integers(2, 12).flatmap(lambda width: st.lists(
+    st.integers(-(2**63), 2**63 - 1), min_size=width, max_size=width, unique=True,
+)), min_size=1, max_size=6))
 def test_peak_mask_matches_definition(rows):
-    keys = np.array(rows, dtype=np.int64)
+    # ragged rows of mixed widths, back to back as a round plays them
+    keys = np.array([key for row in rows for key in row], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    boundary = {
+        RingVariant.TRUE_PERSISTENT: PeakVariant.CIRCULAR,
+        RingVariant.REDRAW_CIRCULAR: PeakVariant.CIRCULAR,
+        RingVariant.REDRAW_LINEAR_I: PeakVariant.LINEAR_I,
+        RingVariant.REDRAW_LINEAR_II: PeakVariant.LINEAR_II,
+    }
     for variant in RingVariant:
-        mask = _peak_mask(keys, variant)
-        for row, flags in zip(rows, mask):
-            assert list(flags) == _peak_flags(row, variant)
-            if variant is RingVariant.REDRAW_CIRCULAR:
-                assert int(flags.sum()) == count_peaks(row, PeakVariant.CIRCULAR)
+        mask = _peak_mask(keys, offsets, variant)
+        counts = _row_counts(mask, offsets)
+        for r, row in enumerate(rows):
+            assert list(mask[offsets[r] : offsets[r + 1]]) == _peak_flags(row, variant)
+            assert counts[r] == count_peaks(row, boundary[variant])
 
 
 @pytest.mark.parametrize("variant", list(RingVariant))
@@ -247,41 +261,76 @@ _GRID_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("variant,threshold", list(_GRID_DIGESTS))
-def test_election_outputs_are_pinned(variant, threshold):
-    digest = hashlib.sha256()
+def _grid_runs(variant, threshold, trial_counts=(100, 9000)):
     for n in (2, 9, 30, 100):
-        for trials in (100, 9000):
+        for trials in trial_counts:
             config = SimConfig(variant, n, trials, seed=n + trials, stop_threshold=threshold)
             records = run_election(config)
-            digest.update(records.rounds.astype("<i4").tobytes())
-            digest.update(records.trace_flat.astype("<i8").tobytes())
-    assert digest.hexdigest() == _GRID_DIGESTS[variant, threshold]
+            yield records.rounds.astype("<i4").tobytes()
+            yield records.trace_flat.astype("<i8").tobytes()
+
+
+def _grid_digest(variant, threshold):
+    return hashlib.sha256(b"".join(_grid_runs(variant, threshold))).hexdigest()
+
+
+def _two_round_digest():
+    counts = survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 600, seed=1)
+    return hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+
+
+_TWO_ROUND_DIGEST = "e259d9e8cb2244c2b630649fc756ba941b8e823f6b7bcdce58b77366ca5940e3"
+
+
+@pytest.mark.parametrize("variant,threshold", list(_GRID_DIGESTS))
+def test_election_outputs_are_pinned(variant, threshold):
+    assert _grid_digest(variant, threshold) == _GRID_DIGESTS[variant, threshold]
 
 
 def test_two_round_counts_are_pinned():
-    counts = survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 600, seed=1)
-    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
-    assert digest == "e259d9e8cb2244c2b630649fc756ba941b8e823f6b7bcdce58b77366ca5940e3"
+    assert _two_round_digest() == _TWO_ROUND_DIGEST
+
+
+def test_one_span_per_round(monkeypatch):
+    monkeypatch.setattr(franklin, "_SPAN", 2**40)
+    for variant, threshold in _GRID_DIGESTS:
+        assert _grid_digest(variant, threshold) == _GRID_DIGESTS[variant, threshold]
+    assert _two_round_digest() == _TWO_ROUND_DIGEST
+
+
+def test_one_row_per_span(monkeypatch):
+    # every row drawn, masked and kept on its own plays the same games; the
+    # 9000-trial grid runs take about 40 s this way, so the grid's 100-trial
+    # runs are compared with the default cut instead of the pinned digests
+    default = {key: list(_grid_runs(*key, trial_counts=(100,))) for key in _GRID_DIGESTS}
+    monkeypatch.setattr(franklin, "_SPAN", 1)
+    for key, runs in default.items():
+        assert list(_grid_runs(*key, trial_counts=(100,))) == runs
+    assert _two_round_digest() == _TWO_ROUND_DIGEST
 
 
 def test_tie_redraws_only_the_tied_row(monkeypatch):
+    # one span of rows of widths 4, 5, 5, 6; row 2 gets a tie, not adjacent
+    offsets = np.array([0, 4, 9, 14, 20])
     draws = []
 
     def tie_in_first_draw(rng, count):
         keys = _raw_keys(rng, count)
         if not draws:
-            keys[5 + 3] = keys[5 + 0]  # row 1 of a (4, 5) draw: a tie, not adjacent
+            keys[9 + 3] = keys[9 + 0]
         draws.append(keys.copy())
         return keys
 
     monkeypatch.setattr(franklin, "_raw_keys", tie_in_first_draw)
-    keys = _draw_distinct_keys(_batch_rng(5, 0), 4, 5)
+    keys = _draw_distinct_keys(_batch_rng(5, 0), offsets)
     assert [len(d) for d in draws] == [20, 5]
-    first = draws[0].reshape(4, 5)
-    assert np.array_equal(keys[[0, 2, 3]], first[[0, 2, 3]])
-    assert np.array_equal(keys[1], draws[1])
-    assert all(len(set(row)) == 5 for row in keys.tolist())
+    untouched = np.r_[0:9, 14:20]
+    assert np.array_equal(keys[untouched], draws[0][untouched])
+    # the replacement is the stream's next five words, right after the span
+    stream = _raw_keys(_batch_rng(5, 0), 25)
+    assert np.array_equal(keys[9:14], stream[20:25])
+    rows = np.split(keys, offsets[1:-1])
+    assert all(len(set(row.tolist())) == len(row) for row in rows)
 
 
 @pytest.mark.parametrize("seed,shape", [(0, (1,)), (3, (7, 5)), (11, (256, 100)), (2**40, (3, 10_000))])
