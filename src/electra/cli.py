@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -70,6 +71,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
     _atomic_write(path, body)
+
+
+def _ratio_line(n: int, k: int, num: int, den: int) -> str:
+    """One ``n,k,numerator,denominator`` line of ``num / den`` in lowest terms."""
+    g = math.gcd(num, den)
+    return f"{n},{k},{num // g},{den // g}\n"
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -133,11 +140,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         model, args.max_n, threshold_a=args.threshold, init=init,
         residual_eps=args.residual_eps,
     )
-    rows = []
-    for n in range(1, min(args.max_n, model.exact_cutoff) + 1):
-        lo, nums, den = model.exact_row(n)
-        rows += ([n, k, *Fraction(x, den).as_integer_ratio()] for k, x in enumerate(nums, lo) if x)
-    _write_csv(out / "survivor_pmf.csv", ["n", "k", "numerator", "denominator"], rows)
+
+    def survivor_pmf(fh) -> None:
+        fh.write("n,k,numerator,denominator\n")
+        for n in range(1, min(args.max_n, model.exact_cutoff) + 1):
+            lo, nums, den = model.exact_row(n)
+            fh.writelines(_ratio_line(n, k, x, den) for k, x in enumerate(nums, lo) if x)
+
+    _atomic_write(out / "survivor_pmf.csv", survivor_pmf)
     table.to_csv(out / "phase_probs.csv", exact_path=out / "phase_probs_exact.csv")
     table.means_to_csv(out / "phase_means.csv", alpha=alpha)
     _echo_config(out, args)
@@ -562,8 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building one costs more than a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

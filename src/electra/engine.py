@@ -40,7 +40,6 @@ rationals would be unaffordable anyway.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import operator
@@ -139,34 +138,35 @@ class PhaseTable:
         """Write ``n,j,prob`` rows; optionally the exact regime as
         ``n,j,numerator,denominator`` alongside."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "j", "prob"])
+            fh.write("n,j,prob\n")
             ns, js = np.nonzero(self.probs > 0.0)  # row-major order
             values = map(repr, self.probs[ns, js].tolist())
             fh.writelines(map("{},{},{}\n".format, ns.tolist(), js.tolist(), values))
         if exact_path is not None:
             with open(exact_path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["n", "j", "numerator", "denominator"])
-                for n in sorted(self.exact_rows):
-                    for j, p in enumerate(self.exact_rows[n]):
-                        if p != 0:
-                            writer.writerow([n, j, p.numerator, p.denominator])
+                fh.write("n,j,numerator,denominator\n")
+                fh.writelines(
+                    f"{n},{j},{p.numerator},{p.denominator}\n"
+                    for n in sorted(self.exact_rows)
+                    for j, p in enumerate(self.exact_rows[n])
+                    if p
+                )
 
     def means_to_csv(self, path: str | Path, *, alpha: Fraction | float | None = None) -> None:
         """Write ``n,x,log_alpha_n,phi_residual`` rows (log base 1/alpha)."""
         if alpha is None:
             alpha = self.model.declared_alpha
+        base = None if alpha is None else math.log(1.0 / float(alpha))
+
+        def line(n: int, x: float) -> str:
+            if n < 1 or base is None:
+                return f"{n},{x!r},,\n"
+            ln = math.log(n) / base
+            return f"{n},{x!r},{ln!r},{x - ln!r}\n"
+
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "x", "log_alpha_n", "phi_residual"])
-            for n in range(self.max_n + 1):
-                x = float(self.means[n])
-                if n >= 1 and alpha is not None:
-                    ln = math.log(n) / math.log(1.0 / float(alpha))
-                    writer.writerow([n, repr(x), repr(ln), repr(x - ln)])
-                else:
-                    writer.writerow([n, repr(x), "", ""])
+            fh.write("n,x,log_alpha_n,phi_residual\n")
+            fh.writelines(map(line, itertools.count(), self.means.tolist()))
 
 
 def _validate_setup(

@@ -22,13 +22,22 @@ stay in stable ascending width order, and a key is one raw Philox word
 shifted right by one bit (see ``_raw_keys``), so every row reads fixed
 words of its batch's stream.
 
-A row with a tie anywhere is redrawn from the words right after its
-span's draw.  So where the rows are cut into spans changes the outcome
-only in a seed where a tie fires, about w^2 / 2^64 per row of width w;
-without one, every cut reads the same words.  Trials run in fixed-size
-batches, each with its own counter-based RNG substream keyed by (seed,
-batch index), so results are reproducible bit-for-bit and merge
-order-independently.
+Ties follow two rules (see ``_draw_distinct_keys``).  Persistent keys
+must be distinct in the whole row, since keys that are not adjacent now
+can become neighbours later; that check sorts a copy of each span in one
+scratch buffer per call.  One-round keys (every round of the redraw
+variants, and both draws of the redraw-circular conditional estimate)
+must differ only where the round compares them: row neighbours, plus
+the wrap on the circular rule.  A tie elsewhere decides no peak and is
+kept, so the redraw law moves by at most the chance of such a tie, about
+w^2 / 2^64 per row of width w.  A row with a forbidden tie is redrawn
+from the words right after its span's draw, so where the rows are cut
+into spans changes the outcome only in a seed where such a tie fires.
+
+Trials run in fixed-size batches, each with its own counter-based RNG
+substream keyed by (seed, batch index), so results are reproducible
+bit-for-bit and merge order-independently.  Nothing is shared between
+calls, so threads may run games at once.
 """
 from __future__ import annotations
 
@@ -125,8 +134,11 @@ def _raw_keys(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` uniform keys in [0, 2^63): one raw 64-bit word each,
     shifted right by one bit.  Bit for bit what
     ``rng.integers(0, 2**63, count, dtype=np.int64)`` returns, since its
-    Lemire step for a range of 2^63 is exactly that shift."""
-    return (rng.bit_generator.random_raw(count) >> 1).view(np.int64)
+    Lemire step for a range of 2^63 is exactly that shift.  The shift is
+    made in place, so a draw allocates one array."""
+    words = rng.bit_generator.random_raw(count)
+    words >>= 1
+    return words.view(np.int64)
 
 
 def _offsets(widths: np.ndarray) -> np.ndarray:
@@ -147,30 +159,49 @@ def _spans(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _draw_distinct_keys(rng: np.random.Generator, offsets: np.ndarray) -> np.ndarray:
+def _draw_distinct_keys(
+    rng: np.random.Generator,
+    offsets: np.ndarray,
+    variant: RingVariant = RingVariant.TRUE_PERSISTENT,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Back-to-back rows of uniform 63-bit keys (see :func:`_raw_keys`),
     row r holding ``offsets[r + 1] - offsets[r]`` keys, redrawing any row
-    containing a tie.
+    with a tie that can change a peak under ``variant``.
 
-    Every key of a row is distinct, not only neighbours: persistent keys
-    that are not adjacent now can become neighbours in a later round.  All
-    rows are drawn with one call; the tied rows are then drawn again, in
-    row order, from the words that follow, and so on until no row ties.
-    The tie check sorts a copy of the keys, one row sort per run of equal
-    widths, so rows of one width should be adjacent.
+    Two tie rules.  Persistent keys must be distinct in the whole row,
+    since keys that are not adjacent now can become neighbours in a later
+    round: the check sorts a copy of the rows, one row sort per run of
+    equal widths (so rows of one width should be adjacent), in ``scratch``
+    if given, which must hold the keys.  One-round keys (the redraw
+    variants) must differ only where the peak mask compares them: row
+    neighbours, plus a row's first and last key on the circular rule.  A
+    one-round tie elsewhere decides no peak and is kept, so the redraw law
+    moves by at most the chance of such a tie, about w^2 / 2^64 per row of
+    width w.  All rows are drawn with one call; the tied rows are then
+    drawn again, in row order, from the words that follow, and so on until
+    no row ties.
     """
     keys = _raw_keys(rng, int(offsets[-1]))
     widths = np.diff(offsets)
-    ordered = keys.copy()
-    cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        ordered[offsets[lo] : offsets[hi]].reshape(-1, widths[lo]).sort(axis=1)
+    ordered = keys
+    if variant is RingVariant.TRUE_PERSISTENT:
+        ordered = np.empty_like(keys) if scratch is None else scratch[: len(keys)]
+        np.copyto(ordered, keys)
+        cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            ordered[offsets[lo] : offsets[hi]].reshape(-1, widths[lo]).sort(axis=1)
     repeats = ordered[1:] == ordered[:-1]
     repeats[offsets[1:-1] - 1] = False  # a row's last key and the next row's first
-    if not repeats.any():
+    if variant is RingVariant.REDRAW_CIRCULAR:
+        tied = keys[offsets[:-1]] == keys[offsets[1:] - 1]
+    else:
+        tied = np.zeros(len(widths), dtype=bool)
+    tied[np.searchsorted(offsets, np.flatnonzero(repeats), side="right") - 1] = True
+    if not tied.any():
         return keys
-    tied = np.unique(np.searchsorted(offsets, np.flatnonzero(repeats), side="right") - 1)
-    fresh = _draw_distinct_keys(rng, _offsets(widths[tied]))
+    tied = np.flatnonzero(tied)
+    fresh = _draw_distinct_keys(rng, _offsets(widths[tied]), variant, scratch)
     for row, redrawn in zip(tied.tolist(), np.split(fresh, np.cumsum(widths[tied])[:-1])):
         keys[offsets[row] : offsets[row + 1]] = redrawn
     return keys
@@ -226,6 +257,10 @@ def _play(
     if config.n <= config.stop_threshold:
         return
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    scratch = None
+    if persistent:  # room for the tie check of round one's largest span
+        rows = max(1, min(config.trials, _BATCH, _SPAN // config.n))
+        scratch = np.empty(rows * config.n, dtype=np.int64)
     for start in range(0, config.trials, _BATCH):
         stop = min(start + _BATCH, config.trials)
         rng = _batch_rng(config.seed, start // _BATCH)
@@ -244,7 +279,7 @@ def _play(
             for lo, hi in _spans(offsets):
                 span = offsets[lo : hi + 1] - offsets[lo]
                 if kept is None:
-                    keys = _draw_distinct_keys(rng, span)
+                    keys = _draw_distinct_keys(rng, span, config.variant, scratch)
                 else:
                     keys = kept[offsets[lo] : offsets[hi]]
                 mask = _peak_mask(keys, span, config.variant)
@@ -401,10 +436,14 @@ def conditional_second_round(
         )
     events = 0
     hits = 0
+    scratch = None
+    if variant is RingVariant.TRUE_PERSISTENT:  # room for the first batch's tie check
+        scratch = np.empty(min(trials, _BATCH) * ring_size, dtype=np.int64)
     for start in range(0, trials, _BATCH):
         stop = min(start + _BATCH, trials)
         rng = _batch_rng(seed, start // _BATCH)
-        keys = _draw_distinct_keys(rng, np.arange(stop - start + 1, dtype=np.int64) * ring_size)
+        offsets = np.arange(stop - start + 1, dtype=np.int64) * ring_size
+        keys = _draw_distinct_keys(rng, offsets, variant, scratch)
         mask, counts = _circle_round(keys, ring_size)
         selected = counts == first_round
         chosen = int(selected.sum())
@@ -414,7 +453,8 @@ def conditional_second_round(
         if variant is RingVariant.TRUE_PERSISTENT:
             kept = np.compress(mask & np.repeat(selected, ring_size), keys)
         else:
-            kept = _draw_distinct_keys(rng, np.arange(chosen + 1, dtype=np.int64) * first_round)
+            offsets = np.arange(chosen + 1, dtype=np.int64) * first_round
+            kept = _draw_distinct_keys(rng, offsets, variant)
         hits += int((_circle_round(kept, first_round)[1] == second_round).sum())
     if events < min_events:
         raise ValueError(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,58 @@ def test_tie_redraws_only_the_tied_row(monkeypatch):
     assert np.array_equal(keys[9:14], stream[20:25])
     rows = np.split(keys, offsets[1:-1])
     assert all(len(set(row.tolist())) == len(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "variant,redrawn",
+    [
+        (RingVariant.REDRAW_CIRCULAR, [1, 3]),
+        (RingVariant.REDRAW_LINEAR_I, [1]),
+        (RingVariant.REDRAW_LINEAR_II, [1]),
+    ],
+)
+def test_one_round_keys_tie_only_on_neighbours(monkeypatch, variant, redrawn):
+    # one span of rows of widths 4, 5, 5, 6: row 1 ties two neighbours,
+    # row 2 ties two players that are not adjacent, row 3 ties on the wrap
+    offsets = np.array([0, 4, 9, 14, 20])
+    draws = []
+
+    def ties_in_first_draw(rng, count):
+        keys = _raw_keys(rng, count)
+        if not draws:
+            keys[4 + 2] = keys[4 + 1]
+            keys[9 + 3] = keys[9 + 0]
+            keys[14 + 5] = keys[14 + 0]
+        draws.append(keys.copy())
+        return keys
+
+    monkeypatch.setattr(franklin, "_raw_keys", ties_in_first_draw)
+    keys = _draw_distinct_keys(_batch_rng(5, 0), offsets, variant)
+    widths = np.diff(offsets)
+    assert [len(d) for d in draws] == [20, int(widths[redrawn].sum())]
+    # the tied rows take the stream's next words, right after the span, in row order
+    stream = _raw_keys(_batch_rng(5, 0), 20 + len(draws[1]))
+    replaced = np.concatenate([np.arange(offsets[r], offsets[r + 1]) for r in redrawn])
+    assert np.array_equal(keys[replaced], stream[20:])
+    kept = np.setdiff1d(np.arange(20), replaced)
+    assert np.array_equal(keys[kept], draws[0][kept])
+    assert keys[9 + 3] == keys[9 + 0]
+
+
+def test_threads_play_like_sequential_runs():
+    # the tie check's scratch buffer belongs to one call, not to the module
+    assert not [name for name, value in vars(franklin).items() if isinstance(value, np.ndarray)]
+    configs = [
+        SimConfig(RingVariant.TRUE_PERSISTENT, 40, 6000, seed=8),
+        SimConfig(RingVariant.TRUE_PERSISTENT, 300, 6000, seed=8),
+        SimConfig(RingVariant.REDRAW_CIRCULAR, 30, 6000, seed=9),
+    ]
+    sequential = [run_election(config) for config in configs]
+    with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+        threaded = list(pool.map(run_election, configs))
+    for a, b in zip(sequential, threaded):
+        assert np.array_equal(a.rounds, b.rounds)
+        assert np.array_equal(a.trace_flat, b.trace_flat)
 
 
 @pytest.mark.parametrize("seed,shape", [(0, (1,)), (3, (7, 5)), (11, (256, 100)), (2**40, (3, 10_000))])
