@@ -22,17 +22,18 @@ stay in stable ascending width order, and a key is one raw Philox word
 shifted right by one bit (see ``_raw_keys``), so every row reads fixed
 words of its batch's stream.
 
-Ties follow two rules (see ``_draw_distinct_keys``).  Persistent keys
-must be distinct in the whole row, since keys that are not adjacent now
-can become neighbours later; that check sorts a copy of each span in one
-scratch buffer per call.  One-round keys (every round of the redraw
-variants, and both draws of the redraw-circular conditional estimate)
-must differ only where the round compares them: row neighbours, plus
-the wrap on the circular rule.  A tie elsewhere decides no peak and is
-kept, so the redraw law moves by at most the chance of such a tie, about
-w^2 / 2^64 per row of width w.  A row with a forbidden tie is redrawn
-from the words right after its span's draw, so where the rows are cut
-into spans changes the outcome only in a seed where such a tie fires.
+Ties follow one rule, for every variant (see ``_tied_rows``): two keys
+must differ only where a round compares them, that is row neighbours,
+plus the wrap on the circular rules.  Fresh keys are checked as they are
+drawn, and a tied row is redrawn from the words right after its span's
+draw, so where the rows are cut into spans changes the outcome only in a
+seed where such a tie fires.  Persistent keys are checked again in every
+later round that compares them, since keys that are not adjacent can
+become neighbours; a trial whose kept keys tie leaves its batch and is
+played again from round one, on the batch stream's next words, after the
+batch's other trials.  A tie between keys that are never compared
+decides no peak and is kept, so every law moves by at most the chance of
+such a tie, below w^2 / 2^64 per row of width w.
 
 Trials run in fixed-size batches, each with its own counter-based RNG
 substream keyed by (seed, batch index), so results are reproducible
@@ -159,50 +160,43 @@ def _spans(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _tied_rows(keys: np.ndarray, offsets: np.ndarray, variant: RingVariant) -> np.ndarray:
+    """Rows of back-to-back keys in which two keys that the peak mask
+    compares are equal: row neighbours, plus a row's first and last key
+    on the circular rules."""
+    repeats = keys[1:] == keys[:-1]
+    repeats[offsets[1:-1] - 1] = False  # a row's last key and the next row's first
+    if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
+        tied = keys[offsets[:-1]] == keys[offsets[1:] - 1]
+    else:
+        tied = np.zeros(len(offsets) - 1, dtype=bool)
+    tied[np.searchsorted(offsets, np.flatnonzero(repeats), side="right") - 1] = True
+    return tied
+
+
 def _draw_distinct_keys(
-    rng: np.random.Generator,
-    offsets: np.ndarray,
-    variant: RingVariant = RingVariant.TRUE_PERSISTENT,
-    scratch: np.ndarray | None = None,
+    rng: np.random.Generator, offsets: np.ndarray, variant: RingVariant
 ) -> np.ndarray:
     """Back-to-back rows of uniform 63-bit keys (see :func:`_raw_keys`),
     row r holding ``offsets[r + 1] - offsets[r]`` keys, redrawing any row
-    with a tie that can change a peak under ``variant``.
+    in which two keys that the round compares are equal (see
+    :func:`_tied_rows`).
 
-    Two tie rules.  Persistent keys must be distinct in the whole row,
-    since keys that are not adjacent now can become neighbours in a later
-    round: the check sorts a copy of the rows, one row sort per run of
-    equal widths (so rows of one width should be adjacent), in ``scratch``
-    if given, which must hold the keys.  One-round keys (the redraw
-    variants) must differ only where the peak mask compares them: row
-    neighbours, plus a row's first and last key on the circular rule.  A
-    one-round tie elsewhere decides no peak and is kept, so the redraw law
-    moves by at most the chance of such a tie, about w^2 / 2^64 per row of
-    width w.  All rows are drawn with one call; the tied rows are then
-    drawn again, in row order, from the words that follow, and so on until
-    no row ties.
+    All rows are drawn with one call; the tied rows are then drawn again,
+    in row order, from the words that follow, and so on until no row ties.
+    A tie between keys the round does not compare is kept: it decides no
+    peak now, and persistent keys that tie once they become neighbours in
+    a later round are caught there (see :func:`_play`).  So every law
+    moves by at most the chance of a tie between two keys that are never
+    compared, below w^2 / 2^64 per row of width w.
     """
     keys = _raw_keys(rng, int(offsets[-1]))
-    widths = np.diff(offsets)
-    ordered = keys
-    if variant is RingVariant.TRUE_PERSISTENT:
-        ordered = np.empty_like(keys) if scratch is None else scratch[: len(keys)]
-        np.copyto(ordered, keys)
-        cuts = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            ordered[offsets[lo] : offsets[hi]].reshape(-1, widths[lo]).sort(axis=1)
-    repeats = ordered[1:] == ordered[:-1]
-    repeats[offsets[1:-1] - 1] = False  # a row's last key and the next row's first
-    if variant is RingVariant.REDRAW_CIRCULAR:
-        tied = keys[offsets[:-1]] == keys[offsets[1:] - 1]
-    else:
-        tied = np.zeros(len(widths), dtype=bool)
-    tied[np.searchsorted(offsets, np.flatnonzero(repeats), side="right") - 1] = True
-    if not tied.any():
+    tied = np.flatnonzero(_tied_rows(keys, offsets, variant))
+    if not len(tied):
         return keys
-    tied = np.flatnonzero(tied)
-    fresh = _draw_distinct_keys(rng, _offsets(widths[tied]), variant, scratch)
-    for row, redrawn in zip(tied.tolist(), np.split(fresh, np.cumsum(widths[tied])[:-1])):
+    widths = np.diff(offsets)[tied]
+    fresh = _draw_distinct_keys(rng, _offsets(widths), variant)
+    for row, redrawn in zip(tied.tolist(), np.split(fresh, np.cumsum(widths)[:-1])):
         keys[offsets[row] : offsets[row + 1]] = redrawn
     return keys
 
@@ -243,64 +237,97 @@ def _play(
     """Play every trial round by round, yielding ``(round, trials, counts)``.
 
     Each yield covers one round of one batch: the trials that entered it
-    and the survivors of each.  A round is played on flat arrays, one row
-    per trial with its keys back to back, cut by :func:`_spans` into spans
-    of at most ``_SPAN`` words: each span draws its fresh keys with one
-    call, masks its peaks and counts its survivors, and kept keys pass on
-    by one compress into the next round's buffer.  A trial leaves once its
-    count is at most ``config.stop_threshold``, or after ``max_rounds``
-    rounds; the last round allowed keeps no keys.  Rows that get fresh
-    keys stay in stable ascending width order, so every round draws its
-    keys in one fixed order, which fixes the outcome of every seed; rows
-    with kept keys draw nothing and keep the order they survived in.
+    and the survivors of each.  A trial leaves once its count is at most
+    ``config.stop_threshold``, or after ``max_rounds`` rounds.  Keys follow
+    one tie rule (see :func:`_tied_rows`): a fresh row with a tie is
+    redrawn from the words right after its span's draw, and a trial whose
+    kept keys tie in a later round leaves the batch, none of its rounds
+    yielded, and is played again from round one on the batch stream's next
+    words once the batch's last round is done, so it is yielded after the
+    batch's other trials.  A tie between keys never compared is kept, so
+    the law moves by less than w^2 / 2^64 per row of width w.
     """
     if config.n <= config.stop_threshold:
         return
-    persistent = config.variant is RingVariant.TRUE_PERSISTENT
-    scratch = None
-    if persistent:  # room for the tie check of round one's largest span
-        rows = max(1, min(config.trials, _BATCH, _SPAN // config.n))
-        scratch = np.empty(rows * config.n, dtype=np.int64)
     for start in range(0, config.trials, _BATCH):
         stop = min(start + _BATCH, config.trials)
         rng = _batch_rng(config.seed, start // _BATCH)
         trials = np.arange(start, stop, dtype=np.int64)
-        widths = np.full(len(trials), config.n, dtype=np.int64)
-        kept = None  # back-to-back kept keys of the rows, or None to draw
-        round_ = 0
         while len(trials):
-            round_ += 1
-            carry = persistent and round_ != max_rounds
-            offsets = _offsets(widths)
-            counts = np.empty(len(trials), dtype=np.int64)
-            if carry:
-                # circular peaks are never adjacent: at most half of a row
-                survivors, filled = np.empty(int(offsets[-1]) // 2, dtype=np.int64), 0
-            for lo, hi in _spans(offsets):
-                span = offsets[lo : hi + 1] - offsets[lo]
-                if kept is None:
-                    keys = _draw_distinct_keys(rng, span, config.variant, scratch)
-                else:
-                    keys = kept[offsets[lo] : offsets[hi]]
-                mask = _peak_mask(keys, span, config.variant)
-                counts[lo:hi] = _row_counts(mask, span)
-                if carry:
-                    stays = counts[lo:hi] > config.stop_threshold
-                    if not stays.all():
-                        mask &= np.repeat(stays, widths[lo:hi])
-                    words = int(counts[lo:hi][stays].sum())
-                    np.compress(mask, keys, out=survivors[filled : filled + words])
-                    filled += words
-            yield round_, trials, counts
-            if round_ == max_rounds:
-                break
-            stays = counts > config.stop_threshold
-            trials, widths = trials[stays], counts[stays]
-            if persistent:
-                kept = survivors[:filled]
+            steps, trials = _play_rows(config, rng, trials, max_rounds)
+            yield from steps
+
+
+def _play_rows(
+    config: SimConfig,
+    rng: np.random.Generator,
+    trials: np.ndarray,
+    max_rounds: int | None,
+) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray]:
+    """Play ``trials`` from round one on ``rng``; return the rounds of
+    the trials that finished, as :func:`_play` yields them, and the
+    ascending trials to play again, whose kept keys tied.
+
+    A round is played on flat arrays, one row per trial with its keys back
+    to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
+    each span draws its fresh keys with one call, or checks its kept keys
+    for ties, masks its peaks and counts its survivors, and kept keys pass
+    on by one compress into the next round's buffer; the last round
+    allowed keeps no keys.  Rows that get fresh keys stay in stable
+    ascending width order, so every round draws its keys in one fixed
+    order, which fixes the outcome of every seed; rows with kept keys draw
+    nothing and keep the order they survived in.
+    """
+    persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    widths = np.full(len(trials), config.n, dtype=np.int64)
+    kept = None  # back-to-back kept keys of the rows, or None to draw
+    steps, replay = [], []
+    round_ = 0
+    while len(trials):
+        round_ += 1
+        carry = persistent and round_ != max_rounds
+        offsets = _offsets(widths)
+        counts = np.empty(len(trials), dtype=np.int64)
+        tied = np.zeros(len(trials), dtype=bool)
+        if carry:
+            # circular peaks are never adjacent: at most half of a row
+            survivors, filled = np.empty(int(offsets[-1]) // 2, dtype=np.int64), 0
+        for lo, hi in _spans(offsets):
+            span = offsets[lo : hi + 1] - offsets[lo]
+            if kept is None:
+                keys = _draw_distinct_keys(rng, span, config.variant)
             else:
-                order = np.argsort(widths, kind="stable")
-                trials, widths = trials[order], widths[order]
+                keys = kept[offsets[lo] : offsets[hi]]
+                tied[lo:hi] = _tied_rows(keys, span, config.variant)
+            mask = _peak_mask(keys, span, config.variant)
+            counts[lo:hi] = _row_counts(mask, span)
+            if carry:
+                stays = (counts[lo:hi] > config.stop_threshold) & ~tied[lo:hi]
+                if not stays.all():
+                    mask &= np.repeat(stays, widths[lo:hi])
+                words = int(counts[lo:hi][stays].sum())
+                np.compress(mask, keys, out=survivors[filled : filled + words])
+                filled += words
+        if tied.any():
+            replay.append(trials[tied])
+            trials, counts = trials[~tied], counts[~tied]
+        steps.append((round_, trials, counts))
+        if round_ == max_rounds:
+            break
+        stays = counts > config.stop_threshold
+        trials, widths = trials[stays], counts[stays]
+        if persistent:
+            kept = survivors[:filled]
+        else:
+            order = np.argsort(widths, kind="stable")
+            trials, widths = trials[order], widths[order]
+    if not replay:
+        return steps, trials[:0]
+    replay = np.sort(np.concatenate(replay))
+    for i, (round_, done, counts) in enumerate(steps):
+        played = ~np.isin(done, replay)
+        steps[i] = round_, done[played], counts[played]
+    return steps, replay
 
 
 def run_election(config: SimConfig) -> ElectionRecords:
@@ -427,35 +454,40 @@ def conditional_second_round(
 
     Both rounds are played on the circle, so only the circular variants
     are accepted: true-persistent keeps the first round's keys,
-    redraw-circular draws fresh ones.
+    redraw-circular draws fresh ones.  Keys follow the game's one tie rule
+    (see :func:`_play`): a trial whose kept keys tie in the second round
+    is played again from round one, on its batch stream's next words,
+    after the batch's other trials.
     """
     if variant not in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
         raise ValueError(
             "the conditional estimate needs a circular variant "
             f"(true-persistent or redraw-circular), got {variant.value}"
         )
+    if first_round < 2:
+        raise ValueError(f"need first_round >= 2, got {first_round}")
     events = 0
     hits = 0
-    scratch = None
-    if variant is RingVariant.TRUE_PERSISTENT:  # room for the first batch's tie check
-        scratch = np.empty(min(trials, _BATCH) * ring_size, dtype=np.int64)
     for start in range(0, trials, _BATCH):
-        stop = min(start + _BATCH, trials)
         rng = _batch_rng(seed, start // _BATCH)
-        offsets = np.arange(stop - start + 1, dtype=np.int64) * ring_size
-        keys = _draw_distinct_keys(rng, offsets, variant, scratch)
-        mask, counts = _circle_round(keys, ring_size)
-        selected = counts == first_round
-        chosen = int(selected.sum())
-        events += chosen
-        if not chosen:
-            continue
-        if variant is RingVariant.TRUE_PERSISTENT:
-            kept = np.compress(mask & np.repeat(selected, ring_size), keys)
-        else:
+        rows = min(start + _BATCH, trials) - start
+        while rows:
+            offsets = np.arange(rows + 1, dtype=np.int64) * ring_size
+            keys = _draw_distinct_keys(rng, offsets, variant)
+            mask, counts = _circle_round(keys, ring_size)
+            selected = counts == first_round
+            chosen = int(selected.sum())
+            if not chosen:
+                break
             offsets = np.arange(chosen + 1, dtype=np.int64) * first_round
-            kept = _draw_distinct_keys(rng, offsets, variant)
-        hits += int((_circle_round(kept, first_round)[1] == second_round).sum())
+            if variant is RingVariant.TRUE_PERSISTENT:
+                kept = np.compress(mask & np.repeat(selected, ring_size), keys)
+            else:
+                kept = _draw_distinct_keys(rng, offsets, variant)
+            played = _circle_round(kept, first_round)[1][~_tied_rows(kept, offsets, variant)]
+            rows = chosen - len(played)
+            events += len(played)
+            hits += int((played == second_round).sum())
     if events < min_events:
         raise ValueError(
             f"only {events} conditioning events; raise trials (need >= {min_events})"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -62,6 +63,58 @@ def test_exhaustive_second_round_needs_a_second_round():
     # one survivor plays no second round, and the peak kernel needs width >= 2
     with pytest.raises(ValueError, match="first_round >= 2"):
         exhaustive_second_round(first_round=1)
+
+
+def _persistent_round_law(n):
+    """Exact law of the rounds of the persistent game from ``n`` players:
+    every ordering of n distinct keys is played round by round through the
+    flat peak mask, all at once as back-to-back rows, each round's
+    survivors keeping their keys in ring order."""
+    orderings = math.factorial(n)
+    keys = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.int64, count=orderings * n,
+    )
+    widths = np.full(orderings, n, dtype=np.int64)
+    ends = {}
+    round_ = 0
+    while len(widths):
+        round_ += 1
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        mask = _peak_mask(keys, offsets, RingVariant.TRUE_PERSISTENT)
+        counts = _row_counts(mask, offsets)
+        stays = counts > 1
+        ends[round_] = Fraction(int((~stays).sum()), orderings)
+        keys = keys[mask & np.repeat(stays, widths)]
+        widths = counts[stays]
+    return ends
+
+
+def test_persistent_round_law_matches_engine_below_eight():
+    # up to 7 players every second round has at most 3 players, whose
+    # outcome does not depend on the keys, so the persistent law is the
+    # redraw law the engine computes
+    table = compute_phase_table(peak_circular(), 7)
+    for n in range(2, 8):
+        engine = {j: p for j, p in enumerate(table.exact_row(n)) if p}
+        assert _persistent_round_law(n) == engine
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_persistent_elections_follow_the_exact_round_law(n):
+    # seed n, 10^5 trials and the chi-square bound (2 degrees of freedom,
+    # P(> 25) = e^-12.5 under the exact law) were fixed before the first
+    # run; a game that redraws its keys every round is expected near 30 at
+    # n = 8 and 70 at n = 9, so at least n = 9 fails it
+    law = _persistent_round_law(n)
+    trials = 100_000
+    records = run_election(SimConfig(RingVariant.TRUE_PERSISTENT, n, trials, seed=n,
+                                     record_traces=False))
+    hist = records.round_histogram()
+    assert set(hist) <= set(law)
+    chi2 = sum((hist.get(j, 0) - trials * float(p)) ** 2 / (trials * float(p))
+               for j, p in law.items())
+    assert chi2 < 25.0
 
 
 def test_closed_form_c2():
@@ -130,6 +183,14 @@ def test_conditional_rejects_linear_variants(variant):
     # both rounds are played on the circle, which a linear rule is not
     with pytest.raises(ValueError, match="circular variant"):
         conditional_second_round(200_000, seed=3, variant=variant)
+
+
+@pytest.mark.parametrize("variant", [RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR])
+def test_conditional_needs_a_second_round(variant):
+    # one first-round survivor plays no second round; a ring of one key
+    # ties with itself on the wrap, so a redraw could never end
+    with pytest.raises(ValueError, match="first_round >= 2"):
+        conditional_second_round(2000, seed=1, variant=variant, first_round=1)
 
 
 def test_conditional_requires_enough_events():
@@ -310,28 +371,127 @@ def test_one_row_per_span(monkeypatch):
     assert _two_round_digest() == _TWO_ROUND_DIGEST
 
 
-def test_tie_redraws_only_the_tied_row(monkeypatch):
-    # one span of rows of widths 4, 5, 5, 6; row 2 gets a tie, not adjacent
-    offsets = np.array([0, 4, 9, 14, 20])
+def _plant(monkeypatch, plant):
+    """Pass every key draw through ``plant(call, keys)``, which may change
+    the keys in place, and record the draws as they are returned."""
     draws = []
 
-    def tie_in_first_draw(rng, count):
+    def raw_keys(rng, count):
         keys = _raw_keys(rng, count)
-        if not draws:
-            keys[9 + 3] = keys[9 + 0]
+        plant(len(draws), keys)
         draws.append(keys.copy())
         return keys
 
-    monkeypatch.setattr(franklin, "_raw_keys", tie_in_first_draw)
-    keys = _draw_distinct_keys(_batch_rng(5, 0), offsets)
-    assert [len(d) for d in draws] == [20, 5]
-    untouched = np.r_[0:9, 14:20]
-    assert np.array_equal(keys[untouched], draws[0][untouched])
-    # the replacement is the stream's next five words, right after the span
-    stream = _raw_keys(_batch_rng(5, 0), 25)
-    assert np.array_equal(keys[9:14], stream[20:25])
-    rows = np.split(keys, offsets[1:-1])
-    assert all(len(set(row.tolist())) == len(row) for row in rows)
+    monkeypatch.setattr(franklin, "_raw_keys", raw_keys)
+    return draws
+
+
+# Every planted run plays one batch of persistent trials whose round one
+# is a single span, so the batch stream's words after that draw come next.
+_ELECTION = SimConfig(RingVariant.TRUE_PERSISTENT, 6, 50, seed=21)
+
+
+def _elect():
+    records = run_election(_ELECTION)
+    return records.rounds.tolist(), records.trace_flat.tolist()
+
+
+def _two_rounds():
+    return survivors_after_rounds(_ELECTION.variant, _ELECTION.n, _ELECTION.trials,
+                                  _ELECTION.seed).tolist()
+
+
+def _conditional():
+    est = conditional_second_round(_BATCH, seed=21, min_events=1)
+    return est.point, est.trials
+
+
+_GAMES = {"election": (_elect, 6), "two-rounds": (_two_rounds, 6), "conditional": (_conditional, 8)}
+
+
+def _planted_and_reference(monkeypatch, game, plant_row, reference_row):
+    """Play ``game`` with row 1 of its first draw changed by ``plant_row``,
+    then again with that row changed by ``reference_row`` instead; both are
+    given the row and the words the stream holds right after the draw."""
+    play, width = _GAMES[game]
+    stream = _raw_keys(_batch_rng(21, 0), 2 * _BATCH * width)
+
+    def first_draw(change):
+        def plant(call, keys):
+            if call == 0:
+                change(keys[width : 2 * width], stream[len(keys) :])
+        return plant
+
+    draws = _plant(monkeypatch, first_draw(plant_row))
+    planted = play()
+    planted_draws = [len(d) for d in draws]
+    draws = _plant(monkeypatch, first_draw(reference_row))
+    return planted, planted_draws, play(), [len(d) for d in draws]
+
+
+@pytest.mark.parametrize("game", list(_GAMES))
+def test_tie_never_compared_keeps_row_and_stream(monkeypatch, game):
+    # the two lowest keys of a row, two apart: neither is a peak, so no
+    # round compares them, and the tie changes no draw and no outcome
+    def tie(row, after):
+        row[0] = row[2] = 0
+
+    def distinct(row, after):
+        row[0], row[2] = 0, 1
+
+    planted, planted_draws, reference, reference_draws = _planted_and_reference(
+        monkeypatch, game, tie, distinct)
+    assert planted == reference
+    assert planted_draws == reference_draws
+    assert len(planted_draws) == 1
+
+
+@pytest.mark.parametrize("game", list(_GAMES))
+@pytest.mark.parametrize("pair", [(2, 3), (0, -1)], ids=["neighbours", "wrap"])
+def test_round_one_tie_redraws_from_the_next_words(monkeypatch, game, pair):
+    # a tied round-one row is redrawn from the words right after the draw
+    def tie(row, after):
+        row[pair[0]] = row[pair[1]]
+
+    def next_words(row, after):
+        row[:] = after[: len(row)]
+
+    planted, planted_draws, reference, reference_draws = _planted_and_reference(
+        monkeypatch, game, tie, next_words)
+    assert planted == reference
+    assert planted_draws == [reference_draws[0], _GAMES[game][1]]
+
+
+@pytest.mark.parametrize("game", list(_GAMES))
+def test_kept_key_tie_replays_the_trial(monkeypatch, game):
+    # two (or, on the 8-ring, four) equal top keys with one or more players
+    # between them: round one passes the tie check and keeps only them, and
+    # round two would compare equal neighbours, so the trial is played
+    # again from round one on the words after the batch's draw
+    def tie(row, after):
+        row[1::3 if len(row) == 6 else 2] = 2**63 - 1
+
+    def next_words(row, after):
+        row[:] = after[: len(row)]
+
+    planted, planted_draws, reference, reference_draws = _planted_and_reference(
+        monkeypatch, game, tie, next_words)
+    assert planted == reference
+    assert planted_draws == [reference_draws[0], _GAMES[game][1]]
+
+
+def test_replayed_trial_comes_after_the_batch(monkeypatch):
+    def tie(call, keys):
+        if call == 0:
+            keys[6 + 1] = keys[6 + 4] = 2**63 - 1
+
+    _plant(monkeypatch, tie)
+    steps = list(franklin._play(_ELECTION))
+    replay = [i for i, (round_, _, _) in enumerate(steps) if round_ == 1][-1]
+    assert replay > 0
+    assert all(1 not in trials.tolist() for _, trials, _ in steps[:replay])
+    assert [trials.tolist() for _, trials, _ in steps[replay:]] == [[1]] * (len(steps) - replay)
+    assert [round_ for round_, _, _ in steps[replay:]] == list(range(1, len(steps) - replay + 1))
 
 
 @pytest.mark.parametrize(
@@ -340,6 +500,7 @@ def test_tie_redraws_only_the_tied_row(monkeypatch):
         (RingVariant.REDRAW_CIRCULAR, [1, 3]),
         (RingVariant.REDRAW_LINEAR_I, [1]),
         (RingVariant.REDRAW_LINEAR_II, [1]),
+        (RingVariant.TRUE_PERSISTENT, [1, 3]),
     ],
 )
 def test_one_round_keys_tie_only_on_neighbours(monkeypatch, variant, redrawn):
@@ -371,7 +532,7 @@ def test_one_round_keys_tie_only_on_neighbours(monkeypatch, variant, redrawn):
 
 
 def test_threads_play_like_sequential_runs():
-    # the tie check's scratch buffer belongs to one call, not to the module
+    # every buffer belongs to one call: the module holds no arrays
     assert not [name for name, value in vars(franklin).items() if isinstance(value, np.ndarray)]
     configs = [
         SimConfig(RingVariant.TRUE_PERSISTENT, 40, 6000, seed=8),
