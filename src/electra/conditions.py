@@ -31,7 +31,6 @@ class CheckConfig:
     moment_bound: float = 1.0
     epsilon: float = 0.5
     delta_exponent: float = -0.25
-    exact_scan_cap: int = 300  # prefer integer rows in the monotone scan up to here
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -63,19 +62,20 @@ def check_monotone(
     P(Y_{n+1} <= k) > P(Y_n <= k) + tol.
 
     Each consecutive pair is compared within a single backend - integer
-    rows up to ``exact_scan_cap``, float rows for both beyond - so that a
-    seam between backends can never masquerade as a violation of the law
-    itself.  An exact gap is ``(c1 d0 - c0 d1) / (d0 d1)`` on integer cdf
-    prefix sums, with both denominators divided by their gcd first.
+    rows up to the model's ``exact_cutoff``, float rows for both beyond -
+    so that a seam between backends can never masquerade as a violation
+    of the law itself.  An exact gap is ``(c1 d0 - c0 d1) / (d0 d1)`` on
+    integer cdf prefix sums, with both denominators divided by their gcd
+    first.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     violations: list[MonotoneViolation] = []
     for n in range(1, n_max):
-        exact = n + 1 <= config.exact_scan_cap
+        exact = n + 1 <= model.exact_cutoff
         cdf = _exact_cdf if exact else _float_cdf
         # row n's cdf carries over from the last pair unless the backend switched
-        cur = cdf(model, n) if n in (1, config.exact_scan_cap) else nxt
+        cur = cdf(model, n) if n in (1, model.exact_cutoff) else nxt
         nxt = cdf(model, n + 1)
         if exact:
             (c0, d0), (c1, d1) = cur, nxt
@@ -133,16 +133,12 @@ def check_mean_increment(
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
-    exact_alpha = Fraction(alpha) if not isinstance(alpha, float) else None
     means = [model.mean(n) for n in range(1, n_max + 1)]
     diffs = [means[n] - means[n - 1] for n in range(1, n_max)]
     increments = np.array([float(d) for d in diffs])
-    deviations = np.array([
-        float(abs(d - exact_alpha))
-        if exact_alpha is not None and n + 1 <= model.exact_cutoff  # d is exact
-        else abs(float(d) - float(alpha))
-        for n, d in enumerate(diffs, 1)
-    ])
+    # exact while both d and alpha are rationals; a float on either side
+    # makes the difference a float difference
+    deviations = np.array([float(abs(d - alpha)) for d in diffs])
     skip = max(config.increment_skip - 1, 0)
     tail = deviations[skip:]
     return IncrementCheck(

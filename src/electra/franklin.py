@@ -22,18 +22,15 @@ stay in stable ascending width order, and a key is one raw Philox word
 shifted right by one bit (see ``_raw_keys``), so every row reads fixed
 words of its batch's stream.
 
-Ties follow one rule, for every variant (see ``_tied_rows``): two keys
-must differ only where a round compares them, that is row neighbours,
-plus the wrap on the circular rules.  Fresh keys are checked as they are
-drawn, and a tied row is redrawn from the words right after its span's
-draw, so where the rows are cut into spans changes the outcome only in a
-seed where such a tie fires.  Persistent keys are checked again in every
-later round that compares them, since keys that are not adjacent can
-become neighbours; a trial whose kept keys tie leaves its batch and is
-played again from round one, on the batch stream's next words, after the
-batch's other trials.  A tie between keys that are never compared
-decides no peak and is kept, so every law moves by at most the chance of
-such a tie, below w^2 / 2^64 per row of width w.
+Equal keys are ranked by ring position: every round orders its players
+by the pair (key, position), so a player beats its left neighbour on an
+equal key and loses to its right one (see ``_peak_mask``).  Survivors keep
+their ring order, so on persistent keys this is one fixed total order for
+the whole game, and no key is ever checked for ties or redrawn, so no
+draw depends on the values of an earlier one and where the rows are cut
+into spans never changes an outcome.  A game with no equal compared keys
+plays exactly as it would on distinct keys, so every law moves by at most
+the chance of a tie in a row of width w, below w^2 / 2^64.
 
 Trials run in fixed-size batches, each with its own counter-based RNG
 substream keyed by (seed, batch index), so results are reproducible
@@ -160,67 +157,31 @@ def _spans(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _tied_rows(keys: np.ndarray, offsets: np.ndarray, variant: RingVariant) -> np.ndarray:
-    """Rows of back-to-back keys in which two keys that the peak mask
-    compares are equal: row neighbours, plus a row's first and last key
-    on the circular rules."""
-    repeats = keys[1:] == keys[:-1]
-    repeats[offsets[1:-1] - 1] = False  # a row's last key and the next row's first
-    if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
-        tied = keys[offsets[:-1]] == keys[offsets[1:] - 1]
-    else:
-        tied = np.zeros(len(offsets) - 1, dtype=bool)
-    tied[np.searchsorted(offsets, np.flatnonzero(repeats), side="right") - 1] = True
-    return tied
-
-
-def _draw_distinct_keys(
-    rng: np.random.Generator, offsets: np.ndarray, variant: RingVariant
-) -> np.ndarray:
-    """Back-to-back rows of uniform 63-bit keys (see :func:`_raw_keys`),
-    row r holding ``offsets[r + 1] - offsets[r]`` keys, redrawing any row
-    in which two keys that the round compares are equal (see
-    :func:`_tied_rows`).
-
-    All rows are drawn with one call; the tied rows are then drawn again,
-    in row order, from the words that follow, and so on until no row ties.
-    A tie between keys the round does not compare is kept: it decides no
-    peak now, and persistent keys that tie once they become neighbours in
-    a later round are caught there (see :func:`_play`).  So every law
-    moves by at most the chance of a tie between two keys that are never
-    compared, below w^2 / 2^64 per row of width w.
-    """
-    keys = _raw_keys(rng, int(offsets[-1]))
-    tied = np.flatnonzero(_tied_rows(keys, offsets, variant))
-    if not len(tied):
-        return keys
-    widths = np.diff(offsets)[tied]
-    fresh = _draw_distinct_keys(rng, _offsets(widths), variant)
-    for row, redrawn in zip(tied.tolist(), np.split(fresh, np.cumsum(widths)[:-1])):
-        keys[offsets[row] : offsets[row + 1]] = redrawn
-    return keys
-
-
 def _peak_mask(keys: np.ndarray, offsets: np.ndarray, variant: RingVariant) -> np.ndarray:
     """Survivor mask of back-to-back rows, row r being
     ``keys[offsets[r]:offsets[r + 1]]``; every width must be >= 2.
 
-    Interior players compare with both row neighbours.  The first and last
-    player of a row wrap around on the circular rules, compare with their
+    Players are ranked by the pair (key, ring position): a player beats
+    its left neighbour when its key is ``>=`` that neighbour's, and its
+    right neighbour only when its key is strictly ``>``, so equal keys are
+    decided by position and a peak beats both neighbours.  Interior
+    players compare with both row neighbours.  The first and last player
+    of a row wrap around on the circular rules (the last beats the first
+    on ``>=``, the first beats the last only on ``>``), compare with their
     one neighbour on linear-II, and never survive on linear-I.
     """
     mask = np.empty(len(keys), dtype=bool)
     inner = keys[1:-1]
-    np.greater(inner, keys[:-2], out=mask[1:-1])
+    np.greater_equal(inner, keys[:-2], out=mask[1:-1])
     mask[1:-1] &= inner > keys[2:]
     first, last = offsets[:-1], offsets[1:] - 1
     head, tail = keys[first], keys[last]
     if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
         mask[first] = (head > tail) & (head > keys[first + 1])
-        mask[last] = (tail > keys[last - 1]) & (tail > head)
+        mask[last] = (tail >= keys[last - 1]) & (tail >= head)
     elif variant is RingVariant.REDRAW_LINEAR_II:
         mask[first] = head > keys[first + 1]
-        mask[last] = tail > keys[last - 1]
+        mask[last] = tail >= keys[last - 1]
     else:
         mask[first] = mask[last] = False
     return mask
@@ -238,96 +199,62 @@ def _play(
 
     Each yield covers one round of one batch: the trials that entered it
     and the survivors of each.  A trial leaves once its count is at most
-    ``config.stop_threshold``, or after ``max_rounds`` rounds.  Keys follow
-    one tie rule (see :func:`_tied_rows`): a fresh row with a tie is
-    redrawn from the words right after its span's draw, and a trial whose
-    kept keys tie in a later round leaves the batch, none of its rounds
-    yielded, and is played again from round one on the batch stream's next
-    words once the batch's last round is done, so it is yielded after the
-    batch's other trials.  A tie between keys never compared is kept, so
-    the law moves by less than w^2 / 2^64 per row of width w.
+    ``config.stop_threshold``, or after ``max_rounds`` rounds.
+
+    A round is played on flat arrays, one row per trial with its keys back
+    to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
+    each span draws its fresh keys with one call, masks its peaks and
+    counts its survivors, and kept keys pass on by one compress into the
+    next round's buffer; the last round allowed keeps no keys.  Rows that
+    get fresh keys stay in stable ascending width order, so every round
+    draws its keys in one fixed order, which fixes the outcome of every
+    seed; rows with kept keys draw nothing and keep the order they
+    survived in.  Equal keys are ranked by ring position (see
+    :func:`_peak_mask`), so no key is ever redrawn.
     """
     if config.n <= config.stop_threshold:
         return
+    persistent = config.variant is RingVariant.TRUE_PERSISTENT
     for start in range(0, config.trials, _BATCH):
         stop = min(start + _BATCH, config.trials)
         rng = _batch_rng(config.seed, start // _BATCH)
         trials = np.arange(start, stop, dtype=np.int64)
+        widths = np.full(len(trials), config.n, dtype=np.int64)
+        kept = None  # back-to-back kept keys of the rows, or None to draw
+        round_ = 0
         while len(trials):
-            steps, trials = _play_rows(config, rng, trials, max_rounds)
-            yield from steps
-
-
-def _play_rows(
-    config: SimConfig,
-    rng: np.random.Generator,
-    trials: np.ndarray,
-    max_rounds: int | None,
-) -> tuple[list[tuple[int, np.ndarray, np.ndarray]], np.ndarray]:
-    """Play ``trials`` from round one on ``rng``; return the rounds of
-    the trials that finished, as :func:`_play` yields them, and the
-    ascending trials to play again, whose kept keys tied.
-
-    A round is played on flat arrays, one row per trial with its keys back
-    to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
-    each span draws its fresh keys with one call, or checks its kept keys
-    for ties, masks its peaks and counts its survivors, and kept keys pass
-    on by one compress into the next round's buffer; the last round
-    allowed keeps no keys.  Rows that get fresh keys stay in stable
-    ascending width order, so every round draws its keys in one fixed
-    order, which fixes the outcome of every seed; rows with kept keys draw
-    nothing and keep the order they survived in.
-    """
-    persistent = config.variant is RingVariant.TRUE_PERSISTENT
-    widths = np.full(len(trials), config.n, dtype=np.int64)
-    kept = None  # back-to-back kept keys of the rows, or None to draw
-    steps, replay = [], []
-    round_ = 0
-    while len(trials):
-        round_ += 1
-        carry = persistent and round_ != max_rounds
-        offsets = _offsets(widths)
-        counts = np.empty(len(trials), dtype=np.int64)
-        tied = np.zeros(len(trials), dtype=bool)
-        if carry:
-            # circular peaks are never adjacent: at most half of a row
-            survivors, filled = np.empty(int(offsets[-1]) // 2, dtype=np.int64), 0
-        for lo, hi in _spans(offsets):
-            span = offsets[lo : hi + 1] - offsets[lo]
-            if kept is None:
-                keys = _draw_distinct_keys(rng, span, config.variant)
-            else:
-                keys = kept[offsets[lo] : offsets[hi]]
-                tied[lo:hi] = _tied_rows(keys, span, config.variant)
-            mask = _peak_mask(keys, span, config.variant)
-            counts[lo:hi] = _row_counts(mask, span)
+            round_ += 1
+            carry = persistent and round_ != max_rounds
+            offsets = _offsets(widths)
+            counts = np.empty(len(trials), dtype=np.int64)
             if carry:
-                stays = (counts[lo:hi] > config.stop_threshold) & ~tied[lo:hi]
-                if not stays.all():
-                    mask &= np.repeat(stays, widths[lo:hi])
-                words = int(counts[lo:hi][stays].sum())
-                np.compress(mask, keys, out=survivors[filled : filled + words])
-                filled += words
-        if tied.any():
-            replay.append(trials[tied])
-            trials, counts = trials[~tied], counts[~tied]
-        steps.append((round_, trials, counts))
-        if round_ == max_rounds:
-            break
-        stays = counts > config.stop_threshold
-        trials, widths = trials[stays], counts[stays]
-        if persistent:
-            kept = survivors[:filled]
-        else:
-            order = np.argsort(widths, kind="stable")
-            trials, widths = trials[order], widths[order]
-    if not replay:
-        return steps, trials[:0]
-    replay = np.sort(np.concatenate(replay))
-    for i, (round_, done, counts) in enumerate(steps):
-        played = ~np.isin(done, replay)
-        steps[i] = round_, done[played], counts[played]
-    return steps, replay
+                # circular peaks are never adjacent: at most half of a row
+                survivors, filled = np.empty(int(offsets[-1]) // 2, dtype=np.int64), 0
+            for lo, hi in _spans(offsets):
+                span = offsets[lo : hi + 1] - offsets[lo]
+                if kept is None:
+                    keys = _raw_keys(rng, int(span[-1]))
+                else:
+                    keys = kept[offsets[lo] : offsets[hi]]
+                mask = _peak_mask(keys, span, config.variant)
+                counts[lo:hi] = _row_counts(mask, span)
+                if carry:
+                    stays = counts[lo:hi] > config.stop_threshold
+                    if not stays.all():
+                        mask &= np.repeat(stays, widths[lo:hi])
+                    words = int(counts[lo:hi][stays].sum())
+                    np.compress(mask, keys, out=survivors[filled : filled + words])
+                    filled += words
+            yield round_, trials, counts
+            if round_ == max_rounds:
+                break
+            stays = counts > config.stop_threshold
+            trials, widths = trials[stays], counts[stays]
+            if persistent:
+                kept = survivors[:filled]
+            else:
+                order = np.argsort(widths, kind="stable")
+                trials, widths = trials[order], widths[order]
 
 
 def run_election(config: SimConfig) -> ElectionRecords:
@@ -454,10 +381,10 @@ def conditional_second_round(
 
     Both rounds are played on the circle, so only the circular variants
     are accepted: true-persistent keeps the first round's keys,
-    redraw-circular draws fresh ones.  Keys follow the game's one tie rule
-    (see :func:`_play`): a trial whose kept keys tie in the second round
-    is played again from round one, on its batch stream's next words,
-    after the batch's other trials.
+    redraw-circular draws fresh ones.  Equal keys are ranked by ring
+    position, as in every game (see :func:`_peak_mask`), which moves the
+    estimate by less than the chance of a tie in a row of width w,
+    w^2 / 2^64.
     """
     if variant not in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
         raise ValueError(
@@ -471,23 +398,18 @@ def conditional_second_round(
     for start in range(0, trials, _BATCH):
         rng = _batch_rng(seed, start // _BATCH)
         rows = min(start + _BATCH, trials) - start
-        while rows:
-            offsets = np.arange(rows + 1, dtype=np.int64) * ring_size
-            keys = _draw_distinct_keys(rng, offsets, variant)
-            mask, counts = _circle_round(keys, ring_size)
-            selected = counts == first_round
-            chosen = int(selected.sum())
-            if not chosen:
-                break
-            offsets = np.arange(chosen + 1, dtype=np.int64) * first_round
-            if variant is RingVariant.TRUE_PERSISTENT:
-                kept = np.compress(mask & np.repeat(selected, ring_size), keys)
-            else:
-                kept = _draw_distinct_keys(rng, offsets, variant)
-            played = _circle_round(kept, first_round)[1][~_tied_rows(kept, offsets, variant)]
-            rows = chosen - len(played)
-            events += len(played)
-            hits += int((played == second_round).sum())
+        keys = _raw_keys(rng, rows * ring_size)
+        mask, counts = _circle_round(keys, ring_size)
+        selected = counts == first_round
+        chosen = int(selected.sum())
+        if not chosen:
+            continue
+        if variant is RingVariant.TRUE_PERSISTENT:
+            kept = np.compress(mask & np.repeat(selected, ring_size), keys)
+        else:
+            kept = _raw_keys(rng, chosen * first_round)
+        events += chosen
+        hits += int((_circle_round(kept, first_round)[1] == second_round).sum())
     if events < min_events:
         raise ValueError(
             f"only {events} conditioning events; raise trials (need >= {min_events})"

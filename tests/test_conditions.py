@@ -144,7 +144,7 @@ def test_missing_alpha_rejected():
         run_condition_checks(model, 2)
 
 
-def _reference_monotone(model, n_max, config):
+def _reference_monotone(model, n_max):
     """The monotone scan on Fraction (or float) cdfs built from the dict
     rows, each pair within one backend, as a reference for the integer
     prefix sums of ``check_monotone``."""
@@ -160,29 +160,29 @@ def _reference_monotone(model, n_max, config):
 
     violations = []
     for n in range(1, n_max):
-        exact = n + 1 <= config.exact_scan_cap
+        exact = n + 1 <= model.exact_cutoff
         cur, nxt = cdf(n, exact), cdf(n + 1, exact)
         for k in range(1, n + 1):
             gap = float(nxt[k] - cur[k])
-            if gap > config.monotone_tol:
+            if gap > DEFAULT_CONFIG.monotone_tol:
                 violations.append((n, k, gap))
     return violations
 
 
 @pytest.mark.parametrize(
-    "model, n_max, config",
+    "model, n_max",
     [
-        (BiasedCoin(Fraction(3, 10)), 80, DEFAULT_CONFIG),
-        (peak_linear_i(), 130, CheckConfig(exact_scan_cap=100)),
-        (BiasedCoin(Fraction(3, 10)), 80, CheckConfig(exact_scan_cap=40)),
+        (BiasedCoin(Fraction(3, 10)), 80),
+        (peak_linear_i(exact_cutoff=100), 130),
+        (BiasedCoin(Fraction(3, 10), exact_cutoff=40), 80),
     ],
     ids=["biased-coin-0.3", "peak-linear-i", "biased-coin-0.3-cap-40"],
 )
-def test_monotone_matches_fraction_reference(model, n_max, config):
-    # the last two cases cross exact_scan_cap from integer to float rows
-    got = [(v.n, v.k, v.gap) for v in check_monotone(model, n_max, config=config).violations]
-    assert got == _reference_monotone(model, n_max, config)  # gaps bit for bit
-    if config.exact_scan_cap == 40:
+def test_monotone_matches_fraction_reference(model, n_max):
+    # every case crosses the model's exact_cutoff from integer to float rows
+    got = [(v.n, v.k, v.gap) for v in check_monotone(model, n_max).violations]
+    assert got == _reference_monotone(model, n_max)  # gaps bit for bit
+    if model.exact_cutoff == 40:
         assert {n < 40 for n, _, _ in got} == {True, False}  # violations on both sides
     if isinstance(model, BiasedCoin):
         assert len(got) > 382

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -16,7 +17,6 @@ from electra.franklin import (
     RingVariant,
     SimConfig,
     _batch_rng,
-    _draw_distinct_keys,
     _peak_mask,
     _raw_keys,
     _row_counts,
@@ -65,11 +65,14 @@ def test_exhaustive_second_round_needs_a_second_round():
         exhaustive_second_round(first_round=1)
 
 
+@functools.cache
 def _persistent_round_law(n):
-    """Exact law of the rounds of the persistent game from ``n`` players:
-    every ordering of n distinct keys is played round by round through the
-    flat peak mask, all at once as back-to-back rows, each round's
-    survivors keeping their keys in ring order."""
+    """Exact law of the rounds of the persistent game from ``n`` players,
+    and its expected survivors after two rounds over n (a game that ends
+    in round one keeps its count): every ordering of n distinct keys is
+    played round by round through the flat peak mask, all at once as
+    back-to-back rows, each round's survivors keeping their keys in ring
+    order."""
     orderings = math.factorial(n)
     keys = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n))),
@@ -77,6 +80,7 @@ def _persistent_round_law(n):
     )
     widths = np.full(orderings, n, dtype=np.int64)
     ends = {}
+    after_two = 0
     round_ = 0
     while len(widths):
         round_ += 1
@@ -85,9 +89,13 @@ def _persistent_round_law(n):
         counts = _row_counts(mask, offsets)
         stays = counts > 1
         ends[round_] = Fraction(int((~stays).sum()), orderings)
+        if round_ == 1:
+            after_two += int(counts[~stays].sum())  # games over in round one
+        elif round_ == 2:
+            after_two += int(counts.sum())
         keys = keys[mask & np.repeat(stays, widths)]
         widths = counts[stays]
-    return ends
+    return ends, Fraction(after_two, orderings * n)
 
 
 def test_persistent_round_law_matches_engine_below_eight():
@@ -97,7 +105,7 @@ def test_persistent_round_law_matches_engine_below_eight():
     table = compute_phase_table(peak_circular(), 7)
     for n in range(2, 8):
         engine = {j: p for j, p in enumerate(table.exact_row(n)) if p}
-        assert _persistent_round_law(n) == engine
+        assert _persistent_round_law(n)[0] == engine
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -106,7 +114,7 @@ def test_persistent_elections_follow_the_exact_round_law(n):
     # P(> 25) = e^-12.5 under the exact law) were fixed before the first
     # run; a game that redraws its keys every round is expected near 30 at
     # n = 8 and 70 at n = 9, so at least n = 9 fails it
-    law = _persistent_round_law(n)
+    law = _persistent_round_law(n)[0]
     trials = 100_000
     records = run_election(SimConfig(RingVariant.TRUE_PERSISTENT, n, trials, seed=n,
                                      record_traces=False))
@@ -115,6 +123,16 @@ def test_persistent_elections_follow_the_exact_round_law(n):
     chi2 = sum((hist.get(j, 0) - trials * float(p)) ** 2 / (trials * float(p))
                for j, p in law.items())
     assert chi2 < 25.0
+
+
+@pytest.mark.parametrize("n,exact", [(8, Fraction(8, 63)), (9, Fraction(89, 756))], ids=["8", "9"])
+def test_two_round_ratio_matches_exact_enumeration(n, exact):
+    # seed 100 + n, 2 * 10^5 trials and the 4-sigma bound were fixed before
+    # the first run; the redraw ratios (0.127249 at n = 8, 0.118401 at
+    # n = 9) sit about 7.6 and 11.5 standard errors away
+    assert _persistent_round_law(n)[1] == exact
+    est = estimate_c2(n, 200_000, seed=100 + n)
+    assert est.sigmas_from(float(exact)) < 4.0
 
 
 def test_closed_form_c2():
@@ -187,8 +205,8 @@ def test_conditional_rejects_linear_variants(variant):
 
 @pytest.mark.parametrize("variant", [RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR])
 def test_conditional_needs_a_second_round(variant):
-    # one first-round survivor plays no second round; a ring of one key
-    # ties with itself on the wrap, so a redraw could never end
+    # one first-round survivor plays no second round, and the peak mask
+    # needs rows of two or more players
     with pytest.raises(ValueError, match="first_round >= 2"):
         conditional_second_round(2000, seed=1, variant=variant, first_round=1)
 
@@ -232,29 +250,31 @@ def test_linear_i_emergency_exit_terminates():
 
 
 def _peak_flags(row, variant):
-    """Peak definition by hand: neighbours wrap around on the circular
-    rules; on a line the ends compare with their one neighbour (linear-II)
-    or never survive (linear-I)."""
-    last = len(row) - 1
+    """Peak definition by hand: a peak's (key, position) pair beats each
+    neighbour's, so equal keys are ranked by position; neighbours wrap
+    around on the circular rules; on a line the ends compare with their
+    one neighbour (linear-II) or never survive (linear-I)."""
+    width, last = len(row), len(row) - 1
     flags = []
     for i, v in enumerate(row):
         if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
-            neighbours = (row[i - 1], row[(i + 1) % len(row)])
+            neighbours = ((i - 1) % width, (i + 1) % width)
         elif 0 < i < last:
-            neighbours = (row[i - 1], row[i + 1])
+            neighbours = (i - 1, i + 1)
         elif variant is RingVariant.REDRAW_LINEAR_II:
-            neighbours = (row[1] if i == 0 else row[last - 1],)
+            neighbours = (1 if i == 0 else last - 1,)
         else:
             neighbours = None
-        flags.append(neighbours is not None and all(v > u for u in neighbours))
+        flags.append(neighbours is not None and all((v, i) > (row[j], j) for j in neighbours))
     return flags
 
 
 @given(st.lists(st.integers(2, 12).flatmap(lambda width: st.lists(
-    st.integers(-(2**63), 2**63 - 1), min_size=width, max_size=width, unique=True,
+    st.integers(0, 7), min_size=width, max_size=width,
 )), min_size=1, max_size=6))
 def test_peak_mask_matches_definition(rows):
-    # ragged rows of mixed widths, back to back as a round plays them
+    # ragged rows of mixed widths, back to back as a round plays them; keys
+    # from a small range, so that equal neighbours are common
     keys = np.array([key for row in rows for key in row], dtype=np.int64)
     offsets = np.cumsum([0] + [len(row) for row in rows])
     boundary = {
@@ -268,7 +288,8 @@ def test_peak_mask_matches_definition(rows):
         counts = _row_counts(mask, offsets)
         for r, row in enumerate(rows):
             assert list(mask[offsets[r] : offsets[r + 1]]) == _peak_flags(row, variant)
-            assert counts[r] == count_peaks(row, boundary[variant])
+            if len(set(row)) == len(row):
+                assert counts[r] == count_peaks(row, boundary[variant])
 
 
 @pytest.mark.parametrize("variant", list(RingVariant))
@@ -387,7 +408,7 @@ def _plant(monkeypatch, plant):
 
 
 # Every planted run plays one batch of persistent trials whose round one
-# is a single span, so the batch stream's words after that draw come next.
+# is a single span, so one draw holds every key the batch plays.
 _ELECTION = SimConfig(RingVariant.TRUE_PERSISTENT, 6, 50, seed=21)
 
 
@@ -411,15 +432,14 @@ _GAMES = {"election": (_elect, 6), "two-rounds": (_two_rounds, 6), "conditional"
 
 def _planted_and_reference(monkeypatch, game, plant_row, reference_row):
     """Play ``game`` with row 1 of its first draw changed by ``plant_row``,
-    then again with that row changed by ``reference_row`` instead; both are
-    given the row and the words the stream holds right after the draw."""
+    then again with that row changed by ``reference_row`` instead, and
+    return each outcome with the lengths of its draws."""
     play, width = _GAMES[game]
-    stream = _raw_keys(_batch_rng(21, 0), 2 * _BATCH * width)
 
     def first_draw(change):
         def plant(call, keys):
             if call == 0:
-                change(keys[width : 2 * width], stream[len(keys) :])
+                change(keys[width : 2 * width])
         return plant
 
     draws = _plant(monkeypatch, first_draw(plant_row))
@@ -433,10 +453,10 @@ def _planted_and_reference(monkeypatch, game, plant_row, reference_row):
 def test_tie_never_compared_keeps_row_and_stream(monkeypatch, game):
     # the two lowest keys of a row, two apart: neither is a peak, so no
     # round compares them, and the tie changes no draw and no outcome
-    def tie(row, after):
+    def tie(row):
         row[0] = row[2] = 0
 
-    def distinct(row, after):
+    def distinct(row):
         row[0], row[2] = 0, 1
 
     planted, planted_draws, reference, reference_draws = _planted_and_reference(
@@ -446,89 +466,38 @@ def test_tie_never_compared_keeps_row_and_stream(monkeypatch, game):
     assert len(planted_draws) == 1
 
 
-@pytest.mark.parametrize("game", list(_GAMES))
-@pytest.mark.parametrize("pair", [(2, 3), (0, -1)], ids=["neighbours", "wrap"])
-def test_round_one_tie_redraws_from_the_next_words(monkeypatch, game, pair):
-    # a tied round-one row is redrawn from the words right after the draw
-    def tie(row, after):
-        row[pair[0]] = row[pair[1]]
-
-    def next_words(row, after):
-        row[:] = after[: len(row)]
-
-    planted, planted_draws, reference, reference_draws = _planted_and_reference(
-        monkeypatch, game, tie, next_words)
-    assert planted == reference
-    assert planted_draws == [reference_draws[0], _GAMES[game][1]]
+_TOP = 2**63 - 1
 
 
 @pytest.mark.parametrize("game", list(_GAMES))
-def test_kept_key_tie_replays_the_trial(monkeypatch, game):
-    # two (or, on the 8-ring, four) equal top keys with one or more players
-    # between them: round one passes the tie check and keeps only them, and
-    # round two would compare equal neighbours, so the trial is played
-    # again from round one on the words after the batch's draw
-    def tie(row, after):
-        row[1::3 if len(row) == 6 else 2] = 2**63 - 1
+@pytest.mark.parametrize("kind", ["neighbours", "wrap", "kept"])
+def test_ties_rank_by_ring_position(monkeypatch, game, kind):
+    # equal top keys, so that the tied players contend: two row neighbours
+    # or a row's first and last player in round one; or every other player
+    # holding a top key but one, which holds a lower one, so that round one
+    # keeps them all and round two compares equal kept keys that became
+    # neighbours.  Each plays like the same keys with the earlier-position
+    # keys lowered by one per later tied key, and draws no extra words
+    width = _GAMES[game][1]
+    tied = {
+        "neighbours": [2, 3],
+        "wrap": [0, width - 1],
+        "kept": [i for i in range(1, width, 2) if i != width - 3],
+    }[kind]
 
-    def next_words(row, after):
-        row[:] = after[: len(row)]
+    def top_keys(lowered):
+        def change(row):
+            if kind == "kept":
+                row[1::2] = _TOP
+                row[width - 3] = _TOP - 2**32
+            row[tied] = _TOP - lowered * np.arange(len(tied))[::-1]
+        return change
 
     planted, planted_draws, reference, reference_draws = _planted_and_reference(
-        monkeypatch, game, tie, next_words)
+        monkeypatch, game, top_keys(0), top_keys(1))
     assert planted == reference
-    assert planted_draws == [reference_draws[0], _GAMES[game][1]]
-
-
-def test_replayed_trial_comes_after_the_batch(monkeypatch):
-    def tie(call, keys):
-        if call == 0:
-            keys[6 + 1] = keys[6 + 4] = 2**63 - 1
-
-    _plant(monkeypatch, tie)
-    steps = list(franklin._play(_ELECTION))
-    replay = [i for i, (round_, _, _) in enumerate(steps) if round_ == 1][-1]
-    assert replay > 0
-    assert all(1 not in trials.tolist() for _, trials, _ in steps[:replay])
-    assert [trials.tolist() for _, trials, _ in steps[replay:]] == [[1]] * (len(steps) - replay)
-    assert [round_ for round_, _, _ in steps[replay:]] == list(range(1, len(steps) - replay + 1))
-
-
-@pytest.mark.parametrize(
-    "variant,redrawn",
-    [
-        (RingVariant.REDRAW_CIRCULAR, [1, 3]),
-        (RingVariant.REDRAW_LINEAR_I, [1]),
-        (RingVariant.REDRAW_LINEAR_II, [1]),
-        (RingVariant.TRUE_PERSISTENT, [1, 3]),
-    ],
-)
-def test_one_round_keys_tie_only_on_neighbours(monkeypatch, variant, redrawn):
-    # one span of rows of widths 4, 5, 5, 6: row 1 ties two neighbours,
-    # row 2 ties two players that are not adjacent, row 3 ties on the wrap
-    offsets = np.array([0, 4, 9, 14, 20])
-    draws = []
-
-    def ties_in_first_draw(rng, count):
-        keys = _raw_keys(rng, count)
-        if not draws:
-            keys[4 + 2] = keys[4 + 1]
-            keys[9 + 3] = keys[9 + 0]
-            keys[14 + 5] = keys[14 + 0]
-        draws.append(keys.copy())
-        return keys
-
-    monkeypatch.setattr(franklin, "_raw_keys", ties_in_first_draw)
-    keys = _draw_distinct_keys(_batch_rng(5, 0), offsets, variant)
-    widths = np.diff(offsets)
-    assert [len(d) for d in draws] == [20, int(widths[redrawn].sum())]
-    # the tied rows take the stream's next words, right after the span, in row order
-    stream = _raw_keys(_batch_rng(5, 0), 20 + len(draws[1]))
-    replaced = np.concatenate([np.arange(offsets[r], offsets[r + 1]) for r in redrawn])
-    assert np.array_equal(keys[replaced], stream[20:])
-    kept = np.setdiff1d(np.arange(20), replaced)
-    assert np.array_equal(keys[kept], draws[0][kept])
-    assert keys[9 + 3] == keys[9 + 0]
+    assert planted_draws == reference_draws
+    assert len(planted_draws) == 1
 
 
 def test_threads_play_like_sequential_runs():
