@@ -49,6 +49,9 @@ from .models import (
 
 _MODEL_CHOICES = [*_MODEL_BUILDERS, "explicit"]
 
+#: trials of the histogram's ``results.csv`` joined into one write
+_CSV_TRIALS = 1 << 16
+
 
 def _atomic_write(path: Path, write_body) -> None:
     """Write via a temp file in the same directory, then rename."""
@@ -409,14 +412,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         records = run_election(config)
         messages = records.messages
         prefix = f"{variant.value},{args.n},"
-        rounds = records.rounds.tolist()
         # a trial's messages are 2n per round, so its line ends on one of a
         # few tails
-        tails = {r: f",{r},{2 * args.n * r}\n" for r in set(rounds)}
+        tails = {r: f",{r},{2 * args.n * r}\n" for r in np.unique(records.rounds).tolist()}
 
         def results(fh):
-            fh.write("variant,n,trial,rounds,messages\n"
-                     + "".join([f"{prefix}{t}{tails[r]}" for t, r in enumerate(rounds)]))
+            fh.write("variant,n,trial,rounds,messages\n")
+            for lo in range(0, args.trials, _CSV_TRIALS):
+                rounds = records.rounds[lo : lo + _CSV_TRIALS].tolist()
+                fh.write("".join([f"{prefix}{t}{tails[r]}" for t, r in enumerate(rounds, lo)]))
 
         _atomic_write(out / "results.csv", results)
         hist = records.round_histogram()

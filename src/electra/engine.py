@@ -58,6 +58,9 @@ DEFAULT_RESIDUAL_EPS = 1e-12
 
 _J_CAP = 20_000
 
+#: rows of the float table that ``PhaseTable.to_csv`` formats at a time
+_CSV_ROWS = 256
+
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise on object arrays
 
 
@@ -139,9 +142,13 @@ class PhaseTable:
         ``n,j,numerator,denominator`` alongside."""
         with open(path, "w", newline="") as fh:
             fh.write("n,j,prob\n")
-            ns, js = np.nonzero(self.probs > 0.0)  # row-major order
-            values = map(repr, self.probs[ns, js].tolist())
-            fh.writelines(map("{},{},{}\n".format, ns.tolist(), js.tolist(), values))
+            for lo in range(0, len(self.probs), _CSV_ROWS):
+                block = self.probs[lo : lo + _CSV_ROWS]
+                ns, js = np.nonzero(block > 0.0)  # row-major order
+                values = map(repr, block[ns, js].tolist())
+                fh.writelines(
+                    map("{},{},{}\n".format, (ns + lo).tolist(), js.tolist(), values)
+                )
         if exact_path is not None:
             with open(exact_path, "w", newline="") as fh:
                 fh.write("n,j,numerator,denominator\n")
@@ -214,11 +221,11 @@ def compute_phase_table(
     # the float rows alone predict the column count, so the costly exact
     # columns are pulled to it and no further
     units = ([int(j == c) for c in cost] for j in itertools.count())
-    guess, _ = _fill_columns(
+    width = _fill_columns(
         rows, units, a + 1, 64, lambda width: 2 * width, residual_eps, model.name
-    )
+    )[0].shape[1]
     probs, exact_cols = _fill_columns(
-        rows, _exact_columns(rows, cost), a + 1 + len(rows.exact), guess.shape[1],
+        rows, _exact_columns(rows, cost), a + 1 + len(rows.exact), width,
         lambda width: width + 1, residual_eps, model.name,
     )
     j_max = probs.shape[1] - 1

@@ -9,18 +9,23 @@ chains the phase engine computes; simulating them supplies an
 engine-independent consistency check.
 
 One round-stepper, ``_play``, runs every game: it yields each round's
-survivor counts per batch, and ``run_election`` and
+survivor counts per group of trials, and ``run_election`` and
 ``survivors_after_rounds`` only record what it yields.  A round is played
 on flat arrays: trial ids, widths and, for persistent keys, one
 back-to-back array of kept keys.  It is cut into spans of whole rows
 holding at most ``_SPAN`` words, and each span draws its fresh keys (round
 one of every variant, every round of the redraw variants) with one call,
 masks its peaks with one flat kernel (``_peak_mask``), counts survivors
-with one segmented sum and compresses kept keys into the next round's
-buffer, so fresh keys exist only a span at a time.  Rows with fresh keys
-stay in stable ascending width order, and a key is one raw Philox word
-shifted right by one bit (see ``_raw_keys``), so every row reads fixed
-words of its batch's stream.
+per row from their positions and compresses kept keys into a buffer, so
+fresh keys exist only a span at a time.  Rows with fresh keys stay in
+stable ascending width order, and a key is one raw Philox word shifted
+right by one bit (see ``_raw_keys``), so every row reads fixed words of
+its batch's stream.  A group of a redraw variant is a whole batch.  A
+group of persistent keys is one span of round one, played to the end of
+its games before the next span is drawn: persistent keys are drawn in
+round one only, so this reads the same words as playing the batch round
+by round, and the kept keys fit two buffers of half a span, allocated
+once per call.
 
 Equal keys are ranked by ring position: every round orders its players
 by the pair (key, position), so a player beats its left neighbour on an
@@ -188,8 +193,10 @@ def _peak_mask(keys: np.ndarray, offsets: np.ndarray, variant: RingVariant) -> n
 
 
 def _row_counts(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Survivors per row of a back-to-back mask."""
-    return np.add.reduceat(mask, offsets[:-1], dtype=np.int64)
+    """Survivors per row of a back-to-back mask: the survivors' positions
+    cut at the row starts.  ``np.add.reduceat`` would first copy the whole
+    mask to int64, eight bytes a word where this takes eight a survivor."""
+    return np.diff(np.searchsorted(np.flatnonzero(mask), offsets))
 
 
 def _play(
@@ -197,15 +204,25 @@ def _play(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Play every trial round by round, yielding ``(round, trials, counts)``.
 
-    Each yield covers one round of one batch: the trials that entered it
-    and the survivors of each.  A trial leaves once its count is at most
-    ``config.stop_threshold``, or after ``max_rounds`` rounds.
+    Each yield covers one round of one group of trials: the trials that
+    entered it and the survivors of each.  A trial leaves once its count
+    is at most ``config.stop_threshold``, or after ``max_rounds`` rounds.
+
+    The trials of a batch play group by group, every round of a group
+    before the next group starts.  For the redraw variants a group is the
+    whole batch, since their later rounds draw fresh keys in width order
+    over all of its rows.  Persistent keys are drawn in round one only, so
+    their group is one round-one span of ``_SPAN // n`` rows (at most a
+    batch): the groups draw the batch's words in the same order as one
+    breadth-first pass would, and kept keys never fill more than half a
+    span.  Two kept-key buffers of that size are allocated once per call
+    and take turns.
 
     A round is played on flat arrays, one row per trial with its keys back
     to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
     each span draws its fresh keys with one call, masks its peaks and
     counts its survivors, and kept keys pass on by one compress into the
-    next round's buffer; the last round allowed keeps no keys.  Rows that
+    other buffer; the last round allowed keeps no keys.  Rows that
     get fresh keys stay in stable ascending width order, so every round
     draws its keys in one fixed order, which fixes the outcome of every
     seed; rows with kept keys draw nothing and keep the order they
@@ -215,46 +232,52 @@ def _play(
     if config.n <= config.stop_threshold:
         return
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    group = min(max(_SPAN // config.n, 1), _BATCH, config.trials) if persistent else _BATCH
+    # circular peaks are never adjacent, so a round keeps at most half of a
+    # row; two buffers take turns holding a round's kept keys and the next's
+    buffers = [np.empty(group * (config.n // 2) if persistent else 0, dtype=np.int64)
+               for _ in range(2)]
     for start in range(0, config.trials, _BATCH):
         stop = min(start + _BATCH, config.trials)
         rng = _batch_rng(config.seed, start // _BATCH)
-        trials = np.arange(start, stop, dtype=np.int64)
-        widths = np.full(len(trials), config.n, dtype=np.int64)
-        kept = None  # back-to-back kept keys of the rows, or None to draw
-        round_ = 0
-        while len(trials):
-            round_ += 1
-            carry = persistent and round_ != max_rounds
-            offsets = _offsets(widths)
-            counts = np.empty(len(trials), dtype=np.int64)
-            if carry:
-                # circular peaks are never adjacent: at most half of a row
-                survivors, filled = np.empty(int(offsets[-1]) // 2, dtype=np.int64), 0
-            for lo, hi in _spans(offsets):
-                span = offsets[lo : hi + 1] - offsets[lo]
-                if kept is None:
-                    keys = _raw_keys(rng, int(span[-1]))
+        for first in range(start, stop, group):
+            trials = np.arange(first, min(first + group, stop), dtype=np.int64)
+            widths = np.full(len(trials), config.n, dtype=np.int64)
+            kept = None  # back-to-back kept keys of the rows, or None to draw
+            round_ = 0
+            while len(trials):
+                round_ += 1
+                carry = persistent and round_ != max_rounds
+                offsets = _offsets(widths)
+                counts = np.empty(len(trials), dtype=np.int64)
+                survivors, filled = buffers[round_ % 2], 0
+                for lo, hi in _spans(offsets):
+                    span = offsets[lo : hi + 1] - offsets[lo]
+                    if kept is None:
+                        keys = _raw_keys(rng, int(span[-1]))
+                    else:
+                        keys = kept[offsets[lo] : offsets[hi]]
+                    mask = _peak_mask(keys, span, config.variant)
+                    counts[lo:hi] = _row_counts(mask, span)
+                    if carry:
+                        stays = counts[lo:hi] > config.stop_threshold
+                        if not stays.all():
+                            mask &= np.repeat(stays, widths[lo:hi])
+                        words = int(counts[lo:hi][stays].sum())
+                        np.compress(mask, keys, out=survivors[filled : filled + words])
+                        filled += words
+                    # free the span's fresh keys before the next span draws
+                    del keys, mask
+                yield round_, trials, counts
+                if round_ == max_rounds:
+                    break
+                stays = counts > config.stop_threshold
+                trials, widths = trials[stays], counts[stays]
+                if persistent:
+                    kept = survivors[:filled]
                 else:
-                    keys = kept[offsets[lo] : offsets[hi]]
-                mask = _peak_mask(keys, span, config.variant)
-                counts[lo:hi] = _row_counts(mask, span)
-                if carry:
-                    stays = counts[lo:hi] > config.stop_threshold
-                    if not stays.all():
-                        mask &= np.repeat(stays, widths[lo:hi])
-                    words = int(counts[lo:hi][stays].sum())
-                    np.compress(mask, keys, out=survivors[filled : filled + words])
-                    filled += words
-            yield round_, trials, counts
-            if round_ == max_rounds:
-                break
-            stays = counts > config.stop_threshold
-            trials, widths = trials[stays], counts[stays]
-            if persistent:
-                kept = survivors[:filled]
-            else:
-                order = np.argsort(widths, kind="stable")
-                trials, widths = trials[order], widths[order]
+                    order = np.argsort(widths, kind="stable")
+                    trials, widths = trials[order], widths[order]
 
 
 def run_election(config: SimConfig) -> ElectionRecords:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -312,6 +313,36 @@ def test_near_stalling_chain_hits_column_cap():
     model = ExplicitMatrix(rows={2: {1: Fraction(1, 10**6), 2: 1 - Fraction(1, 10**6)}})
     with pytest.raises(RuntimeError, match="did not absorb within 20000 columns"):
         compute_phase_table(model, 2)
+
+
+def _one_shot_csv(table):
+    """``table``'s float CSV built as one string: the reference for the
+    writer that formats a block of rows at a time."""
+    ns, js = np.nonzero(table.probs > 0.0)
+    lines = zip(ns.tolist(), js.tolist(), table.probs[ns, js].tolist())
+    return "n,j,prob\n" + "".join(f"{n},{j},{p!r}\n" for n, j, p in lines)
+
+
+@pytest.mark.parametrize("max_n", [engine._CSV_ROWS // 2, engine._CSV_ROWS - 1, 4096])
+def test_csv_blocks_write_the_one_shot_file(max_n, fair_4096, tmp_path):
+    # fewer rows than a block, exactly one block, and many blocks with a
+    # partial last one
+    table = fair_4096 if max_n == 4096 else compute_phase_table(FairCoin(), max_n)
+    table.to_csv(tmp_path / "probs.csv")
+    digest = hashlib.sha256((tmp_path / "probs.csv").read_bytes()).hexdigest()
+    assert digest == hashlib.sha256(_one_shot_csv(table).encode()).hexdigest()
+
+
+def test_csv_writer_memory_is_one_block(fair_4096, tmp_path):
+    # a block of rows takes about 1.3 MB; formatting all 195,515 entries
+    # at once takes about 18 MB
+    tracemalloc.start()
+    try:
+        fair_4096.to_csv(tmp_path / "probs.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -390,6 +391,34 @@ def test_one_row_per_span(monkeypatch):
     for key, runs in default.items():
         assert list(_grid_runs(*key, trial_counts=(100,))) == runs
     assert _two_round_digest() == _TWO_ROUND_DIGEST
+
+
+def test_persistent_groups_play_like_whole_batches(monkeypatch):
+    # at n = 1000 a group is 262 rows, which divides neither batch of
+    # _BATCH + 300 trials; one span per round plays every batch as one group
+    config = SimConfig(RingVariant.TRUE_PERSISTENT, 1000, _BATCH + 300, seed=16)
+
+    def runs():
+        records = run_election(config)
+        return (records.rounds.tolist(), records.trace_flat.tolist(),
+                survivors_after_rounds(config.variant, config.n, config.trials, seed=17).tolist())
+
+    grouped = runs()
+    monkeypatch.setattr(franklin, "_SPAN", 2**40)
+    assert runs() == grouped
+
+
+def test_persistent_memory_is_one_group():
+    # a group of 26 rows of 10^4 keys is one span: its draw, two half-span
+    # kept-key buffers, and its mask and survivor positions fit in four
+    # spans of words; a batch-wide kept-key buffer alone would take 20 MB
+    tracemalloc.start()
+    try:
+        survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 512, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * franklin._SPAN
 
 
 def _plant(monkeypatch, plant):
