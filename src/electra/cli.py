@@ -36,7 +36,9 @@ from .franklin import (
     run_election,
 )
 from .metrics import (
+    centred_points,
     empirical_limit,
+    log_starts,
     periodicity_reconstruct,
     periodicity_samples,
 )
@@ -221,46 +223,34 @@ def _check_fixtures(model: SurvivorModel, args, table) -> int:
 # figures
 
 
+def _xy_rows(xs, ys, series) -> list[list[str]]:
+    return [[repr(x), repr(y), series] for x, y in zip(xs.tolist(), ys.tolist())]
+
+
 def _scatter_rows(table, alpha, n_lo, n_hi, kind, series):
-    base = math.log(1.0 / float(alpha))
-    rows = []
-    for n in range(max(n_lo, 1), n_hi + 1):
-        ln = math.log(n) / base
-        values = table.cdf_row(n) if kind == "cdf" else table.row(n)
-        for j in range(table.j_max + 1):
-            y = float(values[j])
-            if 1e-12 < y < 1.0 - 1e-12 or (kind == "pmf" and y > 1e-12):
-                rows.append([repr(j - ln), repr(y), series])
-    return rows
+    values = table.cum if kind == "cdf" else table.probs
+    keep = values > 1e-12
+    if kind == "cdf":
+        keep &= values < 1.0 - 1e-12
+    xs, ys, _, _ = centred_points(table, alpha, n_lo, n_hi, values, keep)
+    return _xy_rows(xs, ys, series)
 
 
-def _means_rows(table, alpha, n_lo, n_hi, series):
-    base = math.log(1.0 / float(alpha))
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        ln = math.log(n) / base
-        rows.append([repr(ln), repr(table.mean(n) - ln), series])
-    return rows
-
-
-def _reconstruction_rows(table, alpha, n_lo, n_hi, terms, series):
+def _fit(table, alpha, n_lo, n_hi, terms):
+    """The pooled samples and their periodic fit, then per start n: n,
+    log n, the observed mean residual and the fit's reconstruction of it."""
     samples = periodicity_samples(table, float(alpha), n_lo, n_hi)
     fit = periodicity_reconstruct(samples, fourier_terms=terms)
-    base = math.log(1.0 / float(alpha))
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        x = math.log(n) / base
-        rows.append([repr(x), repr(float(fit.reconstruction(x % 1.0))), series])
-    return rows
+    ns, logs = log_starts(table, alpha, n_lo, n_hi)
+    return samples, fit, ns, logs, table.means[ns] - logs, fit.reconstruction(logs % 1.0)
 
 
 def _overlay_rows(table, alpha, n_hi, kind):
     """Cosmetic overlays on the centered law of ``n_hi``: a moment-matched
     Gumbel cdf on cdf plots (the fit is expectedly bad), a unit-window
     normal cdf difference on pmf plots."""
-    base = math.log(1.0 / float(alpha))
     law = table.row(n_hi)
-    ln = math.log(n_hi) / base
+    ln = float(log_starts(table, alpha, n_hi, n_hi)[1][0])
     js = np.arange(len(law))
     mean = float(np.dot(js, law)) - ln
     var = float(np.dot((js - ln - mean) ** 2, law))
@@ -273,7 +263,7 @@ def _overlay_rows(table, alpha, n_hi, kind):
         ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)))  # normal cdf
         sd = math.sqrt(var)
         ys, series = ndtr((xs - mean) / sd) - ndtr((xs - 1.0 - mean) / sd), "gauss_ref"
-    return [[repr(float(x)), repr(float(y)), series] for x, y in zip(xs, ys)]
+    return _xy_rows(xs, ys, series)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -307,12 +297,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
         model = model_from_name(model_name, exact_cutoff=args.exact_cutoff)
         table = compute_phase_table(model, n_hi, init=InitConvention(init))
         if kind == "means":
-            rows += _means_rows(table, third, n_lo, n_hi, "observed")
+            ns, logs = log_starts(table, third, n_lo, n_hi)
+            rows += _xy_rows(logs, table.means[ns] - logs, "observed")
         elif kind == "recon":
-            rows += _means_rows(table, third, n_lo, n_hi, "observed")
-            rows += _reconstruction_rows(
-                table, third, n_lo, n_hi, args.fourier_terms, "reconstruction"
-            )
+            *_, logs, observed, predicted = _fit(table, third, n_lo, n_hi, args.fourier_terms)
+            rows += _xy_rows(logs, observed, "observed")
+            rows += _xy_rows(logs, predicted, "reconstruction")
         else:
             rows += _scatter_rows(table, third, n_lo, n_hi, kind, "observed")
             if args.overlays:
@@ -469,23 +459,20 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
         raise ValueError(f"need --n-lo >= 1, got {args.n_lo}")
     out = _out_dir(args)
     table = compute_phase_table(model, args.n_hi, init=InitConvention(args.init))
-    samples = periodicity_samples(table, float(alpha), args.n_lo, args.n_hi)
-    fit = periodicity_reconstruct(samples, fourier_terms=args.fourier_terms)
+    samples, fit, ns, logs, observed, predicted = _fit(
+        table, alpha, args.n_lo, args.n_hi, args.fourier_terms
+    )
     _write_csv(
         out / "samples.csv",
         ["y", "mass"],
-        [[repr(float(y)), repr(float(m))] for y, m in zip(samples.ys, samples.masses)],
+        zip(map(repr, samples.ys.tolist()), map(repr, samples.masses.tolist())),
     )
-    base = math.log(1.0 / float(alpha))
-    rows = []
-    worst = 0.0
-    for n in range(args.n_lo, args.n_hi + 1):
-        x = math.log(n) / base
-        observed = table.mean(n) - x
-        predicted = float(fit.reconstruction(x % 1.0))
-        worst = max(worst, abs(observed - predicted))
-        rows.append([n, repr(x), repr(observed), repr(predicted)])
-    _write_csv(out / "residuals.csv", ["n", "log_n", "observed", "reconstruction"], rows)
+    _write_csv(
+        out / "residuals.csv",
+        ["n", "log_n", "observed", "reconstruction"],
+        zip(ns.tolist(), *(map(repr, v.tolist()) for v in (logs, observed, predicted))),
+    )
+    worst = float(np.abs(observed - predicted).max())
     scatter = empirical_limit(table, float(alpha), args.n_lo, args.n_hi)
     _echo_config(out, args)
     print(

@@ -163,17 +163,20 @@ class PhaseTable:
         """Write ``n,x,log_alpha_n,phi_residual`` rows (log base 1/alpha)."""
         if alpha is None:
             alpha = self.model.declared_alpha
-        base = None if alpha is None else math.log(1.0 / float(alpha))
+        logs = [None] * (self.max_n + 1)
+        if alpha is not None:
+            from .metrics import log_starts  # metrics builds on this module
 
-        def line(n: int, x: float) -> str:
-            if n < 1 or base is None:
+            logs[1:] = log_starts(self, alpha, 1, self.max_n)[1].tolist()
+
+        def line(n: int, x: float, ln: float | None) -> str:
+            if ln is None:
                 return f"{n},{x!r},,\n"
-            ln = math.log(n) / base
             return f"{n},{x!r},{ln!r},{x - ln!r}\n"
 
         with open(path, "w", newline="") as fh:
             fh.write("n,x,log_alpha_n,phi_residual\n")
-            fh.writelines(map(line, itertools.count(), self.means.tolist()))
+            fh.writelines(map(line, itertools.count(), self.means.tolist(), logs))
 
 
 def _validate_setup(

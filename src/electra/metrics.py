@@ -3,10 +3,14 @@ numerical Laplace/Fourier machinery for log-periodic residuals.
 
 The centering throughout is x = j - log(n)/log(1/alpha): as n grows the
 phase law collapses (in the appropriate sense) onto a fixed profile in x,
-up to a periodic drift.  This module measures that collapse, rebuilds the
-periodic mean residual from a numerically estimated Laplace transform,
-and carries the closed forms available for the halving toy chain and the
-fair-coin game.
+up to a periodic drift.  :func:`log_starts` is the one place that log is
+taken, for every scatter, sample pool and residual here and in the CLI.
+It calls ``math.log`` once per n because ``np.log`` may differ from it in
+the last bit (numpy 2.4.6 does at n = 9170 and 19143), which would move
+the published figure and periodicity files.  This module measures the
+collapse, rebuilds the periodic mean residual from a numerically
+estimated Laplace transform, and carries the closed forms available for
+the halving toy chain and the fair-coin game.
 """
 from __future__ import annotations
 
@@ -123,6 +127,8 @@ def ceil_shift_law(cdf, shift: float, *, tail: float = 1e-13) -> IntegerLaw:
 
     P(ceil(Z + shift) = k) = cdf(k - shift) - cdf(k - 1 - shift); the
     support is scanned outward until both tails fall below ``tail``.
+    ``cdf`` must take a float or an array and answer in kind, as
+    :func:`fair_coin_limit_cdf` and :func:`toy_limit_cdf` do.
     """
     center = int(math.floor(shift))
     lo = center
@@ -136,9 +142,7 @@ def ceil_shift_law(cdf, shift: float, *, tail: float = 1e-13) -> IntegerLaw:
         if hi - center > 10_000:
             raise ValueError("right tail does not vanish")
     ks = np.arange(lo, hi + 1)
-    upper = np.array([cdf(k - shift) for k in ks])
-    lower = np.array([cdf(k - 1 - shift) for k in ks])
-    probs = np.clip(upper - lower, 0.0, None)
+    probs = np.clip(cdf(ks - shift) - cdf(ks - 1 - shift), 0.0, None)
     probs /= probs.sum()
     return IntegerLaw(offset=lo, probs=probs)
 
@@ -146,97 +150,102 @@ def ceil_shift_law(cdf, shift: float, *, tail: float = 1e-13) -> IntegerLaw:
 # ---------------------------------------------------------------------------
 # empirical limit scatter
 
+#: cdf values below this, or after one above 1 minus this, leave the scatter
+_DROP_TAIL = 1e-12
+#: phase masses at or below this are left out of the Laplace samples
+_MIN_MASS = 0.0
+#: x distance within which a collapsed scatter must be nondecreasing
+_WINDOW = 0.05
+#: rise below which a step down in the scatter is not a violation
+_TOL = 1e-9
+#: window entries gathered at a time by the monotonicity passes
+_CHUNK_CELLS = 1 << 16
 
-def _log_base(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
+
+def log_starts(table: PhaseTable, alpha, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts n in [max(n_lo, 1), n_hi] and their log(n)/log(1/alpha)."""
+    if n_lo > n_hi:
+        raise ValueError("empty n range")
+    if n_hi > table.max_n:
+        raise ValueError(f"table covers n <= {table.max_n}, asked for {n_hi}")
+    if not 0.0 < float(alpha) < 1.0:
         raise ValueError(f"need survival ratio alpha in (0,1), got {alpha}")
-    return math.log(1.0 / alpha)
+    ns = np.arange(max(n_lo, 1), n_hi + 1)
+    logs = np.array([math.log(n) for n in ns.tolist()], dtype=float)
+    return ns, logs / math.log(1.0 / float(alpha))
+
+
+def centred_points(
+    table: PhaseTable, alpha, n_lo: int, n_hi: int, values: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, value, n, j) of the entries of ``values`` (``table.cum`` or
+    ``table.probs``) that the mask ``keep`` marks, over the starts of
+    :func:`log_starts`, in (n, j) order."""
+    ns, logs = log_starts(table, alpha, n_lo, n_hi)
+    rows, js = np.nonzero(keep[ns])
+    return js - logs[rows], values[ns[rows], js], ns[rows], js
 
 
 @dataclass(frozen=True)
 class LimitScatter:
-    """Scatter {(j - log n, cumulative prob)} approximating the limit cdf."""
+    """Scatter {(j - log n, cumulative prob)} approximating the limit cdf,
+    sorted by x."""
 
     xs: np.ndarray
     ys: np.ndarray
     ns: np.ndarray
     js: np.ndarray
 
-    def collapse_spread(self, *, window: float = 0.05, top_half: bool = True) -> float:
-        """Worst vertical drop between nearly-equal x values.
+    def collapse_spread(self) -> float:
+        """Worst vertical drop between nearly-equal x values, over the
+        upper half of the n range.
 
         For samples i, m with x_i <= x_m <= x_i + window a collapse onto a
         nondecreasing limit demands y_i <= y_m; the spread is the largest
         violation.  Zero for an exact collapse, strictly positive when the
         limit is genuinely non-monotone.
         """
-        xs, ys = self.xs, self.ys
-        if top_half:
-            n_cut = (self.ns.min() + self.ns.max()) / 2.0
-            keep = self.ns >= n_cut
-            xs, ys = xs[keep], ys[keep]
+        keep = self.ns >= (self.ns.min() + self.ns.max()) / 2.0
+        ys = self.ys[keep]
         worst = 0.0
-        start = 0
-        for i in range(len(xs)):
-            while xs[start] < xs[i] - window:
-                start += 1
-            ahead = ys[start:i]
-            if len(ahead):
-                worst = max(worst, float(ahead.max() - ys[i]))
+        for rows, ahead in _windows(self.xs[keep], ys):
+            worst = max(worst, float((ahead.max(axis=1) - ys[rows]).max()))
         return worst
 
-    def monotone_violations(self, *, window: float = 0.05, tol: float = 1e-9) -> int:
-        """Count of sample pairs within ``window`` in x that step downward."""
-        count = 0
-        start = 0
-        for i in range(len(self.xs)):
-            while self.xs[start] < self.xs[i] - window:
-                start += 1
-            ahead = self.ys[start:i]
-            count += int(np.sum(ahead > self.ys[i] + tol))
-        return count
+    def monotone_violations(self) -> int:
+        """Count of sample pairs within the window in x that step downward."""
+        return sum(
+            int(np.count_nonzero(ahead > (self.ys[rows] + _TOL)[:, None]))
+            for rows, ahead in _windows(self.xs, self.ys)
+        )
 
     def sup_gap_to(self, cdf) -> float:
-        """sup over samples of |observed - cdf(x)|."""
-        ref = np.array([cdf(x) for x in self.xs])
-        return float(np.abs(self.ys - ref).max())
+        """sup over samples of |observed - cdf(x)|; ``cdf`` takes the
+        whole array of x, as the closed-form limit cdfs here do."""
+        return float(np.abs(self.ys - cdf(self.xs)).max())
 
 
-def empirical_limit(
-    table: PhaseTable,
-    alpha: float,
-    n_lo: int,
-    n_hi: int,
-    *,
-    drop_tail: float = 1e-12,
-) -> LimitScatter:
+def _windows(xs: np.ndarray, ys: np.ndarray):
+    """Blocks of sorted samples i with the ys of the samples before them
+    within the window, x_i - window <= x_m and m < i, padded with -inf."""
+    starts = np.searchsorted(xs, xs - _WINDOW, side="left")
+    width = max(int((np.arange(len(xs)) - starts).max(initial=0)), 1)
+    step = max(_CHUNK_CELLS // width, 1)
+    for lo in range(0, len(xs), step):
+        rows = np.arange(lo, min(lo + step, len(xs)))
+        at = starts[rows, None] + np.arange(width)
+        before = at < rows[:, None]
+        yield rows, np.where(before, ys[np.where(before, at, 0)], -np.inf)
+
+
+def empirical_limit(table: PhaseTable, alpha: float, n_lo: int, n_hi: int) -> LimitScatter:
     """Collect the scatter of cumulative phase probabilities against
     x = j - log(n)/log(1/alpha) for n in [n_lo, n_hi]."""
-    if n_lo > n_hi:
-        raise ValueError("empty n range")
-    if n_hi > table.max_n:
-        raise ValueError(f"table covers n <= {table.max_n}, asked for {n_hi}")
-    base = _log_base(float(alpha))
-    xs, ys, ns, js = [], [], [], []
-    for n in range(max(n_lo, 1), n_hi + 1):
-        ln = math.log(n) / base
-        cum = table.cdf_row(n)
-        for j in range(table.j_max + 1):
-            y = float(cum[j])
-            saturated = j > 0 and cum[j - 1] > 1.0 - drop_tail
-            if y < drop_tail or saturated:
-                continue
-            xs.append(j - ln)
-            ys.append(y)
-            ns.append(n)
-            js.append(j)
+    keep = table.cum >= _DROP_TAIL
+    keep[:, 1:] &= table.cum[:, :-1] <= 1.0 - _DROP_TAIL
+    xs, ys, ns, js = centred_points(table, alpha, n_lo, n_hi, table.cum, keep)
     order = np.argsort(xs, kind="stable")
-    return LimitScatter(
-        xs=np.asarray(xs)[order],
-        ys=np.asarray(ys)[order],
-        ns=np.asarray(ns)[order],
-        js=np.asarray(js)[order],
-    )
+    return LimitScatter(xs=xs[order], ys=ys[order], ns=ns[order], js=js[order])
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +270,19 @@ class PeriodicitySamples:
         return len(self.ys)
 
 
-def periodicity_samples(
-    table: PhaseTable,
-    alpha: float,
-    n_lo: int,
-    n_hi: int,
-    *,
-    min_mass: float = 0.0,
-) -> PeriodicitySamples:
+def periodicity_samples(table: PhaseTable, alpha: float, n_lo: int, n_hi: int) -> PeriodicitySamples:
     """Point masses of the phase law against x = j - log n, pooled over n."""
-    if n_hi > table.max_n:
-        raise ValueError(f"table covers n <= {table.max_n}, asked for {n_hi}")
-    base = _log_base(float(alpha))
-    pool: dict[float, list[float]] = {}
-    for n in range(max(n_lo, 1), n_hi + 1):
-        ln = math.log(n) / base
-        row = table.row(n)
-        for j in range(table.j_max + 1):
-            mass = float(row[j])
-            if mass > min_mass:
-                pool.setdefault(j - ln, []).append(mass)
-    ys = np.array(sorted(pool))
-    masses = np.array([sum(pool[y]) / len(pool[y]) for y in ys])
-    return PeriodicitySamples(ys=ys, masses=masses)
+    xs, masses, _, _ = centred_points(
+        table, alpha, n_lo, n_hi, table.probs, table.probs > _MIN_MASS
+    )
+    order = np.argsort(xs, kind="stable")
+    masses = masses[order]
+    ys, first, counts = np.unique(xs[order], return_index=True, return_counts=True)
+    totals = np.zeros(len(ys))
+    for k in range(counts.max(initial=0)):  # tied masses added in (n, j) order
+        tied = counts > k
+        totals[tied] += masses[first[tied] + k]
+    return PeriodicitySamples(ys=ys, masses=totals / counts)
 
 
 def laplace_transform(samples: PeriodicitySamples, alpha: complex) -> complex:

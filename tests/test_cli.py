@@ -237,10 +237,14 @@ def test_given_alpha_sets_the_log_base(tmp_path):
     assert float(rows[9]["log_alpha_n"]) == pytest.approx(2.0)  # log_3 9
 
 
-def test_periodicity_rejects_n_lo_below_one(tmp_path, capsys):
-    assert main(["periodicity", "--model", "toy", "--n-lo", "0", "--n-hi", "60",
+@pytest.mark.parametrize("n_lo, n_hi, message", [
+    pytest.param("0", "60", "--n-lo", id="below-one"),
+    pytest.param("500", "100", "empty n range", id="above-n-hi"),
+])
+def test_periodicity_rejects_n_lo_below_one(tmp_path, capsys, n_lo, n_hi, message):
+    assert main(["periodicity", "--model", "toy", "--n-lo", n_lo, "--n-hi", n_hi,
                  "--out", str(tmp_path)]) == 2
-    assert "--n-lo" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _mostly(good, bad):

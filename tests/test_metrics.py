@@ -108,11 +108,102 @@ def test_fair_scatter_collapses_to_limit(fair_4096):
     assert scatter.collapse_spread() < 1e-12
 
 
-def test_altcost_limit_is_not_monotone():
-    table = compute_phase_table(peak_linear_i(), 500, init=InitConvention.ALT_COST)
-    scatter = empirical_limit(table, 1.0 / 3.0, 5, 500)
+@pytest.fixture(scope="module")
+def altcost_500():
+    return compute_phase_table(peak_linear_i(), 500, init=InitConvention.ALT_COST)
+
+
+def test_altcost_limit_is_not_monotone(altcost_500):
+    scatter = empirical_limit(altcost_500, 1.0 / 3.0, 5, 500)
     assert scatter.monotone_violations() > 0
     assert scatter.collapse_spread() > 0.02  # measured 0.050 over n = 5..500
+
+
+# Per-point loop forms of the metrics array passes: the oracle they must equal exactly.
+
+
+def _reference_empirical_limit(table, alpha, n_lo, n_hi, drop_tail=1e-12):
+    base = math.log(1.0 / alpha)
+    xs, ys, ns, js = [], [], [], []
+    for n in range(max(n_lo, 1), n_hi + 1):
+        ln = math.log(n) / base
+        cum = table.cdf_row(n)
+        for j in range(table.j_max + 1):
+            y = float(cum[j])
+            saturated = j > 0 and cum[j - 1] > 1.0 - drop_tail
+            if y < drop_tail or saturated:
+                continue
+            xs.append(j - ln)
+            ys.append(y)
+            ns.append(n)
+            js.append(j)
+    order = np.argsort(xs, kind="stable")
+    return [np.asarray(v)[order] for v in (xs, ys, ns, js)]
+
+
+def _reference_periodicity_samples(table, alpha, n_lo, n_hi):
+    base = math.log(1.0 / alpha)
+    pool = {}
+    for n in range(max(n_lo, 1), n_hi + 1):
+        ln = math.log(n) / base
+        row = table.row(n)
+        for j in range(table.j_max + 1):
+            mass = float(row[j])
+            if mass > 0.0:
+                pool.setdefault(j - ln, []).append(mass)
+    ys = np.array(sorted(pool))
+    return ys, np.array([sum(pool[y]) / len(pool[y]) for y in ys])
+
+
+def _reference_collapse_spread(xs, ys, ns, window=0.05):
+    keep = ns >= (ns.min() + ns.max()) / 2.0
+    xs, ys = xs[keep], ys[keep]
+    worst = 0.0
+    start = 0
+    for i in range(len(xs)):
+        while xs[start] < xs[i] - window:
+            start += 1
+        ahead = ys[start:i]
+        if len(ahead):
+            worst = max(worst, float(ahead.max() - ys[i]))
+    return worst
+
+
+def _reference_monotone_violations(xs, ys, window=0.05, tol=1e-9):
+    count = 0
+    start = 0
+    for i in range(len(xs)):
+        while xs[start] < xs[i] - window:
+            start += 1
+        count += int(np.sum(ys[start:i] > ys[i] + tol))
+    return count
+
+
+def _reference_sup_gap(xs, ys, cdf):
+    return float(np.abs(ys - np.array([cdf(x) for x in xs])).max())
+
+
+@pytest.mark.parametrize(
+    "fixture, alpha, n_lo, n_hi, cdf",
+    [
+        ("toy_1024", 0.5, 4, 512, toy_limit_cdf),  # exact collapse
+        ("fair_4096", 0.5, 256, 4096, fair_coin_limit_cdf),  # tied pooled keys
+        ("altcost_500", 1.0 / 3.0, 5, 500, toy_limit_cdf),  # violations > 0
+    ],
+)
+def test_array_passes_equal_the_loops(request, fixture, alpha, n_lo, n_hi, cdf):
+    table = request.getfixturevalue(fixture)
+    scatter = empirical_limit(table, alpha, n_lo, n_hi)
+    xs, ys, ns, js = _reference_empirical_limit(table, alpha, n_lo, n_hi)
+    for got, want in zip((scatter.xs, scatter.ys, scatter.ns, scatter.js), (xs, ys, ns, js)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    samples = periodicity_samples(table, alpha, n_lo, n_hi)
+    want_ys, want_masses = _reference_periodicity_samples(table, alpha, n_lo, n_hi)
+    assert np.array_equal(samples.ys, want_ys)
+    assert np.array_equal(samples.masses, want_masses)
+    assert scatter.collapse_spread() == _reference_collapse_spread(xs, ys, ns)
+    assert scatter.monotone_violations() == _reference_monotone_violations(xs, ys)
+    assert scatter.sup_gap_to(cdf) == _reference_sup_gap(xs, ys, cdf)
 
 
 def test_laplace_self_calibration(toy_1024, fair_4096):
