@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, fixtures
 from .conditions import run_condition_checks
-from .engine import InitConvention, compute_phase_table
+from .engine import InitConvention, compute_phase_table, decimal_str
 from .franklin import (
     RingVariant,
     SimConfig,
@@ -81,7 +81,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _ratio_line(n: int, k: int, num: int, den: int) -> str:
     """One ``n,k,numerator,denominator`` line of ``num / den`` in lowest terms."""
     g = math.gcd(num, den)
-    return f"{n},{k},{num // g},{den // g}\n"
+    return f"{n},{k},{decimal_str(num // g)},{decimal_str(den // g)}\n"
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -238,10 +238,16 @@ def _scatter_rows(table, alpha, n_lo, n_hi, kind, series):
 
 def _fit(table, alpha, n_lo, n_hi, terms):
     """The pooled samples and their periodic fit, then per start n: n,
-    log n, the observed mean residual and the fit's reconstruction of it."""
+    log n, the observed mean residual and the fit's reconstruction of it.
+    The starts must span one period of log_{1/alpha} n: n_hi * alpha >= n_lo."""
+    ns, logs = log_starts(table, alpha, n_lo, n_hi)
+    if n_hi * alpha < n_lo:
+        raise ValueError(
+            f"the starts {n_lo}..{n_hi} span less than one period of log_(1/alpha) n; "
+            f"need n_hi * alpha >= n_lo, got {n_hi} * {alpha} < {n_lo}"
+        )
     samples = periodicity_samples(table, float(alpha), n_lo, n_hi)
     fit = periodicity_reconstruct(samples, fourier_terms=terms)
-    ns, logs = log_starts(table, alpha, n_lo, n_hi)
     return samples, fit, ns, logs, table.means[ns] - logs, fit.reconstruction(logs % 1.0)
 
 
@@ -553,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     period = subs.add_parser("periodicity", help="Laplace/Fourier residual extraction")
     _add_model_options(period)
     period.add_argument("--alpha", type=_fraction, default=None)
-    period.add_argument("--n-lo", type=int, default=50)
+    period.add_argument("--n-lo", type=int, default=50,
+                        help="smallest start; the starts must span one period of "
+                             "log_(1/alpha) n, so n_hi * alpha >= n_lo")
     period.add_argument("--n-hi", type=int, default=500)
     period.add_argument("--init", choices=["standard", "altcost"], default="standard")
     period.add_argument("--fourier-terms", type=int, default=5)

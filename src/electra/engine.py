@@ -64,6 +64,24 @@ _CSV_ROWS = 256
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise on object arrays
 
 
+#: bits of an int that ``str`` writes under any int-to-str digit limit:
+#: 2000 bits is at most 603 digits, and no limit can be set below 640
+_STR_BITS = 2000
+
+
+def decimal_str(x: int) -> str:
+    """``str(x)`` of an int ``x >= 0``, also past the interpreter's limit on
+    the digits of an int-to-str conversion (``sys.get_int_max_str_digits``):
+    a longer integer is split by a power of ten and its halves written in
+    turn.  The process-wide limit is left alone, since tables are shared
+    across threads."""
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    hi, lo = divmod(x, 10**k)
+    return decimal_str(hi) + decimal_str(lo).zfill(k)
+
+
 class InitConvention(str, Enum):
     STANDARD = "standard"  # ending with nobody left costs nothing extra
     ALT_COST = "altcost"  # the final forced pick costs one phase
@@ -138,22 +156,35 @@ class PhaseTable:
             raise ValueError(f"row {n} outside 0..{self.max_n}")
 
     def to_csv(self, path: str | Path, *, exact_path: str | Path | None = None) -> None:
-        """Write ``n,j,prob`` rows; optionally the exact regime as
-        ``n,j,numerator,denominator`` alongside."""
+        """Write the float law to ``path``; optionally the exact rows to
+        ``exact_path``.
+
+        ``path`` gets the header ``n,j,prob`` and one line per entry with
+        ``probs[n, j] > 0.0``, in (n, j) order, the value written as its
+        ``repr``: the shortest decimal that reads back as the same float,
+        so the file round-trips exactly.  ``exact_path`` gets the header
+        ``n,j,numerator,denominator`` and one line per nonzero exact entry
+        in lowest terms, integers of any length written in full.
+
+        ``repr`` is the floor of the float file and most of its cost; it
+        stays, since no other format is both exact and this short.  So the
+        writer adds as little as it can around it: each row is one
+        ``"".join`` of f-strings over the prefix ``"n,"``, built once per
+        row, and the prefixes ``"j,"``, built once per table.  Rows are
+        listed ``_CSV_ROWS`` at a time, so memory stays one block.
+        """
+        cols = [f"{j}," for j in range(self.probs.shape[1])]
         with open(path, "w", newline="") as fh:
             fh.write("n,j,prob\n")
             for lo in range(0, len(self.probs), _CSV_ROWS):
-                block = self.probs[lo : lo + _CSV_ROWS]
-                ns, js = np.nonzero(block > 0.0)  # row-major order
-                values = map(repr, block[ns, js].tolist())
-                fh.writelines(
-                    map("{},{},{}\n".format, (ns + lo).tolist(), js.tolist(), values)
-                )
+                for n, row in enumerate(self.probs[lo : lo + _CSV_ROWS].tolist(), lo):
+                    pn = f"{n},"
+                    fh.write("".join([f"{pn}{c}{p!r}\n" for c, p in zip(cols, row) if p > 0.0]))
         if exact_path is not None:
             with open(exact_path, "w", newline="") as fh:
                 fh.write("n,j,numerator,denominator\n")
                 fh.writelines(
-                    f"{n},{j},{p.numerator},{p.denominator}\n"
+                    f"{n},{j},{decimal_str(p.numerator)},{decimal_str(p.denominator)}\n"
                     for n in sorted(self.exact_rows)
                     for j, p in enumerate(self.exact_rows[n])
                     if p

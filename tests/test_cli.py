@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import electra
-from electra.cli import _MODEL_CHOICES, main
+from electra.cli import _MODEL_CHOICES, _ratio_line, main
 
 
 def _rows(path):
@@ -220,6 +220,17 @@ def test_bad_fractions_exit_2(tmp_path, capsys, argv):
     assert "not a fraction" in capsys.readouterr().err
 
 
+def test_ratio_line_writes_integers_past_the_digit_limit():
+    num, den = 3**20_000, 2**40_000  # coprime, 9,543 and 12,042 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"7,5,{num},{den}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _ratio_line(7, 5, 4 * num, 4 * den) == want
+
+
 @pytest.mark.parametrize("command", [
     ["table", "--model", "toy", "--max-n", "8"],
     ["periodicity", "--model", "toy", "--n-hi", "60"],
@@ -237,12 +248,14 @@ def test_given_alpha_sets_the_log_base(tmp_path):
     assert float(rows[9]["log_alpha_n"]) == pytest.approx(2.0)  # log_3 9
 
 
-@pytest.mark.parametrize("n_lo, n_hi, message", [
-    pytest.param("0", "60", "--n-lo", id="below-one"),
-    pytest.param("500", "100", "empty n range", id="above-n-hi"),
+@pytest.mark.parametrize("model, n_lo, n_hi, message", [
+    pytest.param("toy", "0", "60", "--n-lo", id="below-one"),
+    pytest.param("toy", "500", "100", "empty n range", id="above-n-hi"),
+    pytest.param("fair-coin", "256", "300", "n_hi * alpha >= n_lo", id="under-a-period"),
+    pytest.param("fair-coin", "5", "5", "n_hi * alpha >= n_lo", id="one-start"),
 ])
-def test_periodicity_rejects_n_lo_below_one(tmp_path, capsys, n_lo, n_hi, message):
-    assert main(["periodicity", "--model", "toy", "--n-lo", n_lo, "--n-hi", n_hi,
+def test_periodicity_rejects_n_lo_below_one(tmp_path, capsys, model, n_lo, n_hi, message):
+    assert main(["periodicity", "--model", model, "--n-lo", n_lo, "--n-hi", n_hi,
                  "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
 

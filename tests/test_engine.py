@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -323,14 +324,80 @@ def _one_shot_csv(table):
     return "n,j,prob\n" + "".join(f"{n},{j},{p!r}\n" for n, j, p in lines)
 
 
-@pytest.mark.parametrize("max_n", [engine._CSV_ROWS // 2, engine._CSV_ROWS - 1, 4096])
-def test_csv_blocks_write_the_one_shot_file(max_n, fair_4096, tmp_path):
+def _interior_zero_chain():
+    """8 -> 4 -> 2 -> 1 and 3..7 -> 1 surely, 9 -> {1, 8} at 1/2 each: row
+    9 of the phase law is [0, 1/2, 0, 0, 1/2]."""
+    half = Fraction(1, 2)
+    rows = {2: {1: 1}, 4: {2: 1}, 8: {4: 1}, 9: {1: half, 8: half}}
+    rows.update({i: {1: 1} for i in (3, 5, 6, 7)})
+    return compute_phase_table(ExplicitMatrix(rows=rows), 9)
+
+
+@pytest.mark.parametrize("case", [
+    str(engine._CSV_ROWS // 2), str(engine._CSV_ROWS - 1), "4096",
+    "interior-zeros", "det-halving-300",
+])
+def test_csv_blocks_write_the_one_shot_file(case, request, tmp_path):
     # fewer rows than a block, exactly one block, and many blocks with a
-    # partial last one
-    table = fair_4096 if max_n == 4096 else compute_phase_table(FairCoin(), max_n)
+    # partial last one; then zeros between nonzero entries of a row, and
+    # one nonzero entry per row
+    if case == "4096":
+        table = request.getfixturevalue("fair_4096")
+    elif case == "interior-zeros":
+        table = _interior_zero_chain()
+        assert table.probs[9].tolist() == [0.0, 0.5, 0.0, 0.0, 0.5]
+    elif case == "det-halving-300":
+        table = compute_phase_table(DeterministicHalving(), 300)
+        assert ((table.probs > 0.0).sum(axis=1) == 1).all()
+    else:
+        table = compute_phase_table(FairCoin(), int(case))
     table.to_csv(tmp_path / "probs.csv")
     digest = hashlib.sha256((tmp_path / "probs.csv").read_bytes()).hexdigest()
     assert digest == hashlib.sha256(_one_shot_csv(table).encode()).hexdigest()
+
+
+#: SHA-256 of ``phase_probs.csv`` of ``table --model fair-coin --max-n 4096``
+_FAIR_4096_PROBS_SHA256 = "0869d869ac23b74b3e0db37c3a44a41417cf45a77613b38413e2e7854090217c"
+
+
+def test_fair_4096_float_file_is_pinned(fair_4096, tmp_path):
+    fair_4096.to_csv(tmp_path / "probs.csv")
+    digest = hashlib.sha256((tmp_path / "probs.csv").read_bytes()).hexdigest()
+    assert digest == _FAIR_4096_PROBS_SHA256
+
+
+def _lifted(write):
+    """``write()`` with the int-to-str digit limit lifted, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return write()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_str_writes_integers_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    edge = 2**engine._STR_BITS
+    values = [0, 7, edge - 1, edge, 10**limit - 1, 10**limit, 3**20_000, 10**30_000 + 1]
+    assert [engine.decimal_str(x) for x in values] == _lifted(lambda: list(map(str, values)))
+
+
+def test_exact_file_writes_integers_past_the_digit_limit(tmp_path):
+    # denominators of about 4,800 digits by column 40
+    d = 10**120
+    model = ExplicitMatrix(rows={2: {1: Fraction(d - 1, 2 * d), 2: Fraction(d + 1, 2 * d)}})
+    table = compute_phase_table(model, 2)
+    table.to_csv(tmp_path / "probs.csv", exact_path=tmp_path / "exact.csv")
+    want = "n,j,numerator,denominator\n" + _lifted(lambda: "".join(
+        f"{n},{j},{p.numerator},{p.denominator}\n"
+        for n, row in sorted(table.exact_rows.items())
+        for j, p in enumerate(row)
+        if p
+    ))
+    got = (tmp_path / "exact.csv").read_text()
+    assert max(map(len, got.replace("\n", ",").split(","))) > sys.get_int_max_str_digits()
+    assert got == want
 
 
 def test_csv_writer_memory_is_one_block(fair_4096, tmp_path):
