@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, fixtures
 from .conditions import run_condition_checks
-from .engine import InitConvention, compute_phase_table, decimal_str
+from .engine import InitConvention, compute_phase_table, decimal_str, lowest_terms
 from .franklin import (
     RingVariant,
     SimConfig,
@@ -80,8 +80,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _ratio_line(n: int, k: int, num: int, den: int) -> str:
     """One ``n,k,numerator,denominator`` line of ``num / den`` in lowest terms."""
-    g = math.gcd(num, den)
-    return f"{n},{k},{decimal_str(num // g)},{decimal_str(den // g)}\n"
+    num, den = lowest_terms(num, den)
+    return f"{n},{k},{decimal_str(num)},{decimal_str(den)}\n"
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

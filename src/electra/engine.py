@@ -27,10 +27,13 @@ with no division at or below the threshold; occupancy and passage
 probabilities read it.
 
 Rows come from the model: integer rows up to its ``exact_cutoff``, float
-arrays beyond.  That alone decides which results are exact.  Exact phase
-columns are integer numerators over one denominator per column.  The
-float rows are swept in n order: each row's block of columns is one
-``einsum`` over the rows below it, adding in ascending k with the
+arrays beyond.  That alone decides which results are exact.  An exact
+phase column is two int lists, numerators and denominators in lowest
+terms; each entry is reduced by ``lowest_terms``, which on the dyadic
+coin rows is a shift, and is read as floats by one ``int / int`` each.
+The ``Fraction`` rows of ``PhaseTable.exact_rows`` are built only when
+read.  The float rows are swept in n order: each row's block of columns
+is one ``einsum`` over the rows below it, adding in ascending k with the
 self-loop last, the order of a sparse row product.  A first sweep over
 the float rows of every transient state predicts the column count, so
 the exact columns are pulled to it and no further; the final sweep reads
@@ -40,6 +43,7 @@ rationals would be unaffordable anyway.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -82,6 +86,22 @@ def decimal_str(x: int) -> str:
     return decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
+def lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """``num / den`` in lowest terms, ``den > 0``; zero is ``(0, 1)``.
+
+    The twos both numbers share are shifted out first, so one ``gcd``
+    against the denominator's odd part finishes the job.  On the dyadic
+    rows of the coin models that odd part is 1, and no long gcd runs.
+    """
+    if not num:
+        return 0, 1
+    den_twos = (den & -den).bit_length() - 1
+    twos = min((num & -num).bit_length() - 1, den_twos)
+    num, den = num >> twos, den >> twos
+    g = math.gcd(num, den >> (den_twos - twos))
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
 class InitConvention(str, Enum):
     STANDARD = "standard"  # ending with nobody left costs nothing extra
     ALT_COST = "altcost"  # the final forced pick costs one phase
@@ -93,8 +113,12 @@ class PhaseTable:
 
     ``probs[n, j]`` is the probability that the game starting from n
     players takes exactly j phases; ``cum`` is its running sum in j.
-    ``exact_rows`` holds the same rows as exact rationals for n up to the
-    cutoff.  Immutable after construction; share freely across threads.
+    ``exact_ints[n]`` holds the same row as two int tuples, numerators and
+    denominators in lowest terms, for n up to the cutoff; ``exact_rows``
+    is its view as tuples of ``Fraction``, built on first read and kept.
+    The exact CSV reads the ints, so a table whose ``exact_rows`` is never
+    read builds no ``Fraction``.  Immutable after construction (the view
+    is the same whichever thread builds it); share freely across threads.
     """
 
     model: SurvivorModel
@@ -106,11 +130,15 @@ class PhaseTable:
     j_max: int
     probs: np.ndarray
     cum: np.ndarray
-    exact_rows: dict[int, tuple[Fraction, ...]]
+    exact_ints: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
     means: np.ndarray
     means_direct: np.ndarray
     exact_means: dict[int, Fraction]
     mean_gap: float
+
+    @functools.cached_property
+    def exact_rows(self) -> dict[int, tuple[Fraction, ...]]:
+        return {n: tuple(map(Fraction, *ints)) for n, ints in self.exact_ints.items()}
 
     def prob(self, n: int, j: int) -> float:
         self._check_n(n)
@@ -164,7 +192,8 @@ class PhaseTable:
         ``repr``: the shortest decimal that reads back as the same float,
         so the file round-trips exactly.  ``exact_path`` gets the header
         ``n,j,numerator,denominator`` and one line per nonzero exact entry
-        in lowest terms, integers of any length written in full.
+        in lowest terms, integers of any length written in full, straight
+        from ``exact_ints``.
 
         ``repr`` is the floor of the float file and most of its cost; it
         stays, since no other format is both exact and this short.  So the
@@ -184,9 +213,9 @@ class PhaseTable:
             with open(exact_path, "w", newline="") as fh:
                 fh.write("n,j,numerator,denominator\n")
                 fh.writelines(
-                    f"{n},{j},{decimal_str(p.numerator)},{decimal_str(p.denominator)}\n"
-                    for n in sorted(self.exact_rows)
-                    for j, p in enumerate(self.exact_rows[n])
+                    f"{n},{j},{decimal_str(p)},{decimal_str(q)}\n"
+                    for n, (nums, dens) in sorted(self.exact_ints.items())
+                    for j, (p, q) in enumerate(zip(nums, dens))
                     if p
                 )
 
@@ -254,7 +283,7 @@ def compute_phase_table(
     rows = _transient_rows(model, a, max_n)
     # the float rows alone predict the column count, so the costly exact
     # columns are pulled to it and no further
-    units = ([int(j == c) for c in cost] for j in itertools.count())
+    units = (([int(j == c) for c in cost], [1] * len(cost)) for j in itertools.count())
     width = _fill_columns(
         rows, units, a + 1, 64, lambda width: 2 * width, residual_eps, model.name
     )[0].shape[1]
@@ -263,7 +292,9 @@ def compute_phase_table(
         lambda width: width + 1, residual_eps, model.name,
     )
     j_max = probs.shape[1] - 1
-    exact_rows = dict(enumerate(itertools.islice(zip(*exact_cols), min(max_n, cutoff) + 1)))
+    col_nums, col_dens = zip(*exact_cols)
+    by_row = zip(zip(*col_nums), zip(*col_dens))
+    exact_ints = dict(itertools.islice(enumerate(by_row), min(max_n, cutoff) + 1))
     exact_means, means = _upward_sweep(rows, dict(enumerate(cost)), 1)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
     mean_gap = float(np.max(np.abs(means - means_direct)))
@@ -280,7 +311,7 @@ def compute_phase_table(
         j_max=j_max,
         probs=probs,
         cum=np.cumsum(probs, axis=1),
-        exact_rows=exact_rows,
+        exact_ints=exact_ints,
         means=means,
         means_direct=means_direct,
         exact_means=exact_means,
@@ -313,27 +344,28 @@ def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
 
 def _fill_columns(
     rows: _Rows,
-    base: Iterator[list],
+    base: Iterator[tuple[list[int], list[int]]],
     first: int,
     width: int,
     grow: Callable[[int], int],
     residual_eps: float,
     name: str,
-) -> tuple[np.ndarray, list[list]]:
+) -> tuple[np.ndarray, list[tuple[list[int], list[int]]]]:
     """The phase table cut at the column where the stop rule fires.
 
-    Column j of the states below ``first`` is the j-th list from ``base``;
-    the states from ``first`` up are swept.  The table starts ``width``
-    columns wide and is widened to ``grow(width)`` until the rule fires.
-    Returns the table and the base columns it used.
+    Column j of the states below ``first`` is the j-th pair of numerator
+    and denominator lists from ``base``, each entry one correctly rounded
+    ``int / int``; the states from ``first`` up are swept.  The table
+    starts ``width`` columns wide and is widened to ``grow(width)`` until
+    the rule fires.  Returns the table and the base columns it used.
     """
     probs = np.zeros((rows.max_n + 1, 0))
-    used: list[list] = []
+    used: list[tuple[list[int], list[int]]] = []
     while True:
         done, probs = probs.shape[1], np.pad(probs, ((0, 0), (0, width - probs.shape[1])))
-        for j, column in enumerate(itertools.islice(base, width - done), done):
-            probs[: len(column), j] = column
-            used.append(column)
+        for j, (nums, dens) in enumerate(itertools.islice(base, width - done), done):
+            probs[: len(nums), j] = list(map(operator.truediv, nums, dens))
+            used.append((nums, dens))
         _sweep(probs, rows, first, max(done, 1))
         stop = _stop_column(probs, rows.a, residual_eps)
         if stop is not None:
@@ -384,24 +416,28 @@ def _stop_column(probs: np.ndarray, a: int, residual_eps: float) -> int | None:
     return None
 
 
-def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[list[Fraction]]:
-    """Exact phase columns j = 0, 1, ..., indexed by state: absorbing
-    state k holds ``[j == cost[k]]``, each integer row's state the sum over
-    its whole row of the previous column.
+def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """Exact phase columns j = 0, 1, ..., indexed by state, as numerator
+    and denominator lists in lowest terms: absorbing state k holds
+    ``[j == cost[k]]``, each integer row's state the sum over its whole row
+    of the previous column.
 
-    A column is kept as integer numerators over one denominator, the lcm
-    of its entries', so each entry costs one integer dot product with its
-    row and one reduction.
+    The previous column is put over one denominator, the lcm of its
+    entries', so each entry costs one integer dot product with its row and
+    one ``lowest_terms``.  On the dyadic coin rows that reduction is a
+    shift, so the exact columns build no ``Fraction`` and run no long gcd.
     """
     nums, den = [0] * (len(cost) + len(rows.exact)), 1  # column -1 is zero
     for j in itertools.count():
-        column = [Fraction(int(j == c)) for c in cost]
+        col_nums, col_dens = [int(j == c) for c in cost], [1] * len(cost)
         for lo, row, row_den in rows.exact:
             total = sum(map(operator.mul, row, nums[lo : lo + len(row)]))
-            column.append(Fraction(total, row_den * den))
-        yield column
-        den = math.lcm(*(p.denominator for p in column))
-        nums = [p.numerator * (den // p.denominator) for p in column]
+            p, q = lowest_terms(total, row_den * den)
+            col_nums.append(p)
+            col_dens.append(q)
+        yield col_nums, col_dens
+        den = math.lcm(*col_dens)
+        nums = [p * (den // q) for p, q in zip(col_nums, col_dens)]
 
 
 def _upward_sweep(

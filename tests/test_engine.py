@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -305,7 +306,8 @@ def test_column_fill_widens_or_cuts_to_the_stop_rule(width):
         lambda w: w + 1, table.residual_eps, model.name,
     )
     assert probs.tolist() == table.probs.tolist()
-    assert [tuple(c) for c in columns] == list(zip(*table.exact_rows.values()))
+    exact_columns = [tuple(map(Fraction, nums, dens)) for nums, dens in columns]
+    assert exact_columns == list(zip(*table.exact_rows.values()))
 
 
 def test_near_stalling_chain_hits_column_cap():
@@ -398,6 +400,87 @@ def test_exact_file_writes_integers_past_the_digit_limit(tmp_path):
     got = (tmp_path / "exact.csv").read_text()
     assert max(map(len, got.replace("\n", ",").split(","))) > sys.get_int_max_str_digits()
     assert got == want
+
+
+def _shifted(x_twos):
+    x, twos = x_twos
+    return x << twos
+
+
+_DENOMINATORS = st.one_of(
+    st.just(1),
+    st.integers(0, 6000).map(lambda a: 2**a),
+    st.tuples(st.integers(0, 400), st.integers(0, 400)).map(lambda ab: 2**ab[0] * 5**ab[1]),
+    st.tuples(st.integers(0, 120), st.integers(0, 400)).map(
+        lambda ma: math.factorial(ma[0]) << ma[1]
+    ),
+    st.integers(0, 2**300).map(lambda x: 2 * x + 1),
+)
+
+
+@given(_DENOMINATORS, st.data())
+def test_lowest_terms_equals_fraction(den, data):
+    num = data.draw(st.one_of(
+        st.just(0),
+        st.just(den),
+        st.tuples(st.integers(0, 2**300), st.integers(0, 400)).map(_shifted),
+        st.integers(0, 2**300).map(lambda x: x * den),
+    ))
+    want = Fraction(num, den)
+    assert engine.lowest_terms(num, den) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize(
+    "model,max_n",
+    [(FairCoin(exact_cutoff=100), 100), (BiasedCoin(Fraction(3, 10)), 300)],
+    ids=["fair-100", "biased-0.3-300"],
+)
+def test_exact_entries_are_in_lowest_terms(model, max_n):
+    table = compute_phase_table(model, max_n)
+    pairs = [pq for nums, dens in table.exact_ints.values() for pq in zip(nums, dens)]
+    assert len(pairs) == len(table.exact_ints) * (table.j_max + 1)
+    assert all(q > 0 and math.gcd(p, q) == 1 for p, q in pairs)
+
+
+def test_exact_rows_agree_across_threads():
+    # threads race to build the Fraction view of one shared table
+    table = compute_phase_table(FairCoin(exact_cutoff=60), 60)
+    workers = 4
+    start, seen = threading.Barrier(workers), [None] * workers
+
+    def read(i):
+        start.wait()
+        probs = [table.exact_prob(n, j) for n in range(61) for j in range(table.j_max + 2)]
+        seen[i] = (dict(table.exact_rows), probs)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(s == seen[0] for s in seen)
+    assert seen[0][0] == {
+        n: tuple(Fraction(p, q) for p, q in zip(nums, dens))
+        for n, (nums, dens) in table.exact_ints.items()
+    }
+
+
+def test_exact_file_needs_no_fraction_view(tmp_path):
+    # the exact CSV reads the integer rows: a table whose Fraction view was
+    # never built writes the same bytes as one whose view was read
+    model = BiasedCoin(Fraction(3, 10))
+    unread, read = compute_phase_table(model, 40), compute_phase_table(model, 40)
+    assert read.exact_prob(40, 3) == read.exact_rows[40][3] > 0
+    unread.to_csv(tmp_path / "a.csv", exact_path=tmp_path / "a_exact.csv")
+    read.to_csv(tmp_path / "b.csv", exact_path=tmp_path / "b_exact.csv")
+    assert "exact_rows" not in vars(unread)
+    assert (tmp_path / "a_exact.csv").read_bytes() == (tmp_path / "b_exact.csv").read_bytes()
 
 
 def test_csv_writer_memory_is_one_block(fair_4096, tmp_path):
