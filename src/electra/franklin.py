@@ -15,17 +15,18 @@ on flat arrays: trial ids, widths and, for persistent keys, one
 back-to-back array of kept keys.  It is cut into spans of whole rows
 holding at most ``_SPAN`` words, and each span draws its fresh keys (round
 one of every variant, every round of the redraw variants) with one call,
-masks its peaks with one flat kernel (``_peak_mask``), counts survivors
-per row from their positions and compresses kept keys into a buffer, so
-fresh keys exist only a span at a time.  Rows with fresh keys stay in
-stable ascending width order, and a key is one raw Philox word shifted
-right by one bit (see ``_raw_keys``), so every row reads fixed words of
-its batch's stream.  A group of a redraw variant is a whole batch.  A
-group of persistent keys is one span of round one, played to the end of
-its games before the next span is drawn: persistent keys are drawn in
-round one only, so this reads the same words as playing the batch round
-by round, and the kept keys fit two buffers of half a span, allocated
-once per call.
+masks its peaks with one flat kernel that compares each key once with
+its left neighbour (``_peak_mask``), counts survivors per row with one
+``np.add.reduceat`` in a narrow integer type (``_row_counts``) and
+compresses kept keys into a buffer, so fresh keys exist only a span at
+a time.  Rows with fresh keys stay in stable ascending width order, and
+a key is one raw Philox word shifted right by one bit (see
+``_raw_keys``), so every row reads fixed words of its batch's stream.
+A group of a redraw variant is a whole batch.  A group of persistent
+keys is one span of round one, played to the end of its games before
+the next span is drawn: persistent keys are drawn in round one only, so
+this reads the same words as playing the batch round by round, and the
+kept keys fit two buffers of half a span, allocated once per call.
 
 Equal keys are ranked by ring position: every round orders its players
 by the pair (key, position), so a player beats its left neighbour on an
@@ -169,34 +170,41 @@ def _peak_mask(keys: np.ndarray, offsets: np.ndarray, variant: RingVariant) -> n
     Players are ranked by the pair (key, ring position): a player beats
     its left neighbour when its key is ``>=`` that neighbour's, and its
     right neighbour only when its key is strictly ``>``, so equal keys are
-    decided by position and a peak beats both neighbours.  Interior
-    players compare with both row neighbours.  The first and last player
-    of a row wrap around on the circular rules (the last beats the first
-    on ``>=``, the first beats the last only on ``>``), compare with their
-    one neighbour on linear-II, and never survive on linear-I.
+    decided by position and a peak beats both neighbours.  Each key is
+    compared once, with its left neighbour's, and an interior player
+    survives when it wins that comparison and loses the next one.  The
+    first and last player of a row wrap around on the circular rules (the
+    last beats the first on ``>=``, the first beats the last only on
+    ``>``), compare with their one neighbour on linear-II, and never
+    survive on linear-I.
     """
     mask = np.empty(len(keys), dtype=bool)
-    inner = keys[1:-1]
-    np.greater_equal(inner, keys[:-2], out=mask[1:-1])
-    mask[1:-1] &= inner > keys[2:]
+    # up[i]: player i + 1 beats its left neighbour i, so player i beats its
+    # right neighbour exactly when up[i] is False
+    up = keys[1:] >= keys[:-1]
+    np.greater(up[:-1], up[1:], out=mask[1:-1])
     first, last = offsets[:-1], offsets[1:] - 1
-    head, tail = keys[first], keys[last]
     if variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
-        mask[first] = (head > tail) & (head > keys[first + 1])
-        mask[last] = (tail >= keys[last - 1]) & (tail >= head)
+        head, tail = keys[first], keys[last]
+        mask[first] = (head > tail) & ~up[first]
+        mask[last] = (tail >= head) & up[last - 1]
     elif variant is RingVariant.REDRAW_LINEAR_II:
-        mask[first] = head > keys[first + 1]
-        mask[last] = tail >= keys[last - 1]
+        mask[first] = ~up[first]
+        mask[last] = up[last - 1]
     else:
         mask[first] = mask[last] = False
     return mask
 
 
-def _row_counts(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Survivors per row of a back-to-back mask: the survivors' positions
-    cut at the row starts.  ``np.add.reduceat`` would first copy the whole
-    mask to int64, eight bytes a word where this takes eight a survivor."""
-    return np.diff(np.searchsorted(np.flatnonzero(mask), offsets))
+def _row_counts(mask: np.ndarray, offsets: np.ndarray, most: int) -> np.ndarray:
+    """Survivors per row, as int64, of a back-to-back mask whose rows are
+    2 to ``most`` wide, by one ``np.add.reduceat``.  It first copies the
+    mask to its accumulator type, so that is narrow: two bytes a word up
+    to 65535, where int64 would take eight.  It is never uint8, since a
+    second narrow type maps 64 KB more of numpy's loop code into the
+    process for no measurable speed."""
+    narrow = np.promote_types(np.min_scalar_type(most), np.uint16)
+    return np.add.reduceat(mask, offsets[:-1], dtype=narrow).astype(np.int64)
 
 
 def _play(
@@ -220,9 +228,10 @@ def _play(
 
     A round is played on flat arrays, one row per trial with its keys back
     to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
-    each span draws its fresh keys with one call, masks its peaks and
-    counts its survivors, and kept keys pass on by one compress into the
-    other buffer; the last round allowed keeps no keys.  Rows that
+    each span draws its fresh keys with one call, masks its peaks with one
+    key comparison per player, counts its survivors per row with one
+    narrow reduceat, and kept keys pass on by one compress into the other
+    buffer; the last round allowed keeps no keys.  Rows that
     get fresh keys stay in stable ascending width order, so every round
     draws its keys in one fixed order, which fixes the outcome of every
     seed; rows with kept keys draw nothing and keep the order they
@@ -258,7 +267,7 @@ def _play(
                     else:
                         keys = kept[offsets[lo] : offsets[hi]]
                     mask = _peak_mask(keys, span, config.variant)
-                    counts[lo:hi] = _row_counts(mask, span)
+                    counts[lo:hi] = _row_counts(mask, span, config.n)
                     if carry:
                         stays = counts[lo:hi] > config.stop_threshold
                         if not stays.all():
@@ -276,7 +285,8 @@ def _play(
                 if persistent:
                     kept = survivors[:filled]
                 else:
-                    order = np.argsort(widths, kind="stable")
+                    # numpy radix-sorts ints of 16 bits or fewer when stable
+                    order = np.argsort(widths.astype(np.min_scalar_type(config.n)), kind="stable")
                     trials, widths = trials[order], widths[order]
 
 
@@ -360,7 +370,7 @@ def _circle_round(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]
     width."""
     offsets = np.arange(len(keys) // width + 1, dtype=np.int64) * width
     mask = _peak_mask(keys, offsets, RingVariant.TRUE_PERSISTENT)
-    return mask, _row_counts(mask, offsets)
+    return mask, _row_counts(mask, offsets, width)
 
 
 def exhaustive_second_round(

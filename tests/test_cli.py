@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import electra
+from electra import franklin
 from electra.cli import _MODEL_CHOICES, _ratio_line, main
 
 
@@ -199,6 +200,31 @@ def test_usage_errors(tmp_path):
     assert err.value.code == 2
     assert main(["table", "--model", "biased-coin", "--max-n", "5",
                  "--out", str(tmp_path)]) == 2  # missing --p
+
+
+@pytest.mark.parametrize("error, message", [
+    (lambda count: MemoryError(f"Unable to allocate {8 * count} bytes"),
+     "error: Unable to allocate 800000000000 bytes"),
+    (lambda count: MemoryError(), "error: MemoryError"),
+])
+def test_simulate_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, error, message):
+    # a ring too large to draw keys for ends with a message, not a traceback;
+    # the draw is replaced, so nothing is allocated for real
+    def raw_keys(rng, count):
+        raise error(count)
+
+    monkeypatch.setattr(franklin, "_raw_keys", raw_keys)
+    assert main(["simulate", "--variant", "redraw-circular", "--n", "100000000000",
+                 "--trials", "1", "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_module_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(electra.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "electra", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "simulate" in done.stdout
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

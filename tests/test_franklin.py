@@ -87,7 +87,7 @@ def _persistent_round_law(n):
         round_ += 1
         offsets = np.concatenate([[0], np.cumsum(widths)])
         mask = _peak_mask(keys, offsets, RingVariant.TRUE_PERSISTENT)
-        counts = _row_counts(mask, offsets)
+        counts = _row_counts(mask, offsets, n)
         stays = counts > 1
         ends[round_] = Fraction(int((~stays).sum()), orderings)
         if round_ == 1:
@@ -286,11 +286,41 @@ def test_peak_mask_matches_definition(rows):
     }
     for variant in RingVariant:
         mask = _peak_mask(keys, offsets, variant)
-        counts = _row_counts(mask, offsets)
+        counts = _row_counts(mask, offsets, 12)
         for r, row in enumerate(rows):
             assert list(mask[offsets[r] : offsets[r + 1]]) == _peak_flags(row, variant)
+            assert counts[r] == mask[offsets[r] : offsets[r + 1]].sum()
             if len(set(row)) == len(row):
                 assert counts[r] == count_peaks(row, boundary[variant])
+
+
+@pytest.mark.parametrize("width", [255, 256, 65535, 65536])
+def test_row_counts_at_accumulator_bounds(width):
+    # alternating high and low keys: every high key of a row is a peak, so
+    # a row holds width // 2 survivors, which the accumulator chosen for
+    # ``most = width`` must hold
+    keys = np.tile(np.arange(width) % 2, 3).astype(np.int64)
+    offsets = np.arange(4, dtype=np.int64) * width
+    mask = _peak_mask(keys, offsets, RingVariant.TRUE_PERSISTENT)
+    counts = _row_counts(mask, offsets, width)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [width // 2] * 3
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_row_counts_copy_at_most_two_bytes_a_key(n):
+    # one span of rows of width n, as a round counts it: reduceat copies the
+    # mask to its accumulator, two bytes a key; 4 or 8 would fail
+    rows = franklin._SPAN // n
+    mask = np.random.default_rng(n).random(rows * n) < 0.3
+    offsets = np.arange(rows + 1, dtype=np.int64) * n
+    tracemalloc.start()
+    try:
+        _row_counts(mask, offsets, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows * n
 
 
 @pytest.mark.parametrize("variant", list(RingVariant))
