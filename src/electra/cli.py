@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -148,8 +149,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
     def survivor_pmf(fh) -> None:
         fh.write("n,k,numerator,denominator\n")
-        for n in range(1, min(args.max_n, model.exact_cutoff) + 1):
-            lo, nums, den = model.exact_row(n)
+        rows = itertools.takewhile(lambda row: len(row) == 3, model.read_rows(1, args.max_n + 1))
+        for n, (lo, nums, den) in enumerate(rows, 1):
             fh.writelines(_ratio_line(n, k, x, den) for k, x in enumerate(nums, lo) if x)
 
     _atomic_write(out / "survivor_pmf.csv", survivor_pmf)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import SurvivorModel
+from .models import Row, SurvivorModel, float_row
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def check_monotone(
     P(Y_{n+1} <= k) > P(Y_n <= k) + tol.
 
     Each consecutive pair is compared within a single backend - integer
-    rows up to the model's ``exact_cutoff``, float rows for both beyond -
+    rows while both are, float rows beyond, the last integer row rounded -
     so that a seam between backends can never masquerade as a violation
     of the law itself.  An exact gap is ``(c1 d0 - c0 d1) / (d0 d1)`` on
     integer cdf prefix sums, with both denominators divided by their gcd
@@ -71,13 +71,13 @@ def check_monotone(
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     violations: list[MonotoneViolation] = []
-    for n in range(1, n_max):
-        exact = n + 1 <= model.exact_cutoff
-        cdf = _exact_cdf if exact else _float_cdf
-        # row n's cdf carries over from the last pair unless the backend switched
-        cur = cdf(model, n) if n in (1, model.exact_cutoff) else nxt
-        nxt = cdf(model, n + 1)
-        if exact:
+    rows = model.read_rows(1, n_max + 1)
+    cur = _cdf(prev := next(rows), 1)
+    for n, row in enumerate(rows, 1):  # the pair (n, n + 1)
+        if len(row) < len(prev):  # the seam: round row n so the pair is float
+            cur = _cdf(float_row(prev), n)
+        nxt = _cdf(row, n + 1)
+        if len(row) == 3:
             (c0, d0), (c1, d1) = cur, nxt
             g = math.gcd(d0, d1)
             r0, r1 = d1 // g, d0 // g  # small: (n + 1, 1) for n! and (n + 1)!
@@ -88,22 +88,21 @@ def check_monotone(
         for k, gap in enumerate(gaps, 1):
             if gap > config.monotone_tol:
                 violations.append(MonotoneViolation(n=n, k=k, gap=gap))
+        prev, cur = row, nxt
     return MonotoneCheck(violations=violations, n_max=n_max)
 
 
-def _exact_cdf(model: SurvivorModel, n: int) -> tuple[list[int], int]:
-    """P(Y_n <= k) for k = 0..n as integer prefix sums over one denominator."""
-    lo, nums, den = model.exact_row(n)
-    sums = [0] * lo + list(accumulate(nums))
-    return sums + sums[-1:] * (n + 1 - len(sums)), den
-
-
-def _float_cdf(model: SurvivorModel, n: int) -> np.ndarray:
-    """P(Y_n <= k) for k = 0..n, summed in order of k from the float row."""
-    [(lo, probs)] = model.float_rows(n, n + 1)
-    padded = np.zeros(n + 1)
-    padded[lo : lo + len(probs)] = probs
-    return np.cumsum(padded)
+def _cdf(row: Row, n: int) -> tuple[list[int], int] | np.ndarray:
+    """P(Y_n <= k) for k = 0..n: integer prefix sums over one denominator,
+    or floats summed in order of k, as the row is."""
+    match row:
+        case lo, nums, den:
+            sums = [0] * lo + list(accumulate(nums))
+            return sums + sums[-1:] * (n + 1 - len(sums)), den
+        case lo, probs:
+            padded = np.zeros(n + 1)
+            padded[lo : lo + len(probs)] = probs
+            return np.cumsum(padded)
 
 
 @dataclass
@@ -133,7 +132,7 @@ def check_mean_increment(
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
-    means = [model.mean(n) for n in range(1, n_max + 1)]
+    means = list(map(_mean, model.read_rows(1, n_max + 1)))
     diffs = [means[n] - means[n - 1] for n in range(1, n_max)]
     increments = np.array([float(d) for d in diffs])
     # exact while both d and alpha are rationals; a float on either side
@@ -148,6 +147,15 @@ def check_mean_increment(
         bound=config.increment_bound,
         judged=len(tail) > 0,
     )
+
+
+def _mean(row: Row) -> Fraction | float:
+    """E[survivors]: a Fraction or a float summed in order of k, as the row is."""
+    match row:
+        case lo, nums, den:
+            return Fraction(sum(k * x for k, x in enumerate(nums, lo)), den)
+        case lo, probs:
+            return sum(k * p for k, p in enumerate(probs.tolist(), lo))
 
 
 @dataclass
@@ -179,19 +187,12 @@ def check_concentration(
     eps = config.epsilon
     if delta_fn is None:
         delta_fn = lambda n: n ** config.delta_exponent  # noqa: E731
-    tails = []
-    deltas = []
-    series = []
+    tails, deltas, series = [], [], []
     for n, (lo, probs) in enumerate(model.float_rows(1, n_max + 1), 1):
-        delta = float(delta_fn(n))
-        radius = delta * n
-        tail = 0.0
-        for k, p in enumerate(probs.tolist(), lo):
-            if abs(k - a * n) > radius:
-                tail += p
-        tails.append(tail)
-        deltas.append(delta)
-        series.append(tail * n ** (2.0 + eps))
+        deltas.append(delta := float(delta_fn(n)))
+        far = (p for k, p in enumerate(probs.tolist(), lo) if abs(k - a * n) > delta * n)
+        tails.append(sum(far, 0.0))  # added in order of k
+        series.append(tails[-1] * n ** (2.0 + eps))
     return ConcentrationCheck(
         series=np.array(series),
         tail_probs=np.array(tails),
@@ -228,14 +229,14 @@ def check_moment(
         raise ValueError(f"need even p >= 2, got {p}")
     ratios = []
     a, exact = float(alpha), not isinstance(alpha, float)
-    for n in range(1, n_max + 1):
-        if n <= model.exact_cutoff and exact:
+    for n, row in enumerate(model.read_rows(1, n_max + 1), 1):
+        if len(row) == 3 and exact:
             # sum (k - alpha n)^p x / den in integers, for alpha = A/B
             A, B = Fraction(alpha).as_integer_ratio()
-            lo, nums, den = model.exact_row(n)
+            lo, nums, den = row
             moment = sum((k * B - A * n) ** p * x for k, x in enumerate(nums, lo)) / (B**p * den)
         else:
-            [(lo, probs)] = model.float_rows(n, n + 1)
+            lo, probs = float_row(row)
             moment = sum(abs(k - a * n) ** p * q for k, q in enumerate(probs.tolist(), lo))
         ratios.append(moment / n ** (p / 2))
     return MomentCheck(ratios=np.array(ratios), p=p, bound=config.moment_bound)

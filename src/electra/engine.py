@@ -24,22 +24,23 @@ vector).  The downward sweep gives expected visits from one start,
     visits(k) = ([k = start] + sum_{m>k} visits(m) P(m, k)) / (1 - P(k, k)),
 
 with no division at or below the threshold; occupancy and passage
-probabilities read it.
+probabilities read it.  On integer rows it keeps the mass entering each
+state as a numerator over one common denominator, as the upward sweep does.
 
-Rows come from the model: integer rows up to its ``exact_cutoff``, float
-arrays beyond.  That alone decides which results are exact.  An exact
-phase column is two int lists, numerators and denominators in lowest
-terms; each entry is reduced by ``lowest_terms``, which on the dyadic
-coin rows is a shift, and is read as floats by one ``int / int`` each.
-The ``Fraction`` rows of ``PhaseTable.exact_rows`` are built only when
-read.  The float rows are swept in n order: each row's block of columns
-is one ``einsum`` over the rows below it, adding in ascending k with the
-self-loop last, the order of a sparse row product.  A first sweep over
-the float rows of every transient state predicts the column count, so
-the exact columns are pulled to it and no further; the final sweep reads
-the rounded exact rows and replays the stop rule.  Float rows read the
-already-exact low results, so exactness degrades only where the
-rationals would be unaffordable anyway.
+Rows come from the model's reader ``read_rows``: integer rows up to its
+``exact_cutoff``, float arrays beyond.  That alone decides which results
+are exact.  An exact phase column is two int lists, numerators and
+denominators in lowest terms; each entry is reduced by ``lowest_terms``,
+which on the dyadic coin rows is a shift, and is read as floats by one
+``int / int`` each.  The ``Fraction`` rows of ``PhaseTable.exact_rows``
+are built only when read.  The float rows are swept in n order: each
+row's block of columns is one ``einsum`` over the rows below it, adding
+in ascending k with the self-loop last, the order of a sparse row
+product.  A first sweep over the float rows of every transient state
+predicts the column count, so the exact columns are pulled to it and no
+further; the final sweep reads the rounded exact rows and replays the
+stop rule.  Float rows read the already-exact low results, so exactness
+degrades only where the rationals would be unaffordable anyway.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import SurvivorModel
+from .models import SurvivorModel, float_row
 
 #: stop adding phase columns once every row holds all but this much mass
 DEFAULT_RESIDUAL_EPS = 1e-12
@@ -114,8 +115,9 @@ class PhaseTable:
     ``probs[n, j]`` is the probability that the game starting from n
     players takes exactly j phases; ``cum`` is its running sum in j.
     ``exact_ints[n]`` holds the same row as two int tuples, numerators and
-    denominators in lowest terms, for n up to the cutoff; ``exact_rows``
-    is its view as tuples of ``Fraction``, built on first read and kept.
+    denominators in lowest terms, for the absorbing states and every n up
+    to the cutoff; ``exact_rows`` is its view as tuples of ``Fraction``,
+    built on first read and kept.
     The exact CSV reads the ints, so a table whose ``exact_rows`` is never
     read builds no ``Fraction``.  Immutable after construction (the view
     is the same whichever thread builds it); share freely across threads.
@@ -276,7 +278,6 @@ def compute_phase_table(
     inconsistent and raises ``ValueError``.
     """
     _validate_setup(model, max_n, threshold_a, init, residual_eps)
-    cutoff = model.exact_cutoff
     a = threshold_a
     # absorbing state k adds cost[k] phases; only a wiped-out round can cost
     cost = [int(init is InitConvention.ALT_COST)] + [0] * min(a, max_n)
@@ -293,8 +294,7 @@ def compute_phase_table(
     )
     j_max = probs.shape[1] - 1
     col_nums, col_dens = zip(*exact_cols)
-    by_row = zip(zip(*col_nums), zip(*col_dens))
-    exact_ints = dict(itertools.islice(enumerate(by_row), min(max_n, cutoff) + 1))
+    exact_ints = dict(enumerate(zip(zip(*col_nums), zip(*col_dens))))
     exact_means, means = _upward_sweep(rows, dict(enumerate(cost)), 1)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
     mean_gap = float(np.max(np.abs(means - means_direct)))
@@ -306,7 +306,7 @@ def compute_phase_table(
         max_n=max_n,
         threshold_a=a,
         init=init,
-        exact_cutoff=cutoff,
+        exact_cutoff=model.exact_cutoff,
         residual_eps=residual_eps,
         j_max=j_max,
         probs=probs,
@@ -336,10 +336,8 @@ class _Rows:
 
 
 def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
-    top = max(a, min(model.exact_cutoff, max_n))
-    exact = [model.exact_row(n) for n in range(a + 1, top + 1)]
-    floats = [(lo, np.array([x / den for x in nums])) for lo, nums, den in exact]
-    return _Rows(a, max_n, exact, floats + model.float_rows(top + 1, max_n + 1))
+    rows = list(model.read_rows(a + 1, max_n + 1))
+    return _Rows(a, max_n, [row for row in rows if len(row) == 3], list(map(float_row, rows)))
 
 
 def _fill_columns(
@@ -530,32 +528,51 @@ def ending_state_probs(
     )
 
 
-def _downward_sweep(
-    model: SurvivorModel, start: int, a: int
-) -> tuple[dict[int, Fraction | float], dict[int, Fraction | float]]:
+def _downward_sweep(model: SurvivorModel, start: int, a: int) -> tuple[dict, dict]:
     """Expected visits and entering mass per state, from one start.
 
     The mass entering k is ``[k = start] + sum_{m>k} visits(m) P(m, k)``;
     visits divide it by ``1 - P(k, k)`` above the threshold.  States no
-    mass enters are skipped and their rows never fetched.
+    mass enters are skipped.  The start's row, read even at or below the
+    threshold, picks the sweep: all float, or all ``Fraction`` with one
+    ``lowest_terms`` a row and one integer product an entry.
     """
-    inflow: dict[int, Fraction | float] = {start: Fraction(1)}
-    visits: dict[int, Fraction | float] = {}
+    rows = list(model.read_rows(min(a + 1, start), start + 1))  # row m is rows[m - start - 1]
+    if len(rows[-1]) == 2:
+        return _float_visits(rows, start, a)
+    inflow, scale = [0] * start + [1], 1  # mass entering k is inflow[k] / scale
+    visits, entering = {}, {}
     for m in range(start, a, -1):
-        mass = inflow.get(m)
-        if not mass:
-            continue
-        if m <= model.exact_cutoff:
-            lo, nums, den = model.exact_row(m)
-            probs = [Fraction(x, den) for x in nums]
-        else:
-            [(lo, probs)] = model.float_rows(m, m + 1)
-            probs = probs.tolist()
-        stay = probs[m - lo] if m < lo + len(probs) else 0
-        visits[m] = mass / (1 - stay)
-        for k, p in enumerate(probs, lo):
-            if k != m and p:
-                inflow[k] = inflow.get(k, 0) + visits[m] * p
+        if inflow[m]:
+            lo, nums, den = rows[m - start - 1]
+            stay = nums[m - lo] if lo + len(nums) > m else 0
+            p, q = lowest_terms(inflow[m] * den, scale * (den - stay))
+            visits[m], entering[m] = Fraction(p, q), Fraction(inflow[m], scale)
+            grown = math.lcm(scale, q * den)  # visits(m) P(m, k) = p nums[k - lo] / (q den)
+            f, weight, scale = grown // scale, p * (grown // (q * den)), grown
+            row = [0] * lo + nums[: m - lo]  # P(m, k) for k < m; rows end at k = m
+            inflow[:m] = [x * f + weight * y for x, y in zip(inflow, row + [0] * (m - len(row)))]
+    absorbed = {k: Fraction(x, scale) for k, x in enumerate(inflow[: a + 1]) if x}
+    return visits | absorbed, entering | absorbed
+
+
+def _float_visits(rows: list, start: int, a: int) -> tuple[dict, dict]:
+    """The sweep in floats; an integer row is read as its rounded masses,
+    and its self-loop leaves ``(den - stay) / den``, correctly rounded."""
+    inflow, visits = {start: 1.0}, {}
+    for m in range(start, a, -1):
+        if mass := inflow.get(m):
+            match rows[m - start - 1]:
+                case lo, nums, den:
+                    stay = nums[m - lo] if lo + len(nums) > m else 0
+                    leave, probs = (den - stay) / den, [x / den for x in nums]
+                case lo, masses:
+                    probs = masses.tolist()
+                    leave = 1 - (probs[m - lo] if lo + len(probs) > m else 0)
+            visits[m] = mass / leave
+            for k, p in enumerate(probs[: m - lo], lo):  # rows end at k = m
+                if p:
+                    inflow[k] = inflow.get(k, 0) + visits[m] * p
     visits.update((k, v) for k, v in inflow.items() if k <= a and v)
     return visits, inflow
 
@@ -567,16 +584,15 @@ def passage_probs(
 
     For i >= 2 this is the mass entering i, visits(i) * (1 - P(i, i)); for
     i = 1 a wiped-out game counts as ending with one player, as in
-    :func:`ending_state_probs`.  Exact when n is within the model's cutoff.
+    :func:`ending_state_probs`.  All ``Fraction`` when n is within the
+    model's cutoff, all floats beyond it.
     """
     if any(i < 1 for i in states):
         raise ValueError("passage states start at 1")
     _validate_setup(model, n, 1, InitConvention.STANDARD)
     _, inflow = _downward_sweep(model, n, 1)
-    zero = Fraction(0)
-    return {
-        i: inflow.get(i, zero) + (inflow.get(0, zero) if i == 1 else zero) for i in states
-    }
+    zero = type(inflow[n])()  # 0 as a Fraction or a float, as the sweep ran
+    return {i: inflow.get(i, zero) + (inflow.get(0, zero) if i == 1 else zero) for i in states}
 
 
 @dataclass
@@ -587,8 +603,8 @@ class Occupancy:
     round starts with exactly k players; below the threshold it is the
     probability of ending there (state 0 kept separate from state 1).
     ``mean_recovered`` re-derives the expected phase count as the total
-    time spent in transient states.  Exact when the start is within the
-    model's cutoff.
+    time spent in transient states.  All ``Fraction`` when the start is
+    within the model's cutoff, all floats beyond it.
     """
 
     start_n: int
@@ -601,7 +617,8 @@ def occupancy_probs(model: SurvivorModel, start_n: int, threshold_a: int = 1) ->
     """Expected visits per state from one starting size, by one downward sweep."""
     _validate_setup(model, start_n, threshold_a, InitConvention.STANDARD)
     visits, _ = _downward_sweep(model, start_n, threshold_a)
-    mean_recovered = sum((v for k, v in visits.items() if k > threshold_a), Fraction(0))
+    zero = type(visits[start_n])()  # 0 as a Fraction or a float, as the sweep ran
+    mean_recovered = sum((v for k, v in visits.items() if k > threshold_a), zero)
     return Occupancy(
         start_n=start_n,
         threshold_a=threshold_a,

@@ -285,22 +285,24 @@ def periodicity_samples(table: PhaseTable, alpha: float, n_lo: int, n_hi: int) -
     return PeriodicitySamples(ys=ys, masses=totals / counts)
 
 
-def laplace_transform(samples: PeriodicitySamples, alpha: complex) -> complex:
-    """Quadrature estimate of the Laplace transform of the pooled law.
+def laplace_transform(
+    samples: PeriodicitySamples, alpha: complex, *, derivative: bool = False
+) -> complex:
+    """Quadrature estimate of the Laplace transform of the pooled law,
+    sum e^{alpha y} m w over the samples' y and masses m; with
+    ``derivative``, its exact derivative in alpha, sum y e^{alpha y} m w.
 
-    Interior weights are (y[k+1] - y[k-1])/2; the two boundary weights use
-    the one-sided gaps.  At alpha = 0 this returns the quadrature's total
-    mass, which should sit within a couple of percent of 1 - the standard
-    self-calibration check.
+    Interior weights w are (y[k+1] - y[k-1])/2, the two boundary weights
+    the one-sided gaps.  At alpha = 0 the transform is the quadrature's
+    total mass, which should sit within a couple of percent of 1 - the
+    standard self-calibration check.
     """
     if len(samples) < 3:
         raise ValueError("need at least 3 samples for the quadrature")
     ys, masses = samples.ys, samples.masses
-    weights = np.empty_like(ys)
-    weights[1:-1] = (ys[2:] - ys[:-2]) / 2.0
-    weights[0] = ys[1] - ys[0]
-    weights[-1] = ys[-1] - ys[-2]
-    values = np.exp(alpha * ys) * masses * weights
+    values = np.exp(alpha * ys) * masses * np.gradient(ys)  # the weights w
+    if derivative:
+        values = values * ys
     return complex(values.sum())
 
 
@@ -316,7 +318,6 @@ class PeriodicityFit:
     mean_level: float
     coefficients: dict[int, complex]
     fourier_terms: int
-    step: float
 
     def oscillation(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
@@ -331,34 +332,18 @@ class PeriodicityFit:
         return self.mean_level + self.oscillation(x)
 
 
-def periodicity_reconstruct(
-    samples: PeriodicitySamples, fourier_terms: int = 5, *, step: float = 1e-4
-) -> PeriodicityFit:
+def periodicity_reconstruct(samples: PeriodicitySamples, fourier_terms: int = 5) -> PeriodicityFit:
     """Recover the periodic mean residual from the numerical transform.
 
     The constant is the transform's derivative at 0; the l-th Fourier
-    coefficient is its derivative at 2*pi*l*i.  Derivatives are taken by
-    central differences with the given real step.
+    coefficient is its derivative at 2*pi*l*i.  Both are the exact
+    derivative of the quadrature sum, from :func:`laplace_transform`.
     """
     if fourier_terms < 1:
         raise ValueError("need at least one Fourier term")
-
-    def derivative(at: complex) -> complex:
-        return (
-            laplace_transform(samples, at + step)
-            - laplace_transform(samples, at - step)
-        ) / (2.0 * step)
-
-    mean_level = derivative(0.0).real
-    coefficients = {
-        l: derivative(complex(0.0, _TWO_PI * l)) for l in range(1, fourier_terms + 1)
-    }
-    return PeriodicityFit(
-        mean_level=mean_level,
-        coefficients=coefficients,
-        fourier_terms=fourier_terms,
-        step=step,
-    )
+    slope = functools.partial(laplace_transform, samples, derivative=True)
+    coefficients = {l: slope(complex(0.0, _TWO_PI * l)) for l in range(1, fourier_terms + 1)}
+    return PeriodicityFit(slope(0.0).real, coefficients, fourier_terms)
 
 
 # ---------------------------------------------------------------------------

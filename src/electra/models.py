@@ -1,16 +1,16 @@
-"""Survivor-count laws for one elimination round, behind one row interface.
+"""Survivor-count laws for one elimination round, behind one row reader.
 
-Each model answers: starting a round with n players, how many survive?  It
-serves row n in two forms.  ``exact_row(n)`` gives integer numerators over
-one denominator; ``float_rows(start, stop)`` gives a first k and an array
-of masses for each n in a range.  Up to ``exact_cutoff`` a float row is its
-exact row rounded.  Beyond it the coin and peak models run their exact
-recurrences on probabilities, grown one n at a time into one shared cache
-per law (:class:`_GrownRows`), so phase tables reach the thousands.  Coin
-rows are windows of Bi(n, p) cut by tail mass below ``TAIL_TRUNCATION``;
-peak rows keep the masses above it.  Peak exact rows grow by the same step
-on integer counts, in a second cache, at any n.  The dicts ``pmf_exact`` and
-``pmf_float``, and ``mean`` and ``cdf``, are views over the two rows.
+Each model answers: starting a round with n players, how many survive?
+``read_rows(start, stop)`` yields row n for each n in a range, in
+ascending n: ``exact_row(n)``, integer numerators over one denominator,
+up to ``exact_cutoff``, and a first k with an array of masses beyond it.
+It is the only code that picks exact or float.  Beyond the cutoff the
+coin and peak models run their exact recurrences on probabilities, grown
+one n at a time into one shared cache per law (:class:`_GrownRows`), so
+phase tables reach the thousands.  Coin rows are windows of Bi(n, p) cut
+by tail mass below ``TAIL_TRUNCATION``; peak rows keep the masses above
+it.  Peak exact rows grow by the same step on integer counts, in a second
+cache, at any n.  ``float_rows`` and the dicts ``pmf_*`` are views.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import functools
 import math
 import operator
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -38,15 +39,27 @@ TAIL_TRUNCATION = 1e-15
 #: masses below which a propagated coin row is trimmed, far below any served window
 FRONT_TRUNCATION = 1e-40
 
+#: row n of a law, P(n, lo + i) at i: integer (lo, numerators, denominator) or float (lo, masses)
+Row = tuple[int, list[int], int] | tuple[int, np.ndarray]
+
+
+def float_row(row: Row) -> tuple[int, np.ndarray]:
+    """The row as ``(lo, masses)``: an integer row rounded entry by entry
+    (int-by-int division is correctly rounded), a float row as it is."""
+    if len(row) == 2:
+        return row
+    lo, nums, den = row
+    return lo, np.array([x / den for x in nums])
+
 
 @dataclass(frozen=True)
 class SurvivorModel(abc.ABC):
     """One round of elimination: the law of the survivor count.
 
     Subclasses provide :meth:`exact_row`, and override :meth:`_far_row`
-    where a float path beyond the cutoff exists.  The dicts
-    :meth:`pmf_exact` and :meth:`pmf_float`, and :meth:`mean` and
-    :meth:`cdf`, are views over :meth:`exact_row` and :meth:`float_rows`.
+    where a float path beyond the cutoff exists; :meth:`read_rows` serves
+    both.  :meth:`float_rows` and the dicts :meth:`pmf_exact` and
+    :meth:`pmf_float` are views over it.
     """
 
     exact_cutoff: int = field(default=DEFAULT_EXACT_CUTOFF, kw_only=True)
@@ -77,28 +90,23 @@ class SurvivorModel(abc.ABC):
     def can_reach_zero(self) -> bool:
         return self.absorbing_state == 0
 
+    def read_rows(self, start: int, stop: int) -> Iterator[Row]:
+        """Rows n = start..stop-1, one at a time in ascending n: the integer
+        :meth:`exact_row` up to ``exact_cutoff``, the float :meth:`_far_row`
+        beyond.  Coin and peak rows beyond the cutoff come from one shared
+        cache per law grown from n = 0, so one row at a large n builds and
+        keeps every row below it: ``FairCoin().pmf_float(30000)`` takes
+        about 1.2 s and 244 MB."""
+        for n in range(start, stop):
+            yield self.exact_row(n) if n <= self.exact_cutoff else self._far_row(n)
+
     def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
-        """Float rows n = start..stop-1 as ``(lo, masses on lo, lo+1, ...)``:
-        the exact row rounded up to the cutoff, :meth:`_far_row` beyond.
-
-        Coin and peak rows beyond the cutoff come from one shared cache per
-        law grown from n = 0, so one row at a large n builds and keeps every
-        row below it: ``FairCoin().pmf_float(30000)`` takes about 1.2 s and
-        244 MB.
-        """
-        return [
-            self._far_row(n) if n > self.exact_cutoff else self._rounded_row(n)
-            for n in range(start, stop)
-        ]
-
-    def _rounded_row(self, n: int) -> tuple[int, np.ndarray]:
-        """Exact row n as floats; int-by-int division is correctly rounded."""
-        lo, nums, den = self.exact_row(n)
-        return lo, np.array([x / den for x in nums])
+        """:meth:`read_rows` as a list of ``(lo, masses)``, the exact rows rounded."""
+        return list(map(float_row, self.read_rows(start, stop)))
 
     def _far_row(self, n: int) -> tuple[int, np.ndarray]:
         """Float row n beyond the cutoff; the exact row rounded by default."""
-        return self._rounded_row(n)
+        return float_row(self.exact_row(n))
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         """Row n as ``{k: P(n, k)}`` over its nonzero masses."""
@@ -109,22 +117,6 @@ class SurvivorModel(abc.ABC):
         """Float row n as ``{k: P(n, k)}`` over its nonzero masses."""
         [(lo, probs)] = self.float_rows(n, n + 1)
         return {k: p for k, p in enumerate(probs.tolist(), lo) if p}
-
-    def mean(self, n: int) -> Fraction | float:
-        """E[survivors]: exact up to the cutoff, float beyond."""
-        if n <= self.exact_cutoff:
-            lo, nums, den = self.exact_row(n)
-            return Fraction(sum(k * x for k, x in enumerate(nums, lo)), den)
-        [(lo, probs)] = self.float_rows(n, n + 1)
-        return sum(k * p for k, p in enumerate(probs.tolist(), lo))
-
-    def cdf(self, n: int, k: int) -> Fraction | float:
-        """P(survivors <= k): exact up to the cutoff, float beyond."""
-        if n <= self.exact_cutoff:
-            lo, nums, den = self.exact_row(n)
-            return Fraction(sum(nums[: max(k - lo + 1, 0)]), den)
-        [(lo, probs)] = self.float_rows(n, n + 1)
-        return sum(probs[: max(k - lo + 1, 0)].tolist())
 
     def sample_many(
         self, n: int, size: int, rng: np.random.Generator

@@ -599,6 +599,77 @@ def test_demon_wipe_out_counts_as_one_player():
     assert passage[1] == 1
 
 
+def _reference_downward_sweep(model, start, a):
+    """Oracle for the downward sweep: one ``Fraction`` per row entry up to the
+    cutoff, float rows beyond, each row fetched when mass first enters it."""
+    inflow = {start: Fraction(1)}
+    visits = {}
+    for m in range(start, a, -1):
+        mass = inflow.get(m)
+        if not mass:
+            continue
+        if m <= model.exact_cutoff:
+            lo, nums, den = model.exact_row(m)
+            probs = [Fraction(x, den) for x in nums]
+        else:
+            [(lo, probs)] = model.float_rows(m, m + 1)
+            probs = probs.tolist()
+        stay = probs[m - lo] if m < lo + len(probs) else 0
+        visits[m] = mass / (1 - stay)
+        for k, p in enumerate(probs, lo):
+            if k != m and p:
+                inflow[k] = inflow.get(k, 0) + visits[m] * p
+    visits.update((k, v) for k, v in inflow.items() if k <= a and v)
+    return visits, inflow
+
+
+def _assert_sweep_matches_reference(model, start, a):
+    # equal values, and one number type throughout: the start row's
+    got, want = engine._downward_sweep(model, start, a), _reference_downward_sweep(model, start, a)
+    kind = Fraction if start <= model.exact_cutoff else float
+    for got_values, want_values in zip(got, want):
+        assert got_values == want_values
+        assert {type(v) for v in got_values.values()} == {kind}
+
+
+@pytest.mark.parametrize(
+    "model,start,a",
+    [
+        (peak_circular(exact_cutoff=120), 120, 1),
+        (BiasedCoin(Fraction(3, 10), exact_cutoff=60), 60, 1),
+        (DemonCoin(Fraction(1, 2), Fraction(1, 3)), 40, 0),
+        (DemonCoin(Fraction(1, 2), Fraction(1, 3)), 40, 2),
+        (FairCoin(), 200, 1),  # float regime over exact rows below the cutoff
+        (peak_circular(exact_cutoff=60), 300, 2),
+    ],
+    ids=["circular-120", "biased-0.3-60", "demon-a0", "demon-a2", "fair-200-float",
+         "circular-300-float"],
+)
+def test_downward_sweep_matches_fraction_reference(model, start, a):
+    # the integer sweep gives the reference's Fractions exactly; the float
+    # sweep keeps its bits, also on the integer rows it rounds
+    _assert_sweep_matches_reference(model, start, a)
+
+
+def test_sweep_results_take_the_start_rows_type():
+    # all Fractions when the start is within the cutoff, all floats beyond:
+    # zero defaults, the start's unit mass and mean_recovered included
+    floats = passage_probs(FairCoin(), 200, [199, 200])
+    assert floats == {199: 0.0, 200: 1.0}
+    assert all(type(p) is float for p in floats.values())
+    toy = passage_probs(ToyHalving(exact_cutoff=10), 64, [3, 32, 64])
+    assert toy == {3: 0.0, 32: 1.0, 64: 1.0}
+    assert all(type(p) is float for p in toy.values())
+    occ = occupancy_probs(FairCoin(exact_cutoff=0), 1)
+    assert type(occ.mean_recovered) is float and type(occ.visits[1]) is float
+    occ = occupancy_probs(ToyHalving(exact_cutoff=10), 64)
+    assert occ.mean_recovered == 6 and type(occ.mean_recovered) is float
+    exact = passage_probs(FairCoin(), 75, [74, 75])
+    assert exact[75] == 1 and all(type(p) is Fraction for p in exact.values())
+    occ = occupancy_probs(FairCoin(exact_cutoff=1), 1)
+    assert occ.mean_recovered == 0 and type(occ.mean_recovered) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # random chains
 
@@ -666,3 +737,6 @@ def test_passage_and_ending_states_on_random_chains(chain):
         assert passage[i] == ending.exact_prob(top, i)
         for n in range(top + 1):
             assert sum(ending.exact[n]) == 1
+    for a in (1, 2):  # the integer sweep, and the float sweep over integer rows
+        _assert_sweep_matches_reference(model, top, a)
+        _assert_sweep_matches_reference(replace(model, exact_cutoff=top - 1), top, a)

@@ -239,6 +239,19 @@ def test_reconstruction_recovers_toy_residual(toy_1024):
     assert abs(fit.oscillation(0.25) - fit.oscillation(1.25)) < 1e-12
 
 
+@pytest.mark.parametrize("fixture,n_lo,n_hi", [("toy_1024", 50, 500), ("fair_4096", 256, 4096)])
+def test_mean_level_is_the_exact_derivative(request, fixture, n_lo, n_hi):
+    # the transform's derivative at 0 is the finite sum of y m w, taken
+    # exactly: no difference step stands between the fit and that sum
+    samples = periodicity_samples(request.getfixturevalue(fixture), 0.5, n_lo, n_hi)
+    ys, masses = samples.ys.tolist(), samples.masses.tolist()
+    gaps = [ys[1] - ys[0]] + [(b - a) / 2.0 for a, b in zip(ys, ys[2:])] + [ys[-1] - ys[-2]]
+    fsum = math.fsum(y * m * w for y, m, w in zip(ys, masses, gaps))
+    fit = periodicity_reconstruct(samples, fourier_terms=2)
+    assert abs(fit.mean_level - fsum) < 1e-12
+    assert not hasattr(fit, "step")
+
+
 def test_reconstruction_inputs():
     samples = PeriodicitySamples(
         ys=np.array([0.0, 0.5, 1.0]), masses=np.array([0.2, 0.6, 0.2])

@@ -20,6 +20,7 @@ from electra.models import (
     ToyHalving,
     _binomial_rows,
     _coin_rows,
+    float_row,
     model_from_name,
     peak_circular,
     peak_linear_i,
@@ -34,6 +35,10 @@ def test_toy_pmf():
     assert toy.pmf_exact(1) == {1: Fraction(1)}
 
 
+def _exact_mean(model, n):
+    return sum(k * p for k, p in model.pmf_exact(n).items())
+
+
 def test_fair_coin_pmf_and_mean():
     fc = FairCoin()
     assert fc.pmf_exact(3) == {
@@ -42,14 +47,23 @@ def test_fair_coin_pmf_and_mean():
         3: Fraction(1, 4),  # 1/8 binomial mass plus the 1/8 all-tails rescue
     }
     for n in range(1, 41):
-        assert fc.mean(n) == Fraction(n, 2) + n * Fraction(1, 2**n)
+        assert _exact_mean(fc, n) == Fraction(n, 2) + n * Fraction(1, 2**n)
 
 
-def test_cdf_total_mass():
-    for model in (ToyHalving(), FairCoin(), BiasedCoin(Fraction(7, 10)),
-                  CoinMaxOne(Fraction(2, 5)), peak_circular(), peak_linear_i()):
-        for n in (1, 2, 7, 40):
-            assert math.isclose(float(model.cdf(n, n)), 1.0, abs_tol=1e-12)
+def test_read_rows_total_mass():
+    # integer rows sum to their denominator, float rows to 1, across the cutoff
+    for model in (ToyHalving(exact_cutoff=7), FairCoin(exact_cutoff=7),
+                  BiasedCoin(Fraction(7, 10), exact_cutoff=7),
+                  CoinMaxOne(Fraction(2, 5), exact_cutoff=7),
+                  peak_circular(exact_cutoff=7), peak_linear_i(exact_cutoff=7)):
+        for n, row in enumerate(model.read_rows(1, 41), 1):
+            if n <= 7:
+                lo, nums, den = row
+                assert sum(nums) == den
+            else:
+                lo, probs = row
+                assert math.isclose(math.fsum(probs.tolist()), 1.0, abs_tol=1e-12)
+            assert 0 <= lo <= n
 
 
 def test_no_model_can_stall():
@@ -204,7 +218,7 @@ def test_peak_model_rows_match_tables():
         k: v for (n, k), v in fixtures.as_fractions(fixtures.PEAK_LINEAR_I).items() if n == 7
     }
     assert pl.pmf_exact(7) == expected
-    assert peak_circular().mean(9) == 3
+    assert _exact_mean(peak_circular(), 9) == 3
 
 
 def test_biased_coin_rescue_mass():
@@ -381,23 +395,25 @@ ROW_FAMILIES = [
 
 @pytest.mark.parametrize("model", ROW_FAMILIES, ids=lambda m: m.name)
 def test_row_interface_views(model):
-    # up to the cutoff a float row is its exact row rounded, bit for bit, and
-    # the dicts, mean and cdf are views of the two rows on every n
+    # the reader serves the integer rows up to the cutoff and float rows
+    # beyond; a float row up to the cutoff is its exact row rounded, bit for
+    # bit, and the dicts are views of the two rows on every n
     top = model.exact_cutoff
+    stop = top + 1 if isinstance(model, ExplicitMatrix) else 3 * top + 1
+    read = list(model.read_rows(1, stop))
+    assert read[:top] == [model.exact_row(n) for n in range(1, top + 1)]
     rows = model.float_rows(1, top + 1)
     for n in range(1, top + 1):
         lo, nums, den = model.exact_row(n)
         assert sum(nums) == den and min(nums) >= 0
         flo, probs = rows[n - 1]
         assert flo == lo and probs.tolist() == [x / den for x in nums], n
+        assert float_row(read[n - 1])[1].tolist() == probs.tolist()
         exact = {k: Fraction(x, den) for k, x in enumerate(nums, lo) if x}
         assert model.pmf_exact(n) == exact
         assert model.pmf_float(n) == {k: x / den for k, x in enumerate(nums, lo) if x}
-        assert model.mean(n) == sum(k * p for k, p in exact.items())
-        assert model.cdf(n, n // 2) == sum(p for k, p in exact.items() if k <= n // 2)
-    if isinstance(model, ExplicitMatrix):
-        return
-    for n in (top + 1, top + 7, 3 * top):
+    for n in range(top + 1, stop):
         [(lo, probs)] = model.float_rows(n, n + 1)
+        assert len(read[n - 1]) == 2 and read[n - 1][0] == lo
+        assert read[n - 1][1].tolist() == probs.tolist()
         assert model.pmf_float(n) == {k: p for k, p in enumerate(probs.tolist(), lo) if p}
-        assert model.mean(n) == sum(k * p for k, p in enumerate(probs.tolist(), lo))
