@@ -25,7 +25,9 @@ vector).  The downward sweep gives expected visits from one start,
 
 with no division at or below the threshold; occupancy and passage
 probabilities read it.  On integer rows it keeps the mass entering each
-state as a numerator over one common denominator, as the upward sweep does.
+state, and the sum of the visits, as numerators over one common
+denominator, as the upward sweep does; an entering mass becomes a
+``Fraction`` only where passage asks for it.
 
 Rows come from the model's reader ``read_rows``: integer rows up to its
 ``exact_cutoff``, float arrays beyond.  That alone decides which results
@@ -36,11 +38,16 @@ which on the dyadic coin rows is a shift, and is read as floats by one
 are built only when read.  The float rows are swept in n order: each
 row's block of columns is one ``einsum`` over the rows below it, adding
 in ascending k with the self-loop last, the order of a sparse row
-product.  A first sweep over the float rows of every transient state
+product.  A table keeps its integer rows but no float row: each pass
+reads the float rows again from ``read_rows``, whose caches keep only a
+short prefix of each law, so memory stays flat in n.  Two passes read
+them.  A first sweep over the float rows of every transient state
 predicts the column count, so the exact columns are pulled to it and no
-further; the final sweep reads the rounded exact rows and replays the
-stop rule.  Float rows read the already-exact low results, so exactness
-degrades only where the rationals would be unaffordable anyway.
+further; the final sweep reads the rounded exact columns, replays the
+stop rule and, row by row in the same pass, solves the float states'
+expected phase counts.  Float rows read the already-exact low results,
+so exactness degrades only where the rationals would be unaffordable
+anyway.  The stop rule takes its residuals a block of rows at a time.
 """
 from __future__ import annotations
 
@@ -48,7 +55,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Container, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,6 +72,11 @@ _J_CAP = 20_000
 
 #: rows of the float table that ``PhaseTable.to_csv`` formats at a time
 _CSV_ROWS = 256
+
+#: rows whose residuals ``_stop_column`` takes at a time: two temporaries of
+#: the table's size would set a large table's peak (a fair-coin table to
+#: 32,768 peaks at 83 MB with them, 65 MB without)
+_STOP_ROWS = 256
 
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise on object arrays
 
@@ -288,14 +300,16 @@ def compute_phase_table(
     width = _fill_columns(
         rows, units, a + 1, 64, lambda width: 2 * width, residual_eps, model.name
     )[0].shape[1]
+    # the final fill solves the float rows' means on its first pass
+    exact_means, means = _upward_sweep(rows, dict(enumerate(cost)), 1, floats=False)
     probs, exact_cols = _fill_columns(
-        rows, _exact_columns(rows, cost), a + 1 + len(rows.exact), width,
-        lambda width: width + 1, residual_eps, model.name,
+        rows, _exact_columns(rows, cost), rows.split, width,
+        lambda width: width + 1, residual_eps, model.name, means,
     )
+    probs = np.ascontiguousarray(probs)
     j_max = probs.shape[1] - 1
     col_nums, col_dens = zip(*exact_cols)
     exact_ints = dict(enumerate(zip(zip(*col_nums), zip(*col_dens))))
-    exact_means, means = _upward_sweep(rows, dict(enumerate(cost)), 1)
     means_direct = probs @ np.arange(j_max + 1, dtype=float)
     mean_gap = float(np.max(np.abs(means - means_direct)))
     tol = max(1e-10, residual_eps * (j_max + 20))
@@ -325,19 +339,30 @@ class _Rows:
     max_n <= a).
 
     ``exact`` holds the integer rows ``(lo, numerators, denominator)`` of
-    the states up to the model's cutoff; ``floats`` holds ``(lo, masses)``
-    for every transient state, the integer rows rounded.
+    the states up to the model's cutoff, the states below ``split``.  Float
+    rows are not kept: each pass reads them again through :meth:`floats`.
     """
 
+    model: SurvivorModel
     a: int
     max_n: int
     exact: list[tuple[int, list[int], int]]
-    floats: list[tuple[int, np.ndarray]]
+
+    @property
+    def split(self) -> int:
+        """The first state past the integer rows."""
+        return self.a + 1 + len(self.exact)
+
+    def floats(self, first: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(lo, masses)`` of the states first..max_n in ascending n, the
+        integer rows rounded."""
+        yield from map(float_row, self.exact[first - self.a - 1 :])
+        yield from self.model.read_rows(max(first, self.split), self.max_n + 1)
 
 
 def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
-    rows = list(model.read_rows(a + 1, max_n + 1))
-    return _Rows(a, max_n, [row for row in rows if len(row) == 3], list(map(float_row, rows)))
+    exact = itertools.takewhile(lambda row: len(row) == 3, model.read_rows(a + 1, max_n + 1))
+    return _Rows(model, a, max_n, list(exact))
 
 
 def _fill_columns(
@@ -348,6 +373,7 @@ def _fill_columns(
     grow: Callable[[int], int],
     residual_eps: float,
     name: str,
+    means: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[tuple[list[int], list[int]]]]:
     """The phase table cut at the column where the stop rule fires.
 
@@ -355,7 +381,9 @@ def _fill_columns(
     and denominator lists from ``base``, each entry one correctly rounded
     ``int / int``; the states from ``first`` up are swept.  The table
     starts ``width`` columns wide and is widened to ``grow(width)`` until
-    the rule fires.  Returns the table and the base columns it used.
+    the rule fires.  The first sweep also solves ``means`` from ``first``
+    up.  Returns the table cut at that column, a view of the array it
+    filled, and the base columns it used.
     """
     probs = np.zeros((rows.max_n + 1, 0))
     used: list[tuple[list[int], list[int]]] = []
@@ -364,26 +392,32 @@ def _fill_columns(
         for j, (nums, dens) in enumerate(itertools.islice(base, width - done), done):
             probs[: len(nums), j] = list(map(operator.truediv, nums, dens))
             used.append((nums, dens))
-        _sweep(probs, rows, first, max(done, 1))
+        _sweep(probs, rows, first, max(done, 1), means)
+        means = None
         stop = _stop_column(probs, rows.a, residual_eps)
         if stop is not None:
-            return np.ascontiguousarray(probs[:, : stop + 1]), used[: stop + 1]
+            return probs[:, : stop + 1], used[: stop + 1]
         if width > _J_CAP:
             raise RuntimeError(f"phase law did not absorb within {_J_CAP} columns for {name}")
         width = min(grow(width), _J_CAP + 1)
 
 
-def _sweep(probs: np.ndarray, rows: _Rows, first: int, j0: int) -> None:
+def _sweep(
+    probs: np.ndarray, rows: _Rows, first: int, j0: int, means: np.ndarray | None = None
+) -> None:
     """Fill columns j0.. of the states first..max_n in place, n ascending.
 
     Each entry adds ``P(n, k) * probs[k, j - 1]`` in ascending k, the
-    self-loop last, so it has the bits of a sparse row product.
+    self-loop last, so it has the bits of a sparse row product.  Given
+    ``means``, the same pass solves each state's expected phase count from
+    the ones below it, as :func:`_upward_sweep` does on float rows.
     """
-    for n in range(first, len(probs)):
-        lo, masses = rows.floats[n - rows.a - 1]
+    for n, (lo, masses) in enumerate(rows.floats(first), first):
         stay = 0.0
         if lo + len(masses) > n:  # the row ends on its self-loop
             stay, masses = float(masses[-1]), masses[:-1]
+        if means is not None:
+            means[n] = (1 + masses @ means[lo : lo + len(masses)]) / (1 - stay)
         out = probs[n, j0:]
         np.einsum("w,wj->j", masses, probs[lo : lo + len(masses), j0 - 1 : -1], out=out)
         if stay:
@@ -398,9 +432,13 @@ def _stop_column(probs: np.ndarray, a: int, residual_eps: float) -> int | None:
 
     Float rows with truncated tails can floor the residual above eps, so
     the rule also fires once progress has stalled for 100 columns with
-    every row complete to the contractual 1e-9.
+    every row complete to the contractual 1e-9.  The residuals are taken
+    ``_STOP_ROWS`` rows at a time, so no temporary is the table's size.
     """
-    worst = (1.0 - np.cumsum(probs[a + 1 :], axis=1)).max(axis=0, initial=-math.inf)
+    worst = np.full(probs.shape[1], -math.inf)
+    for lo in range(a + 1, len(probs), _STOP_ROWS):
+        block = 1.0 - np.cumsum(probs[lo : lo + _STOP_ROWS], axis=1)
+        np.maximum(worst, block.max(axis=0), out=worst)
     best, stalled = math.inf, 0
     for j, residual in enumerate(worst.tolist()[1:], 1):
         if residual < residual_eps:
@@ -439,7 +477,7 @@ def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[tuple[list[int], li
 
 
 def _upward_sweep(
-    rows: _Rows, fixed: dict[int, object], c: int
+    rows: _Rows, fixed: dict[int, object], c: int, *, floats: bool = True
 ) -> tuple[dict[int, object], np.ndarray]:
     """Solve f(n) = (c + sum_{k<n} P(n,k) f(k)) / (1 - P(n,n)) upward.
 
@@ -449,11 +487,12 @@ def _upward_sweep(
     state as floats (one array row per state).  The exact values are kept
     as integer numerators over one common denominator, so each integer row
     takes one integer dot product; the float rows each take one dot
-    product.
+    product, unless ``floats`` is false: then their states are left 0 for
+    the caller to solve in its own pass over the rows.
     """
     exact = {k: _fraction(v, 1) for k, v in fixed.items()}
     f = np.array([np.asarray(v, dtype=float) for v in fixed.values()])
-    f = np.concatenate([f, np.zeros((len(rows.floats),) + f.shape[1:])])
+    f = np.concatenate([f, np.zeros((max(rows.max_n - rows.a, 0),) + f.shape[1:])])
     nums, scale = list(fixed.values()), 1  # exact f(k) = nums[k] / scale
     for n, (lo, row, den) in enumerate(rows.exact, rows.a + 1):
         stay = row[n - lo] if lo + len(row) > n else 0
@@ -468,8 +507,7 @@ def _upward_sweep(
             nums = [x * (grown // scale) for x in nums]
         nums.append(numer // common * (grown // (denom // common)))
         scale = grown
-    for n in range(rows.a + 1 + len(rows.exact), len(f)):
-        lo, probs = rows.floats[n - rows.a - 1]
+    for n, (lo, probs) in enumerate(rows.floats(rows.split) if floats else (), rows.split):
         stay = 0.0
         if lo + len(probs) > n:  # the row ends on its self-loop
             stay, probs = probs[-1], probs[:-1]
@@ -528,37 +566,46 @@ def ending_state_probs(
     )
 
 
-def _downward_sweep(model: SurvivorModel, start: int, a: int) -> tuple[dict, dict]:
-    """Expected visits and entering mass per state, from one start.
+def _downward_sweep(
+    model: SurvivorModel, start: int, a: int, entering: Container[int] = ()
+) -> tuple[dict, Fraction | float, dict]:
+    """Expected visits per state from one start, their sum over the states
+    above ``a``, and the mass entering each state of ``entering`` that mass
+    enters and each absorbing state.
 
     The mass entering k is ``[k = start] + sum_{m>k} visits(m) P(m, k)``;
     visits divide it by ``1 - P(k, k)`` above the threshold.  States no
     mass enters are skipped.  The start's row, read even at or below the
-    threshold, picks the sweep: all float, or all ``Fraction`` with one
-    ``lowest_terms`` a row and one integer product an entry.
+    threshold, picks the sweep: all float, or integer numerators over one
+    common denominator, with one ``lowest_terms`` a row and one integer
+    product an entry; the visit sum is one more such numerator.
     """
     rows = list(model.read_rows(min(a + 1, start), start + 1))  # row m is rows[m - start - 1]
     if len(rows[-1]) == 2:
         return _float_visits(rows, start, a)
     inflow, scale = [0] * start + [1], 1  # mass entering k is inflow[k] / scale
-    visits, entering = {}, {}
+    visits, into, total = {}, {}, 0  # the visits so far sum to total / scale
     for m in range(start, a, -1):
         if inflow[m]:
             lo, nums, den = rows[m - start - 1]
             stay = nums[m - lo] if lo + len(nums) > m else 0
             p, q = lowest_terms(inflow[m] * den, scale * (den - stay))
-            visits[m], entering[m] = Fraction(p, q), Fraction(inflow[m], scale)
+            visits[m] = Fraction(p, q)
+            if m in entering:
+                into[m] = Fraction(inflow[m], scale)
             grown = math.lcm(scale, q * den)  # visits(m) P(m, k) = p nums[k - lo] / (q den)
             f, weight, scale = grown // scale, p * (grown // (q * den)), grown
+            total = total * f + p * (grown // q)
             row = [0] * lo + nums[: m - lo]  # P(m, k) for k < m; rows end at k = m
             inflow[:m] = [x * f + weight * y for x, y in zip(inflow, row + [0] * (m - len(row)))]
     absorbed = {k: Fraction(x, scale) for k, x in enumerate(inflow[: a + 1]) if x}
-    return visits | absorbed, entering | absorbed
+    return visits | absorbed, Fraction(total, scale), into | absorbed
 
 
-def _float_visits(rows: list, start: int, a: int) -> tuple[dict, dict]:
-    """The sweep in floats; an integer row is read as its rounded masses,
-    and its self-loop leaves ``(den - stay) / den``, correctly rounded."""
+def _float_visits(rows: list, start: int, a: int) -> tuple[dict, float, dict]:
+    """The sweep in floats, with the mass entering every state; an integer
+    row is read as its rounded masses, and its self-loop leaves
+    ``(den - stay) / den``, correctly rounded."""
     inflow, visits = {start: 1.0}, {}
     for m in range(start, a, -1):
         if mass := inflow.get(m):
@@ -573,8 +620,9 @@ def _float_visits(rows: list, start: int, a: int) -> tuple[dict, dict]:
             for k, p in enumerate(probs[: m - lo], lo):  # rows end at k = m
                 if p:
                     inflow[k] = inflow.get(k, 0) + visits[m] * p
+    total = sum(visits.values(), 0.0)
     visits.update((k, v) for k, v in inflow.items() if k <= a and v)
-    return visits, inflow
+    return visits, total, inflow
 
 
 def passage_probs(
@@ -590,8 +638,8 @@ def passage_probs(
     if any(i < 1 for i in states):
         raise ValueError("passage states start at 1")
     _validate_setup(model, n, 1, InitConvention.STANDARD)
-    _, inflow = _downward_sweep(model, n, 1)
-    zero = type(inflow[n])()  # 0 as a Fraction or a float, as the sweep ran
+    visits, _, inflow = _downward_sweep(model, n, 1, set(states))
+    zero = type(visits[n])()  # 0 as a Fraction or a float, as the sweep ran
     return {i: inflow.get(i, zero) + (inflow.get(0, zero) if i == 1 else zero) for i in states}
 
 
@@ -616,9 +664,7 @@ class Occupancy:
 def occupancy_probs(model: SurvivorModel, start_n: int, threshold_a: int = 1) -> Occupancy:
     """Expected visits per state from one starting size, by one downward sweep."""
     _validate_setup(model, start_n, threshold_a, InitConvention.STANDARD)
-    visits, _ = _downward_sweep(model, start_n, threshold_a)
-    zero = type(visits[start_n])()  # 0 as a Fraction or a float, as the sweep ran
-    mean_recovered = sum((v for k, v in visits.items() if k > threshold_a), zero)
+    visits, mean_recovered, _ = _downward_sweep(model, start_n, threshold_a)
     return Occupancy(
         start_n=start_n,
         threshold_a=threshold_a,

@@ -6,11 +6,16 @@ ascending n: ``exact_row(n)``, integer numerators over one denominator,
 up to ``exact_cutoff``, and a first k with an array of masses beyond it.
 It is the only code that picks exact or float.  Beyond the cutoff the
 coin and peak models run their exact recurrences on probabilities, grown
-one n at a time into one shared cache per law (:class:`_GrownRows`), so
-phase tables reach the thousands.  Coin rows are windows of Bi(n, p) cut
-by tail mass below ``TAIL_TRUNCATION``; peak rows keep the masses above
-it.  Peak exact rows grow by the same step on integer counts, in a second
-cache, at any n.  ``float_rows`` and the dicts ``pmf_*`` are views.
+one n at a time into one shared cache per law (:class:`_GrownRows`), and
+map a per-row transform over the cache's stream of rows.  Coin rows are
+windows of Bi(n, p) cut by tail mass below ``TAIL_TRUNCATION``; peak rows
+keep the masses above it.  A cache keeps its first ``_KEPT_BYTES`` of
+rows; past them it keeps each row's cut and a front every
+``_CHECKPOINT_ROWS`` rows, and every read steps again from the front
+below it, so phase tables reach 2^16 in memory flat in n.  Peak exact
+rows grow by the same step on integer counts, in a second cache that
+keeps every row, at any n.  ``float_rows`` and the dicts ``pmf_*`` are
+views.
 """
 from __future__ import annotations
 
@@ -20,10 +25,11 @@ import functools
 import math
 import operator
 import threading
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +44,18 @@ TAIL_TRUNCATION = 1e-15
 
 #: masses below which a propagated coin row is trimmed, far below any served window
 FRONT_TRUNCATION = 1e-40
+
+#: bytes of float rows one law keeps, at 8 an entry.  Past them a row is
+#: stepped again from a front on each read, so a table's rows take memory
+#: flat in n.  Every law the exact regime reads stays inside: coin p = 1/2
+#: to n = 300 and linear-I peak rows to 500 hold under 0.2 MiB, while
+#: fair-coin rows reach 1 MiB at n ~ 840
+_KEPT_BYTES = 1 << 20
+
+#: rows between the fronts kept past the prefix: a read steps at most this
+#: many rows below its first (about 5 ms near fair-coin n = 4096), and the
+#: fronts and cuts of the fair-coin law to 2^16 take about 2 MiB
+_CHECKPOINT_ROWS = 1024
 
 #: row n of a law, P(n, lo + i) at i: integer (lo, numerators, denominator) or float (lo, masses)
 Row = tuple[int, list[int], int] | tuple[int, np.ndarray]
@@ -56,7 +74,7 @@ def float_row(row: Row) -> tuple[int, np.ndarray]:
 class SurvivorModel(abc.ABC):
     """One round of elimination: the law of the survivor count.
 
-    Subclasses provide :meth:`exact_row`, and override :meth:`_far_row`
+    Subclasses provide :meth:`exact_row`, and override :meth:`_far_rows`
     where a float path beyond the cutoff exists; :meth:`read_rows` serves
     both.  :meth:`float_rows` and the dicts :meth:`pmf_exact` and
     :meth:`pmf_float` are views over it.
@@ -92,21 +110,26 @@ class SurvivorModel(abc.ABC):
 
     def read_rows(self, start: int, stop: int) -> Iterator[Row]:
         """Rows n = start..stop-1, one at a time in ascending n: the integer
-        :meth:`exact_row` up to ``exact_cutoff``, the float :meth:`_far_row`
-        beyond.  Coin and peak rows beyond the cutoff come from one shared
-        cache per law grown from n = 0, so one row at a large n builds and
-        keeps every row below it: ``FairCoin().pmf_float(30000)`` takes
-        about 1.2 s and 244 MB."""
-        for n in range(start, stop):
-            yield self.exact_row(n) if n <= self.exact_cutoff else self._far_row(n)
+        :meth:`exact_row` up to ``exact_cutoff``, the float rows of
+        :meth:`_far_rows` beyond.  Coin and peak rows beyond the cutoff come
+        from one shared cache per law grown from n = 0.  It keeps its first
+        1 MiB of rows and steps past them again from a saved front, so the
+        first read of one row at a large n costs every step below it but
+        keeps no row: in a fresh process ``FairCoin().pmf_float(30000)``
+        takes about 0.6 s and 1.2 MB, and reading it again about 3 ms."""
+        split = min(max(start, self.exact_cutoff + 1), stop)
+        yield from map(self.exact_row, range(start, split))
+        if split < stop:
+            yield from self._far_rows(split, stop)
 
     def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
         """:meth:`read_rows` as a list of ``(lo, masses)``, the exact rows rounded."""
         return list(map(float_row, self.read_rows(start, stop)))
 
-    def _far_row(self, n: int) -> tuple[int, np.ndarray]:
-        """Float row n beyond the cutoff; the exact row rounded by default."""
-        return float_row(self.exact_row(n))
+    def _far_rows(self, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Float rows n = start..stop-1 beyond the cutoff, in ascending n; the
+        exact rows rounded by default."""
+        return map(float_row, map(self.exact_row, range(start, stop)))
 
     def pmf_exact(self, n: int) -> dict[int, Fraction]:
         """Row n as ``{k: P(n, k)}`` over its nonzero masses."""
@@ -199,25 +222,84 @@ class _Shared:
 
 
 class _GrownRows:
-    """Rows of one recurrence, grown one n at a time behind one lock.
+    """Rows of one recurrence, grown one n at a time and shared by every caller.
 
-    ``step(front, n)`` propagates the front from row n - 1 to row n and
-    ``serve(front)`` cuts the row kept for n from it.  Rows below the first
-    front's ``n`` are served its row.  Rows are shared by every caller, so
-    they are read-only arrays or tuples.
+    ``step(front, n)`` propagates the front from row n - 1 to row n,
+    ``cut(front)`` finds the bounds ``(start, stop)`` of the entries served
+    for n and ``serve(front, start, stop)`` builds the row from them.  Rows
+    below the first front's ``n`` are served its row.
+
+    Served rows are kept until they hold ``kept_bytes`` (8 bytes an entry).
+    Past that prefix the cache keeps only each row's cut and the front of
+    every ``_CHECKPOINT_ROWS``-th row, and :meth:`rows` steps again from the
+    latest front below its first row.  The recurrences are deterministic, so
+    a re-read row has the bits of the first read.  The prefix, and rows
+    below a read's first row, grow behind the lock; the rows a read serves
+    past the prefix are stepped outside it, and the first read of each
+    records its cut as it goes.  Rows are read-only arrays or tuples.
     """
 
-    def __init__(self, front, n: int, step, serve) -> None:
+    def __init__(self, front, n: int, step, cut, serve, kept_bytes: float) -> None:
         self._lock = threading.Lock()
-        self._front, self._step, self._serve = front, step, serve
-        self._rows = [serve(front)] * (n + 1)
+        self._step, self._cut, self._serve = step, cut, serve
+        self._spacing = _CHECKPOINT_ROWS
+        start, stop = cut(front)
+        self._rows = [serve(front, start, stop)] * (n + 1)  # the kept prefix
+        self._room = kept_bytes - 8 * (stop - start) * (n + 1)
+        self._top = n, front  # the last grown row and its front
+        self._cuts = array("q")  # start, stop of each row past the prefix
+        self._fronts: list = []  # fronts of the rows len(_rows) - 1 + i * _spacing
 
     def __call__(self, n: int):
+        return next(self.rows(n, n + 1))
+
+    def rows(self, start: int, stop: int) -> Iterator:
+        """Rows n = start..stop-1, in ascending n."""
         with self._lock:
-            while len(self._rows) <= n:
-                self._front = self._step(self._front, len(self._rows))
-                self._rows.append(self._serve(self._front))
-            return self._rows[n]
+            # the kept prefix, and the rows below start, grow behind the lock
+            while self._top[0] < stop - 1 and (self._room > 0 or self._top[0] < start - 1):
+                n = self._top[0] + 1
+                self._record(n, self._step(self._top[1], n))
+            head = self._rows[start:stop]
+            first = start + len(head)
+            if first >= stop:
+                return iter(head)
+            n, front = self._top
+            if n >= first:  # start at the checkpoint below first
+                base = len(self._rows) - 1
+                i = (first - 1 - base) // self._spacing
+                n, front = base + i * self._spacing, self._fronts[i]
+        return chain(head, self._walk(n, front, first, stop))
+
+    def _walk(self, n: int, front, first: int, stop: int) -> Iterator:
+        """Rows first..stop-1 past the prefix, stepped from row n's front;
+        rows not grown yet are recorded on the way.  ``_top`` and ``_cuts``
+        are read outside the lock: each read sees them whole, and recorded
+        cuts never change."""
+        step, serve, cuts, kept = self._step, self._serve, self._cuts, len(self._rows)
+        for n in range(n + 1, stop):
+            front = step(front, n)
+            if n > self._top[0]:
+                with self._lock:
+                    if n > self._top[0]:
+                        self._record(n, front)
+            if n >= first:
+                i = 2 * (n - kept)
+                yield serve(front, cuts[i], cuts[i + 1])
+
+    def _record(self, n: int, front) -> None:
+        """Grow row n, the one past ``_top``, from its front; behind the lock."""
+        start, stop = self._cut(front)
+        if self._room > 0:
+            self._rows.append(self._serve(front, start, stop))
+            self._room -= 8 * (stop - start)
+            if self._room <= 0:  # row n closes the prefix
+                self._fronts.append(front)
+        else:
+            self._cuts.extend((start, stop))
+            if (n - len(self._rows) + 1) % self._spacing == 0:
+                self._fronts.append(front)
+        self._top = n, front  # last: a reader that sees it finds row n recorded
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -231,31 +313,41 @@ def _binomial_step(front: tuple[int, np.ndarray], n: int, p: float) -> tuple[int
     trimmed to masses above ``FRONT_TRUNCATION``.  Every term is
     non-negative, so floats carry it to rounding however far it runs."""
     lo, prev = front
-    row = np.empty(len(prev) + 1)
-    np.multiply(prev, 1.0 - p, out=row[:-1])
-    row[-1] = 0.0
-    row[1:] += p * prev
+    m = len(prev)
+    row = np.empty(m + 1)
+    np.multiply(prev, 1.0 - p, out=row[:m])
+    row[m] = 0.0
+    tail = row[1:]
+    tail += p * prev
     # each edge moves out by one k a row, and only that new entry can fall short
-    first = int(row[0] <= FRONT_TRUNCATION)
-    last = len(row) - int(row[-1] <= FRONT_TRUNCATION)
+    first = int(row.item(0) <= FRONT_TRUNCATION)
+    last = m + 1 - int(row.item(m) <= FRONT_TRUNCATION)
     return lo + first, row[first:last]
 
 
-def _binomial_window(front: tuple[int, np.ndarray]) -> tuple[int, np.ndarray, float]:
-    """The window of a Bi(n, p) front that holds all but < 2e-15 of the mass:
-    k below it carry less than ``TAIL_TRUNCATION`` in all, as do k above it
-    (the bounds ``ppf`` and ``isf`` give).  Returns its first k, its masses
-    and the mass of k <= 1, for :class:`CoinMaxOne`'s rescue."""
-    lo, row = front
+def _binomial_cut(front: tuple[int, np.ndarray]) -> tuple[int, int]:
+    """Bounds of the window of a Bi(n, p) front that holds all but < 2e-15 of
+    the mass: k below it carry less than ``TAIL_TRUNCATION`` in all, as do k
+    above it (the bounds ``ppf`` and ``isf`` give)."""
+    row = front[1]
     start = int(row.cumsum().searchsorted(TAIL_TRUNCATION))
-    stop = len(row) - int(row[::-1].cumsum().searchsorted(TAIL_TRUNCATION))
-    return lo + start, _read_only(row[start:stop]), float(row[: max(2 - lo, 0)].sum())
+    return start, len(row) - int(row[::-1].cumsum().searchsorted(TAIL_TRUNCATION))
+
+
+def _binomial_window(
+    front: tuple[int, np.ndarray], start: int, stop: int
+) -> tuple[int, np.ndarray, float]:
+    """The window: its first k, its masses and the mass of k <= 1, for
+    :class:`CoinMaxOne`'s rescue."""
+    lo, row = front
+    low = float(row[: 2 - lo].sum()) if lo < 2 else 0.0
+    return lo + start, _read_only(row[start:stop]), low
 
 
 def _binomial_rows(p: Fraction) -> _GrownRows:
     """A fresh cache of Bi(n, p) windows, from n = 0."""
     step = functools.partial(_binomial_step, p=float(p))
-    return _GrownRows((0, np.ones(1)), 0, step, _binomial_window)
+    return _GrownRows((0, np.ones(1)), 0, step, _binomial_cut, _binomial_window, _KEPT_BYTES)
 
 
 #: the Bi(n, p) window cache every coin model with this p shares
@@ -269,7 +361,8 @@ class _Coin(SurvivorModel):
     Subclasses say what becomes of a wiped-out or thinned round: exact rows
     from the whole binomial row in integers, float rows beyond the cutoff
     from the shared Bi(n, p) window that holds all but < 2e-15 of the mass
-    (``_coin_rows(p)(n)``: its first k, its masses, the mass of k <= 1).
+    (``_coin_rows(p)``: its first k, its masses, the mass of k <= 1), one
+    :meth:`_from_window` per row of the cache's stream.
     """
 
     p: Fraction
@@ -283,6 +376,14 @@ class _Coin(SurvivorModel):
     @property
     def declared_alpha(self) -> Fraction:
         return self.p
+
+    def _far_rows(self, start, stop):
+        windows = _coin_rows(self.p).rows(start, stop)
+        return map(self._from_window, count(start), windows)
+
+    @abc.abstractmethod
+    def _from_window(self, n: int, window: tuple[int, np.ndarray, float]) -> tuple[int, np.ndarray]:
+        """Float row n from its shared Bi(n, p) window."""
 
 
 @dataclass(frozen=True)
@@ -305,8 +406,8 @@ class BiasedCoin(_Coin):
         """The float tails probability, float(1 - p)."""
         return float(1 - self.p)
 
-    def _far_row(self, n):
-        lo, probs, _ = _coin_rows(self.p)(n)
+    def _from_window(self, n, window):
+        lo, probs, _ = window
         if lo == 0:
             lo, probs = 1, probs[1:]
         rescue = self._tails**n  # all tails; the window holds all heads
@@ -343,8 +444,8 @@ class CoinMaxOne(_Coin):
         nums, den = _binomial_numerators(n, self.p)
         return 1, [nums[0] + nums[1]] + nums[2:], den
 
-    def _far_row(self, n):
-        lo, probs, low = _coin_rows(self.p)(n)
+    def _from_window(self, n, window):
+        lo, probs, low = window
         cut = min(max(2 - lo, 0), len(probs))  # window entries at k = 0, 1
         lo, probs = lo + cut, probs[cut:]
         if low >= TAIL_TRUNCATION:
@@ -383,8 +484,8 @@ class DemonCoin(_Coin):
         nums[0] = scale * heads[0] + kill * heads[1]  # nobody left either way
         return 0, nums, den * scale
 
-    def _far_row(self, n):
-        lo, heads, _ = _coin_rows(self.p)(n)
+    def _from_window(self, n, window):
+        lo, heads, _ = window
         keep, kill = 1.0 - float(self.nu), float(self.nu)
         start = max(lo - 1, 0)
         h = np.concatenate([np.zeros(lo - start), heads, [0.0]])  # k = start..
@@ -418,34 +519,41 @@ class DummyShiftedDemon(SurvivorModel):
         lo, nums, den = self.base.exact_row(n - 1)
         return lo + 1, nums, den
 
-    def _far_row(self, n: int) -> tuple[int, np.ndarray]:
-        # the base's float row, cut to its nonzero span: at nu = 0 or 1 a
-        # demon row ends on a zero mass, which the lifted chain drops
-        [(lo, probs)] = self.base.float_rows(n - 1, n)
-        nonzero = np.flatnonzero(probs).tolist()
-        return lo + 1 + nonzero[0], probs[nonzero[0] : nonzero[-1] + 1]
+    def _far_rows(self, start, stop):
+        return map(_lifted, map(float_row, self.base.read_rows(start - 1, stop - 1)))
 
 
-def _above_truncation(row: np.ndarray) -> tuple[int, np.ndarray]:
+def _lifted(row: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """A demon row one state up, cut to its nonzero span: at nu = 0 or 1 a
+    demon row ends on a zero mass, which the lifted chain drops."""
+    lo, probs = row
+    nonzero = np.flatnonzero(probs).tolist()
+    return lo + 1 + nonzero[0], probs[nonzero[0] : nonzero[-1] + 1]
+
+
+def _above_truncation(row: np.ndarray) -> tuple[int, int]:
+    """Bounds of the masses of a linear-I row above ``TAIL_TRUNCATION``."""
     keep = np.flatnonzero(row > TAIL_TRUNCATION)
-    lo, hi = int(keep[0]), int(keep[-1])
-    return lo, _read_only(row[lo : hi + 1])
+    return int(keep[0]), int(keep[-1]) + 1
 
 
 def _peak_rows() -> _GrownRows:
     """A fresh cache of linear-I float rows of the normalised peak recurrence,
-    grown untrimmed and kept as (first k, masses above ``TAIL_TRUNCATION``).
+    grown untrimmed and served as (first k, masses above ``TAIL_TRUNCATION``).
     Row 0, the empty arrangement, has row 1's law."""
     return _GrownRows(
-        np.ones(1), 1, lambda prev, n: interior_peak_step(prev, n) / n, _above_truncation
+        np.ones(1), 1, lambda prev, n: interior_peak_step(prev, n) / n, _above_truncation,
+        lambda row, start, stop: (start, _read_only(row[start:stop])), _KEPT_BYTES,
     )
 
 
 def _peak_counts() -> _GrownRows:
     """A fresh cache of linear-I rows as Python-int counts over n!, grown by
-    the same step as :func:`_peak_rows`; row 0 has row 1's counts."""
+    the same step as :func:`_peak_rows`; row 0 has row 1's counts.  Every
+    row is kept: :meth:`PeakSurvivors.exact_row` reads one n at a time."""
     return _GrownRows(
-        np.ones(1, dtype=object), 1, interior_peak_step, lambda front: tuple(front.tolist())
+        np.ones(1, dtype=object), 1, interior_peak_step, lambda counts: (0, len(counts)),
+        lambda counts, start, stop: tuple(counts.tolist()), math.inf,
     )
 
 
@@ -488,11 +596,10 @@ class PeakSurvivors(SurvivorModel):
         m, shift = self._linear_row(n)
         return shift, list(_linear_counts(m)), math.factorial(m)
 
-    def _far_row(self, n: int) -> tuple[int, np.ndarray]:
+    def _far_rows(self, start, stop):
         # the cached rows are shared, not copied
-        m, shift = self._linear_row(n)
-        lo, probs = _linear_float(m)
-        return lo + shift, probs
+        m, shift = self._linear_row(start)
+        return ((lo + shift, probs) for lo, probs in _linear_float.rows(m, m + stop - start))
 
 
 def peak_linear_i(**kwargs) -> PeakSurvivors:

@@ -495,6 +495,19 @@ def test_csv_writer_memory_is_one_block(fair_4096, tmp_path):
     assert peak < 4e6
 
 
+def test_phase_table_memory_is_bounded():
+    # a table holds no float rows between its passes, and its law's cache
+    # keeps the first 1 MiB of them; every row of p = 3/7 to 4096, which no
+    # other test reads, would take about 10 MiB
+    tracemalloc.start()
+    try:
+        compute_phase_table(BiasedCoin(Fraction(3, 7), exact_cutoff=0), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # ending states
 
@@ -625,11 +638,14 @@ def _reference_downward_sweep(model, start, a):
 
 def _assert_sweep_matches_reference(model, start, a):
     # equal values, and one number type throughout: the start row's
-    got, want = engine._downward_sweep(model, start, a), _reference_downward_sweep(model, start, a)
+    visits, total, entering = engine._downward_sweep(model, start, a, range(start + 1))
+    want_visits, want_entering = _reference_downward_sweep(model, start, a)
     kind = Fraction if start <= model.exact_cutoff else float
-    for got_values, want_values in zip(got, want):
+    for got_values, want_values in ((visits, want_visits), (entering, want_entering)):
         assert got_values == want_values
         assert {type(v) for v in got_values.values()} == {kind}
+    assert total == sum((v for k, v in want_visits.items() if k > a), kind())
+    assert type(total) is kind
 
 
 @pytest.mark.parametrize(
@@ -727,6 +743,22 @@ def test_means_agree_on_random_chains(chain, a, init, data):
         assert sum(j * p for j, p in law.items()) == table.exact_mean(top)
 
 
+def _sampled_passage(model, start, walkers, rng):
+    """Monte Carlo passage: ``walkers`` chains from ``start`` step by
+    ``sample_many`` until they reach 1 or 0; entry i counts those that
+    ever stood at i.  A chain enters each state at most once."""
+    entered = np.zeros(start + 1, dtype=np.int64)
+    entered[start] = walkers
+    for state in range(start, 1, -1):
+        waiting = int(entered[state])
+        while waiting:  # self-loops draw again
+            draws = model.sample_many(state, waiting, rng)
+            moved = draws[draws != state]
+            entered += np.bincount(moved, minlength=start + 1)
+            waiting -= len(moved)
+    return entered
+
+
 @given(_chains())
 def test_passage_and_ending_states_on_random_chains(chain):
     model, _ = chain
@@ -737,6 +769,14 @@ def test_passage_and_ending_states_on_random_chains(chain):
         assert passage[i] == ending.exact_prob(top, i)
         for n in range(top + 1):
             assert sum(ending.exact[n]) == 1
+    # the sampled passage frequencies, within 5 sigma of 2000 walkers
+    walkers = 2000
+    entered = _sampled_passage(model, top, walkers, np.random.default_rng(2008))
+    entered[1] += entered[0]  # a wiped-out game ends with one player
+    for i in range(1, top + 1):
+        p = float(passage[i])
+        sigma = math.sqrt(p * (1 - p) / walkers)
+        assert abs(entered[i] / walkers - p) <= 5 * sigma, (i, entered[i], p)
     for a in (1, 2):  # the integer sweep, and the float sweep over integer rows
         _assert_sweep_matches_reference(model, top, a)
         _assert_sweep_matches_reference(replace(model, exact_cutoff=top - 1), top, a)

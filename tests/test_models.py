@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from electra import fixtures
+from electra import fixtures, models
 from electra.models import (
     TAIL_TRUNCATION,
     BiasedCoin,
@@ -20,6 +20,8 @@ from electra.models import (
     ToyHalving,
     _binomial_rows,
     _coin_rows,
+    _peak_rows,
+    _Shared,
     float_row,
     model_from_name,
     peak_circular,
@@ -154,12 +156,82 @@ def test_batched_coin_rows_are_bit_identical(kind, p):
         assert all(abs(got[k] - v) <= 1e-12 * v for k, v in want.items()), n
 
 
-def test_coin_rows_agree_across_threads():
-    # each round grows a fresh coin cache from four threads asking out of order
+def _small_prefix(monkeypatch, kept_bytes, spacing):
+    """Caches built from here on keep ``kept_bytes`` of rows and a front
+    every ``spacing`` rows past them."""
+    monkeypatch.setattr(models, "_KEPT_BYTES", kept_bytes)
+    monkeypatch.setattr(models, "_CHECKPOINT_ROWS", spacing)
+
+
+def _same_row(got, want):
+    # (first k, masses) and, for coin windows, the mass of k <= 1, bit for bit
+    return (len(got) == len(want) and got[0] == want[0]
+            and np.array_equal(got[1], want[1]) and got[2:] == want[2:])
+
+
+@pytest.mark.parametrize("build", [
+    functools.partial(_binomial_rows, Fraction(1, 2)),
+    functools.partial(_binomial_rows, Fraction(3, 10)),
+    functools.partial(_binomial_rows, Fraction(9, 10)),
+    _peak_rows,
+], ids=["coin-1/2", "coin-3/10", "coin-9/10", "peak-linear-i"])
+def test_streamed_rows_equal_first_reads(build, monkeypatch):
+    # past a 4 KiB prefix every read steps again from a front 64 rows
+    # apart; each row has the bits of its first read, and the first reads
+    # those of a cache that keeps all 700 rows
+    top = 700
+    kept_all = list(build().rows(0, top))
+    _small_prefix(monkeypatch, 1 << 12, 64)
+    rows = build()
+    first = list(rows.rows(0, top))
+    assert all(map(_same_row, first, kept_all))
+    kept = len(rows._rows)
+    assert 10 < kept < 100 and len(rows._fronts) >= 8  # past the prefix and several checkpoints
+    for n in (0, 1, kept - 1, kept, kept + 1, kept + 63, kept + 64, kept + 65, 400, top - 1):
+        assert _same_row(rows(n), first[n]), n
+    for start, stop in ((0, top), (3, kept + 2), (kept - 2, kept + 70), (kept + 69, kept + 300),
+                        (kept + 64, kept + 65), (top - 1, top)):
+        got = list(rows.rows(start, stop))
+        assert len(got) == stop - start and all(map(_same_row, got, first[start:stop]))
+    cold = build()  # a first read far past the prefix grows every row below it
+    assert _same_row(cold(500), first[500])
+    assert all(map(_same_row, cold.rows(0, top), first))
+
+
+@pytest.mark.parametrize("model", [
+    FairCoin(exact_cutoff=0),
+    BiasedCoin(Fraction(3, 10), exact_cutoff=5),
+    CoinMaxOne(Fraction(9, 10), exact_cutoff=0),
+    DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=0),
+    DemonCoin(Fraction(1, 2), Fraction(1), exact_cutoff=5).shifted(),
+    peak_linear_i(exact_cutoff=0),
+    peak_circular(exact_cutoff=5),
+], ids=lambda m: m.name)
+def test_models_map_over_streamed_rows(model, monkeypatch):
+    # every recurrence-backed model reads its law's stream: through fresh
+    # caches with a 4 KiB prefix its rows keep the shared caches' bits,
+    # read once, again, one at a time and from past a checkpoint
+    top = 700
+    want = model.float_rows(1, top)
+    _small_prefix(monkeypatch, 1 << 12, 64)
+    monkeypatch.setattr(models, "_coin_rows", _Shared(_binomial_rows))
+    monkeypatch.setattr(models, "_linear_float", _peak_rows())
+    for got in (model.float_rows(1, top), model.float_rows(1, top)):
+        assert all(map(_same_row, got, want))
+    for n in (1, 6, 150, 301, top - 1):
+        assert _same_row(model.float_rows(n, n + 1)[0], want[n - 1]), n
+    assert all(map(_same_row, model.float_rows(333, 555), want[332:554]))
+
+
+def test_coin_rows_agree_across_threads(monkeypatch):
+    # each round grows a fresh coin cache from four threads asking out of
+    # order; past its 64 KiB prefix each row is stepped from a front 4 rows apart
+    _small_prefix(monkeypatch, 1 << 16, 4)
     p = Fraction(3, 10)
     sizes = list(range(0, 3000, 7))
     reference = _binomial_rows(p)
-    expected = {n: reference(n) for n in sizes}
+    expected = dict(zip(range(3000), reference.rows(0, 3000)))
+    assert len(reference._rows) < 500
     rng = np.random.default_rng(6)
     rounds = 0
     switch = sys.getswitchinterval()
@@ -184,9 +256,8 @@ def test_coin_rows_agree_across_threads():
                 assert not t.is_alive()
             assert len(results) == 4
             for got in results:
-                for n, (lo, heads, low) in expected.items():
-                    assert got[n][0] == lo and got[n][2] == low, n
-                    assert np.array_equal(got[n][1], heads), n
+                for n in sizes:
+                    assert _same_row(got[n], expected[n]), n
             rounds += 1
     finally:
         sys.setswitchinterval(switch)
