@@ -229,7 +229,7 @@ def _xy_rows(xs, ys, series) -> list[list[str]]:
 
 
 def _scatter_rows(table, alpha, n_lo, n_hi, kind, series):
-    values = table.cum if kind == "cdf" else table.probs
+    values = np.cumsum(table.probs, axis=1) if kind == "cdf" else table.probs
     keep = values > 1e-12
     if kind == "cdf":
         keep &= values < 1.0 - 1e-12

@@ -125,7 +125,8 @@ class PhaseTable:
     """Distribution of the number of phases, all starting sizes at once.
 
     ``probs[n, j]`` is the probability that the game starting from n
-    players takes exactly j phases; ``cum`` is its running sum in j.
+    players takes exactly j phases; ``cdf`` and ``cdf_row`` take its running
+    sum in j.
     ``exact_ints[n]`` holds the same row as two int tuples, numerators and
     denominators in lowest terms, for the absorbing states and every n up
     to the cutoff; ``exact_rows`` is its view as tuples of ``Fraction``,
@@ -143,10 +144,8 @@ class PhaseTable:
     residual_eps: float
     j_max: int
     probs: np.ndarray
-    cum: np.ndarray
     exact_ints: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
     means: np.ndarray
-    means_direct: np.ndarray
     exact_means: dict[int, Fraction]
     mean_gap: float
 
@@ -159,10 +158,8 @@ class PhaseTable:
         return float(self.probs[n, j]) if 0 <= j <= self.j_max else 0.0
 
     def cdf(self, n: int, j: int) -> float:
-        self._check_n(n)
-        if j < 0:
-            return 0.0
-        return float(self.cum[n, min(j, self.j_max)])
+        cum = self.cdf_row(n)
+        return float(cum[min(j, self.j_max)]) if j >= 0 else 0.0
 
     def row(self, n: int) -> np.ndarray:
         self._check_n(n)
@@ -170,7 +167,7 @@ class PhaseTable:
 
     def cdf_row(self, n: int) -> np.ndarray:
         self._check_n(n)
-        return self.cum[n].copy()
+        return np.cumsum(self.probs[n])
 
     def exact_prob(self, n: int, j: int) -> Fraction:
         row = self.exact_row(n)
@@ -324,10 +321,8 @@ def compute_phase_table(
         residual_eps=residual_eps,
         j_max=j_max,
         probs=probs,
-        cum=np.cumsum(probs, axis=1),
         exact_ints=exact_ints,
         means=means,
-        means_direct=means_direct,
         exact_means=exact_means,
         mean_gap=mean_gap,
     )
@@ -605,24 +600,29 @@ def _downward_sweep(
 def _float_visits(rows: list, start: int, a: int) -> tuple[dict, float, dict]:
     """The sweep in floats, with the mass entering every state; an integer
     row is read as its rounded masses, and its self-loop leaves
-    ``(den - stay) / den``, correctly rounded."""
-    inflow, visits = {start: 1.0}, {}
+    ``(den - stay) / den``, correctly rounded.  The inflow is one array
+    that each visited row adds to with one slice, rounding each product
+    and each sum as one entry at a time would; a state keeps its key once
+    a nonzero mass of a visited row points at it, even if its inflow
+    underflows to 0.0."""
+    inflow, reached, visits = np.zeros(start + 1), np.zeros(start + 1, dtype=bool), {}
+    inflow[start] = reached[start] = 1
     for m in range(start, a, -1):
-        if mass := inflow.get(m):
+        if mass := float(inflow[m]):
             match rows[m - start - 1]:
                 case lo, nums, den:
                     stay = nums[m - lo] if lo + len(nums) > m else 0
-                    leave, probs = (den - stay) / den, [x / den for x in nums]
-                case lo, masses:
-                    probs = masses.tolist()
-                    leave = 1 - (probs[m - lo] if lo + len(probs) > m else 0)
+                    leave, probs = (den - stay) / den, np.array([x / den for x in nums])
+                case lo, probs:
+                    leave = 1 - (float(probs[m - lo]) if lo + len(probs) > m else 0)
             visits[m] = mass / leave
-            for k, p in enumerate(probs[: m - lo], lo):  # rows end at k = m
-                if p:
-                    inflow[k] = inflow.get(k, 0) + visits[m] * p
+            probs = probs[: m - lo]  # rows end at k = m
+            inflow[lo : lo + len(probs)] += visits[m] * probs
+            reached[lo : lo + len(probs)] |= probs != 0
     total = sum(visits.values(), 0.0)
-    visits.update((k, v) for k, v in inflow.items() if k <= a and v)
-    return visits, total, inflow
+    entering = {k: v for k, (v, r) in enumerate(zip(inflow.tolist(), reached.tolist())) if r}
+    visits.update((k, v) for k, v in entering.items() if k <= a and v)
+    return visits, total, entering
 
 
 def passage_probs(

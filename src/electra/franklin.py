@@ -9,24 +9,27 @@ chains the phase engine computes; simulating them supplies an
 engine-independent consistency check.
 
 One round-stepper, ``_play``, runs every game: it yields each round's
-survivor counts per group of trials, and ``run_election`` and
-``survivors_after_rounds`` only record what it yields.  A round is played
-on flat arrays: trial ids, widths and, for persistent keys, one
-back-to-back array of kept keys.  It is cut into spans of whole rows
-holding at most ``_SPAN`` words, and each span draws its fresh keys (round
-one of every variant, every round of the redraw variants) with one call,
-masks its peaks with one flat kernel that compares each key once with
-its left neighbour (``_peak_mask``), counts survivors per row with one
-``np.add.reduceat`` in a narrow integer type (``_row_counts``) and
-compresses kept keys into a buffer, so fresh keys exist only a span at
-a time.  Rows with fresh keys stay in stable ascending width order, and
-a key is one raw Philox word shifted right by one bit (see
-``_raw_keys``), so every row reads fixed words of its batch's stream.
-A group of a redraw variant is a whole batch.  A group of persistent
-keys is one span of round one, played to the end of its games before
-the next span is drawn: persistent keys are drawn in round one only, so
-this reads the same words as playing the batch round by round, and the
-kept keys fit two buffers of half a span, allocated once per call.
+survivor counts per group of trials, and ``run_election``,
+``survivors_after_rounds`` (behind ``estimate_c2``) and
+``conditional_second_round`` only record what it yields; the exhaustive
+oracle alone plays its rounds apart (``_circle_round``), so tests can
+compare the stepper with it.  A round is played on flat arrays: trial
+ids, widths and, for persistent keys, one back-to-back array of kept
+keys.  It is cut into spans of whole rows holding at most ``_SPAN``
+words, and each span draws its fresh keys (round one of every variant,
+every round of the redraw variants) with one call, masks its peaks with
+one flat kernel that compares each key once with its left neighbour
+(``_peak_mask``), counts survivors per row with one ``np.add.reduceat``
+in a narrow integer type (``_row_counts``) and passes persistent keys on
+by one compress, so fresh keys exist only a span at a time.  Rows with
+fresh keys stay in stable ascending width order, and a key is one raw
+Philox word shifted right by one bit (see ``_raw_keys``), so every row
+reads fixed words of its batch's stream.  A group of a redraw variant is
+a whole batch.  A group of persistent keys is one span of round one,
+played to the end of its games before the next span is drawn: persistent
+keys are drawn in round one only, so this reads the same words as
+playing the batch round by round, and every round of a group is one
+span, so its kept keys are one compressed array of at most half a span.
 
 Equal keys are ranked by ring position: every round orders its players
 by the pair (key, position), so a player beats its left neighbour on an
@@ -222,30 +225,26 @@ def _play(
     over all of its rows.  Persistent keys are drawn in round one only, so
     their group is one round-one span of ``_SPAN // n`` rows (at most a
     batch): the groups draw the batch's words in the same order as one
-    breadth-first pass would, and kept keys never fill more than half a
-    span.  Two kept-key buffers of that size are allocated once per call
-    and take turns.
+    breadth-first pass would.  Later rounds are smaller, so every
+    persistent round is one span, and its kept keys are one
+    ``np.compress`` of that span: circular peaks are never adjacent, so
+    they hold at most half a span.
 
     A round is played on flat arrays, one row per trial with its keys back
     to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
     each span draws its fresh keys with one call, masks its peaks with one
     key comparison per player, counts its survivors per row with one
-    narrow reduceat, and kept keys pass on by one compress into the other
-    buffer; the last round allowed keeps no keys.  Rows that
-    get fresh keys stay in stable ascending width order, so every round
-    draws its keys in one fixed order, which fixes the outcome of every
-    seed; rows with kept keys draw nothing and keep the order they
-    survived in.  Equal keys are ranked by ring position (see
-    :func:`_peak_mask`), so no key is ever redrawn.
+    narrow reduceat, and persistent keys pass on by one compress; the last
+    round allowed keeps no keys.  Rows that get fresh keys stay in stable
+    ascending width order, so every round draws its keys in one fixed
+    order, which fixes the outcome of every seed; rows with kept keys draw
+    nothing and keep the order they survived in.  Equal keys are ranked by
+    ring position (see :func:`_peak_mask`), so no key is ever redrawn.
     """
     if config.n <= config.stop_threshold:
         return
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
     group = min(max(_SPAN // config.n, 1), _BATCH, config.trials) if persistent else _BATCH
-    # circular peaks are never adjacent, so a round keeps at most half of a
-    # row; two buffers take turns holding a round's kept keys and the next's
-    buffers = [np.empty(group * (config.n // 2) if persistent else 0, dtype=np.int64)
-               for _ in range(2)]
     for start in range(0, config.trials, _BATCH):
         stop = min(start + _BATCH, config.trials)
         rng = _batch_rng(config.seed, start // _BATCH)
@@ -256,10 +255,8 @@ def _play(
             round_ = 0
             while len(trials):
                 round_ += 1
-                carry = persistent and round_ != max_rounds
                 offsets = _offsets(widths)
                 counts = np.empty(len(trials), dtype=np.int64)
-                survivors, filled = buffers[round_ % 2], 0
                 for lo, hi in _spans(offsets):
                     span = offsets[lo : hi + 1] - offsets[lo]
                     if kept is None:
@@ -268,13 +265,13 @@ def _play(
                         keys = kept[offsets[lo] : offsets[hi]]
                     mask = _peak_mask(keys, span, config.variant)
                     counts[lo:hi] = _row_counts(mask, span, config.n)
-                    if carry:
-                        stays = counts[lo:hi] > config.stop_threshold
+                    if persistent and round_ != max_rounds:
+                        # a persistent round is one span, so this span
+                        # holds every row of the round
+                        stays = counts > config.stop_threshold
                         if not stays.all():
-                            mask &= np.repeat(stays, widths[lo:hi])
-                        words = int(counts[lo:hi][stays].sum())
-                        np.compress(mask, keys, out=survivors[filled : filled + words])
-                        filled += words
+                            mask &= np.repeat(stays, widths)
+                        kept = np.compress(mask, keys)
                     # free the span's fresh keys before the next span draws
                     del keys, mask
                 yield round_, trials, counts
@@ -282,9 +279,7 @@ def _play(
                     break
                 stays = counts > config.stop_threshold
                 trials, widths = trials[stays], counts[stays]
-                if persistent:
-                    kept = survivors[:filled]
-                else:
+                if not persistent:
                     # numpy radix-sorts ints of 16 bits or fewer when stable
                     order = np.argsort(widths.astype(np.min_scalar_type(config.n)), kind="stable")
                     trials, widths = trials[order], widths[order]
@@ -367,7 +362,7 @@ def estimate_c2(
 
 def _circle_round(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Circular peak mask and survivor counts of back-to-back rows of one
-    width."""
+    width, for the exhaustive oracle, which plays apart from ``_play``."""
     offsets = np.arange(len(keys) // width + 1, dtype=np.int64) * width
     mask = _peak_mask(keys, offsets, RingVariant.TRUE_PERSISTENT)
     return mask, _row_counts(mask, offsets, width)
@@ -414,10 +409,17 @@ def conditional_second_round(
 
     Both rounds are played on the circle, so only the circular variants
     are accepted: true-persistent keeps the first round's keys,
-    redraw-circular draws fresh ones.  Equal keys are ranked by ring
-    position, as in every game (see :func:`_peak_mask`), which moves the
-    estimate by less than the chance of a tie in a row of width w,
-    w^2 / 2^64.
+    redraw-circular draws fresh ones.  The rounds are two rounds of
+    :func:`_play` with ``first_round - 1`` as the stop threshold: the
+    events are the round-one rows with ``first_round`` survivors, and the
+    hits those of them with ``second_round`` survivors after round two.
+    Rings that keep more than ``first_round`` players play round two too,
+    but with redraw keys they are wider than every event row, so they
+    draw after them: the event rows read the same words of the batch's
+    stream whether or not ``first_round`` is the ring's most peaks.
+    Equal keys are ranked by ring position, as in every game (see
+    :func:`_peak_mask`), which moves the estimate by less than the chance
+    of a tie in a row of width w, w^2 / 2^64.
     """
     if variant not in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
         raise ValueError(
@@ -426,23 +428,17 @@ def conditional_second_round(
         )
     if first_round < 2:
         raise ValueError(f"need first_round >= 2, got {first_round}")
-    events = 0
-    hits = 0
-    for start in range(0, trials, _BATCH):
-        rng = _batch_rng(seed, start // _BATCH)
-        rows = min(start + _BATCH, trials) - start
-        keys = _raw_keys(rng, rows * ring_size)
-        mask, counts = _circle_round(keys, ring_size)
-        selected = counts == first_round
-        chosen = int(selected.sum())
-        if not chosen:
-            continue
-        if variant is RingVariant.TRUE_PERSISTENT:
-            kept = np.compress(mask & np.repeat(selected, ring_size), keys)
+    config = SimConfig(variant, ring_size, trials, seed, stop_threshold=first_round - 1,
+                       record_traces=False)
+    events = hits = 0
+    for round_, played, counts in _play(config, 2):
+        if round_ == 1:
+            group, selected = played, counts == first_round
+            events += int(selected.sum())
         else:
-            kept = _raw_keys(rng, chosen * first_round)
-        events += chosen
-        hits += int((_circle_round(kept, first_round)[1] == second_round).sum())
+            # round two plays the group's rows that kept first_round or more
+            chosen = selected[np.searchsorted(group, played)]
+            hits += int(np.count_nonzero(chosen & (counts == second_round)))
     if events < min_events:
         raise ValueError(
             f"only {events} conditioning events; raise trials (need >= {min_events})"

@@ -178,9 +178,9 @@ def log_starts(table: PhaseTable, alpha, n_lo: int, n_hi: int) -> tuple[np.ndarr
 def centred_points(
     table: PhaseTable, alpha, n_lo: int, n_hi: int, values: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(x, value, n, j) of the entries of ``values`` (``table.cum`` or
-    ``table.probs``) that the mask ``keep`` marks, over the starts of
-    :func:`log_starts`, in (n, j) order."""
+    """(x, value, n, j) of the entries of ``values`` (``table.probs`` or
+    its running sums in j) that the mask ``keep`` marks, over the starts
+    of :func:`log_starts`, in (n, j) order."""
     ns, logs = log_starts(table, alpha, n_lo, n_hi)
     rows, js = np.nonzero(keep[ns])
     return js - logs[rows], values[ns[rows], js], ns[rows], js
@@ -241,9 +241,10 @@ def _windows(xs: np.ndarray, ys: np.ndarray):
 def empirical_limit(table: PhaseTable, alpha: float, n_lo: int, n_hi: int) -> LimitScatter:
     """Collect the scatter of cumulative phase probabilities against
     x = j - log(n)/log(1/alpha) for n in [n_lo, n_hi]."""
-    keep = table.cum >= _DROP_TAIL
-    keep[:, 1:] &= table.cum[:, :-1] <= 1.0 - _DROP_TAIL
-    xs, ys, ns, js = centred_points(table, alpha, n_lo, n_hi, table.cum, keep)
+    cum = np.cumsum(table.probs, axis=1)
+    keep = cum >= _DROP_TAIL
+    keep[:, 1:] &= cum[:, :-1] <= 1.0 - _DROP_TAIL
+    xs, ys, ns, js = centred_points(table, alpha, n_lo, n_hi, cum, keep)
     order = np.argsort(xs, kind="stable")
     return LimitScatter(xs=xs[order], ys=ys[order], ns=ns[order], js=js[order])
 

@@ -152,9 +152,6 @@ class SurvivorModel(abc.ABC):
         u = rng.random(size)
         return values[np.searchsorted(cum, u, side="right")]
 
-    def sample(self, n: int, rng: np.random.Generator) -> int:
-        return int(self.sample_many(n, 1, rng)[0])
-
     def _require_positive(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"{self.name}: need n >= 1, got {n}")

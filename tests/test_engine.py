@@ -61,7 +61,7 @@ def test_initial_values_linear(linear_500):
 
 def test_rows_complete_and_monotone(linear_500, fair_4096):
     for table in (linear_500, fair_4096):
-        cum = table.cum
+        cum = np.cumsum(table.probs, axis=1)
         assert np.all(np.diff(cum, axis=1) >= -1e-15)
         assert np.all(cum[:, -1] > 1 - 1e-9)
 
@@ -105,13 +105,15 @@ def test_regime_stability_under_cutoff():
 
 def test_lambda_monotone_standard(fair_4096, linear_500, circular_500):
     for table in (fair_4096, linear_500, circular_500):
-        diffs = table.cum[3:, :] - table.cum[2:-1, :]
+        cum = np.cumsum(table.probs, axis=1)
+        diffs = cum[3:, :] - cum[2:-1, :]
         assert float(diffs.max()) < 1e-12
 
 
 def test_lambda_monotonicity_fails_altcost():
     table = compute_phase_table(peak_linear_i(), 100, init=InitConvention.ALT_COST)
-    diffs = table.cum[3:, :] - table.cum[2:-1, :]
+    cum = np.cumsum(table.probs, axis=1)
+    diffs = cum[3:, :] - cum[2:-1, :]
     assert float(diffs.max()) > 0.01  # witness: cum(3,1)=1/3 > cum(2,1)=0
 
 
@@ -657,9 +659,10 @@ def _assert_sweep_matches_reference(model, start, a):
         (DemonCoin(Fraction(1, 2), Fraction(1, 3)), 40, 2),
         (FairCoin(), 200, 1),  # float regime over exact rows below the cutoff
         (peak_circular(exact_cutoff=60), 300, 2),
+        (FairCoin(), 3000, 1),  # float rows past the kept prefix
     ],
     ids=["circular-120", "biased-0.3-60", "demon-a0", "demon-a2", "fair-200-float",
-         "circular-300-float"],
+         "circular-300-float", "fair-3000-float"],
 )
 def test_downward_sweep_matches_fraction_reference(model, start, a):
     # the integer sweep gives the reference's Fractions exactly; the float
@@ -684,6 +687,17 @@ def test_sweep_results_take_the_start_rows_type():
     assert exact[75] == 1 and all(type(p) is Fraction for p in exact.values())
     occ = occupancy_probs(FairCoin(exact_cutoff=1), 1)
     assert occ.mean_recovered == 0 and type(occ.mean_recovered) is Fraction
+
+
+def test_float_sweep_keeps_states_whose_inflow_underflows():
+    # rows 2 and 3, from k = 0 and k = 1: visits(2) P(2, 0) = 1e-400 rounds
+    # to 0.0, yet a nonzero mass points at 0, so 0 stays an entering state;
+    # an absorbing state counts as visited only with nonzero mass
+    rows = [(0, np.array([1e-200, 1.0, 0.0])), (1, np.array([1.0, 1e-200, 0.0]))]
+    visits, total, entering = engine._float_visits(rows, 3, 1)
+    assert visits == {3: 1.0, 2: 1e-200, 1: 1.0} and total == 1.0
+    assert entering == {3: 1.0, 2: 1e-200, 1: 1.0, 0: 0.0}
+    assert {type(v) for v in (*visits.values(), *entering.values())} == {float}
 
 
 # ---------------------------------------------------------------------------

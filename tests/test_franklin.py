@@ -197,6 +197,68 @@ def test_conditional_second_round_monte_carlo():
     assert abs(redraw.point - 1.0 / 3.0) < 4 * redraw.stderr
 
 
+def _reference_conditional(trials, seed, variant, *, ring_size=8, first_round=4,
+                            second_round=2):
+    """The conditional estimate by a loop of its own, apart from
+    ``_play``: each batch draws its rings, masks their first round, and
+    plays the second on the rows with ``first_round`` survivors alone,
+    drawing redraw keys for those rows only."""
+    events = hits = 0
+    for start in range(0, trials, _BATCH):
+        rng = _batch_rng(seed, start // _BATCH)
+        rows = min(start + _BATCH, trials) - start
+        keys = _raw_keys(rng, rows * ring_size)
+        mask, counts = franklin._circle_round(keys, ring_size)
+        selected = counts == first_round
+        chosen = int(selected.sum())
+        if not chosen:
+            continue
+        if variant is RingVariant.TRUE_PERSISTENT:
+            kept = np.compress(mask & np.repeat(selected, ring_size), keys)
+        else:
+            kept = _raw_keys(rng, chosen * first_round)
+        events += chosen
+        hits += int((franklin._circle_round(kept, first_round)[1] == second_round).sum())
+    return hits / events, events
+
+
+@pytest.mark.parametrize(
+    "variant,seed,shape",
+    [
+        (RingVariant.TRUE_PERSISTENT, 1, {}),
+        (RingVariant.TRUE_PERSISTENT, 13, {}),
+        (RingVariant.REDRAW_CIRCULAR, 1, {}),
+        (RingVariant.REDRAW_CIRCULAR, 13, {}),
+        (RingVariant.TRUE_PERSISTENT, 1, {"ring_size": 11}),
+        (RingVariant.TRUE_PERSISTENT, 1, {"first_round": 3, "second_round": 1}),
+        # rings with more survivors play round two too, but draw after the
+        # narrower event rows, so the events read the same words
+        (RingVariant.REDRAW_CIRCULAR, 1, {"first_round": 3, "second_round": 1}),
+    ],
+)
+def test_conditional_plays_like_its_own_loop(variant, seed, shape):
+    est = conditional_second_round(3 * _BATCH + 100, seed, variant, min_events=1, **shape)
+    assert (est.point, est.trials) == _reference_conditional(
+        3 * _BATCH + 100, seed, variant, **shape)
+
+
+def test_every_game_plays_through_one_round_stepper(monkeypatch):
+    calls = []
+
+    def play(config, max_rounds=None):
+        calls.append(config.variant)
+        return play_rounds(config, max_rounds)
+
+    play_rounds = franklin._play
+    monkeypatch.setattr(franklin, "_play", play)
+    run_election(SimConfig(RingVariant.REDRAW_CIRCULAR, 6, 10, seed=1))
+    survivors_after_rounds(RingVariant.REDRAW_LINEAR_I, 6, 10, seed=1)
+    estimate_c2(12, 10, seed=1)
+    conditional_second_round(100, seed=1, variant=RingVariant.REDRAW_CIRCULAR, min_events=1)
+    assert calls == [RingVariant.REDRAW_CIRCULAR, RingVariant.REDRAW_LINEAR_I,
+                     RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR]
+
+
 @pytest.mark.parametrize("variant", [RingVariant.REDRAW_LINEAR_I, RingVariant.REDRAW_LINEAR_II])
 def test_conditional_rejects_linear_variants(variant):
     # both rounds are played on the circle, which a linear rule is not
@@ -439,9 +501,10 @@ def test_persistent_groups_play_like_whole_batches(monkeypatch):
 
 
 def test_persistent_memory_is_one_group():
-    # a group of 26 rows of 10^4 keys is one span: its draw, two half-span
-    # kept-key buffers, and its mask and survivor positions fit in four
-    # spans of words; a batch-wide kept-key buffer alone would take 20 MB
+    # a group of 26 rows of 10^4 keys is one span: its draw, its mask, the
+    # kept keys compressed out of it (at most half a span) and their
+    # positions fit in four spans of words; a batch's kept keys alone would
+    # take 20 MB
     tracemalloc.start()
     try:
         survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 512, seed=3)

@@ -367,7 +367,7 @@ def test_deterministic_halving():
 def test_sampling_determinism_and_support():
     toy = ToyHalving()
     rng = np.random.default_rng(5)
-    assert toy.sample(8, rng) == 4
+    assert toy.sample_many(8, 1, rng).tolist() == [4]
     fc = FairCoin()
     a = fc.sample_many(50, 200, np.random.default_rng(11))
     b = fc.sample_many(50, 200, np.random.default_rng(11))
