@@ -60,7 +60,6 @@ from .metrics import (
     laplace_transform,
     periodicity_reconstruct,
     periodicity_samples,
-    toy_closed_forms,
     toy_limit_cdf,
     toy_phi,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "periodicity_samples",
     "run_condition_checks",
     "run_election",
-    "toy_closed_forms",
     "toy_limit_cdf",
     "toy_phi",
     "__version__",

@@ -1,9 +1,11 @@
 """Command-line front end: tables, figure data, condition checks,
 simulation, and periodicity extraction.
 
-Every run writes plain CSV files plus a ``config.json`` echo into the
-output directory (``--out``, else $ELECTRA_OUT, else ./electra-out), so
-any output can be reproduced bit-for-bit from its own directory.
+Every run writes plain CSV files into ``<out>/<command>`` (``--out``, else
+$ELECTRA_OUT, else ./electra-out) and, once the command exits 0 or 1, a
+``config.json`` echo of its arguments, so any output can be reproduced
+bit-for-bit from its own directory.  Each file goes through
+``engine.write_atomic``, so it appears whole, with the mode the umask gives.
 Exit codes: 0 success / checks passed, 1 a check or fixture comparison
 failed, 2 usage error.
 """
@@ -17,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__, fixtures
 from .conditions import run_condition_checks
-from .engine import InitConvention, compute_phase_table, decimal_str, lowest_terms
+from .engine import InitConvention, compute_phase_table, decimal_str, lowest_terms, write_atomic
 from .franklin import (
     RingVariant,
     SimConfig,
@@ -56,27 +57,11 @@ _MODEL_CHOICES = [*_MODEL_BUILDERS, "explicit"]
 _CSV_TRIALS = 1 << 16
 
 
-def _atomic_write(path: Path, write_body) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            write_body(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    def body(fh):
+    with write_atomic(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-    _atomic_write(path, body)
 
 
 def _ratio_line(n: int, k: int, num: int, den: int) -> str:
@@ -86,10 +71,7 @@ def _ratio_line(n: int, k: int, num: int, den: int) -> str:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = args.out or os.environ.get("ELECTRA_OUT") or "electra-out"
-    path = Path(out) / args.command
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get("ELECTRA_OUT") or "electra-out") / args.command
 
 
 def _echo_config(out: Path, args: argparse.Namespace) -> None:
@@ -98,7 +80,8 @@ def _echo_config(out: Path, args: argparse.Namespace) -> None:
         if key in {"func"}:
             continue
         payload[key] = str(value) if isinstance(value, (Path, Fraction)) else value
-    _atomic_write(out / "config.json", lambda fh: json.dump(payload, fh, indent=2))
+    with write_atomic(out / "config.json") as fh:
+        json.dump(payload, fh, indent=2)
 
 
 def _build_model(args: argparse.Namespace) -> SurvivorModel:
@@ -137,26 +120,21 @@ def _alpha(args: argparse.Namespace, model: SurvivorModel) -> Fraction | None:
 # table
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace, out: Path) -> int:
     model = _build_model(args)
     alpha = _alpha(args, model)
-    out = _out_dir(args)
     init = InitConvention(args.init)
     table = compute_phase_table(
         model, args.max_n, threshold_a=args.threshold, init=init,
         residual_eps=args.residual_eps,
     )
-
-    def survivor_pmf(fh) -> None:
+    with write_atomic(out / "survivor_pmf.csv") as fh:
         fh.write("n,k,numerator,denominator\n")
         rows = itertools.takewhile(lambda row: len(row) == 3, model.read_rows(1, args.max_n + 1))
         for n, (lo, nums, den) in enumerate(rows, 1):
             fh.writelines(_ratio_line(n, k, x, den) for k, x in enumerate(nums, lo) if x)
-
-    _atomic_write(out / "survivor_pmf.csv", survivor_pmf)
     table.to_csv(out / "phase_probs.csv", exact_path=out / "phase_probs_exact.csv")
     table.means_to_csv(out / "phase_means.csv", alpha=alpha)
-    _echo_config(out, args)
     status = 0
     if args.check_fixtures:
         status = _check_fixtures(model, args, table)
@@ -273,7 +251,7 @@ def _overlay_rows(table, alpha, n_hi, kind):
     return _xy_rows(xs, ys, series)
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
+def cmd_figure(args: argparse.Namespace, out: Path) -> int:
     third = Fraction(1, 3)
     protocols = {
         "fig1": ("peak-linear-i", "standard", 50, 500, "means"),
@@ -293,7 +271,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print(f"unknown figure id {args.figure!r}; use fig1..fig12", file=sys.stderr)
         return 2
     model_name, init, n_lo, n_hi, kind = protocols[args.figure]
-    out = _out_dir(args)
     rows: list[list[str]] = []
     if kind == "compare":
         for name in ("peak-circular", "peak-linear-i"):
@@ -315,7 +292,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
             if args.overlays:
                 rows += _overlay_rows(table, third, n_hi, kind)
     _write_csv(out / f"{args.figure}.csv", ["x", "y", "series"], rows)
-    _echo_config(out, args)
     print(f"RESULT figure id={args.figure} points={len(rows)} out={out}")
     return 0
 
@@ -324,9 +300,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # check
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, out: Path) -> int:
     model = _build_model(args)
-    out = _out_dir(args)
     report = run_condition_checks(model, args.n_max, args.alpha)
     _write_csv(
         out / "monotone_violations.csv",
@@ -358,7 +333,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         ["n", "ratio"],
         [[n + 1, repr(float(r))] for n, r in enumerate(report.moment.ratios)],
     )
-    _echo_config(out, args)
     print(f"RESULT check {report.summary()}")
     return 0 if report.passed else 1
 
@@ -367,11 +341,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 # simulate
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_simulate(args: argparse.Namespace, out: Path) -> int:
     variant = RingVariant(args.variant)
     summary_rows = []
-    status = 0
     if args.estimate == "c2":
         est = estimate_c2(args.n, args.trials, args.seed, variant)
         reference = closed_form_c2() if variant is RingVariant.TRUE_PERSISTENT else 1.0 / 9.0
@@ -412,14 +384,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # a trial's messages are 2n per round, so its line ends on one of a
         # few tails
         tails = {r: f",{r},{2 * args.n * r}\n" for r in np.unique(records.rounds).tolist()}
-
-        def results(fh):
+        with write_atomic(out / "results.csv") as fh:
             fh.write("variant,n,trial,rounds,messages\n")
             for lo in range(0, args.trials, _CSV_TRIALS):
                 rounds = records.rounds[lo : lo + _CSV_TRIALS].tolist()
                 fh.write("".join([f"{prefix}{t}{tails[r]}" for t, r in enumerate(rounds, lo)]))
-
-        _atomic_write(out / "results.csv", results)
         hist = records.round_histogram()
         summary_rows += [
             [variant.value, args.n, f"count-rounds-{j}", c, "", args.trials]
@@ -448,15 +417,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ["variant", "n", "stat", "point", "stderr", "trials"],
         summary_rows,
     )
-    _echo_config(out, args)
-    return status
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # periodicity
 
 
-def cmd_periodicity(args: argparse.Namespace) -> int:
+def cmd_periodicity(args: argparse.Namespace, out: Path) -> int:
     model = _build_model(args)
     alpha = _alpha(args, model)
     if alpha is None:
@@ -464,7 +432,6 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
         return 2
     if args.n_lo < 1:
         raise ValueError(f"need --n-lo >= 1, got {args.n_lo}")
-    out = _out_dir(args)
     table = compute_phase_table(model, args.n_hi, init=InitConvention(args.init))
     samples, fit, ns, logs, observed, predicted = _fit(
         table, alpha, args.n_lo, args.n_hi, args.fourier_terms
@@ -481,7 +448,6 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
     )
     worst = float(np.abs(observed - predicted).max())
     scatter = empirical_limit(table, float(alpha), args.n_lo, args.n_hi)
-    _echo_config(out, args)
     print(
         f"RESULT periodicity model={model.name} mean_level={fit.mean_level:.6f} "
         f"sup_residual={worst:.6f} collapse_spread={scatter.collapse_spread():.6f} "
@@ -496,6 +462,7 @@ def cmd_periodicity(args: argparse.Namespace) -> int:
 
 def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", required=True, choices=_MODEL_CHOICES)
+    sub.add_argument("--alpha", type=_fraction, default=None, help="default: the model's alpha")
     sub.add_argument("--p", type=_fraction, default=None, help="coin bias, e.g. 0.3 or 3/10")
     sub.add_argument("--nu", type=_fraction, default=None, help="demon kill probability")
     sub.add_argument("--matrix", type=Path, default=None, help="CSV for --model explicit")
@@ -514,36 +481,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"electra {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None, help="default: $ELECTRA_OUT, else ./electra-out")
 
-    table = subs.add_parser("table", help="survivor pmf and phase-law tables")
+    table = subs.add_parser("table", parents=[common], help="survivor pmf and phase-law tables")
     _add_model_options(table)
     table.add_argument("--max-n", type=int, required=True)
     table.add_argument("--threshold", type=int, default=1)
     table.add_argument("--init", choices=["standard", "altcost"], default="standard")
-    table.add_argument("--alpha", type=_fraction, default=None)
     table.add_argument("--residual-eps", type=_positive_float, default=1e-12)
     table.add_argument("--check-fixtures", action="store_true",
                        help="compare with the published small tables; exit 1 on mismatch")
-    table.add_argument("--out", default=None)
     table.set_defaults(func=cmd_table)
 
-    figure = subs.add_parser("figure", help="emit plot data for fig1..fig12")
+    figure = subs.add_parser("figure", parents=[common], help="emit plot data for fig1..fig12")
     figure.add_argument("figure", help="figure id, fig1..fig12")
     figure.add_argument("--fourier-terms", type=int, default=5)
     figure.add_argument("--exact-cutoff", type=int, default=DEFAULT_EXACT_CUTOFF)
     figure.add_argument("--overlays", action="store_true",
                         help="add cosmetic gumbel/gauss reference curves")
-    figure.add_argument("--out", default=None)
     figure.set_defaults(func=cmd_figure)
 
-    check = subs.add_parser("check", help="finite-range convergence-hypothesis checks")
+    check = subs.add_parser("check", parents=[common],
+                            help="finite-range convergence-hypothesis checks")
     _add_model_options(check)
-    check.add_argument("--alpha", type=_fraction, default=None)
     check.add_argument("--n-max", type=int, default=200)
-    check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
 
-    sim = subs.add_parser("simulate", help="Monte Carlo ring elections")
+    sim = subs.add_parser("simulate", parents=[common], help="Monte Carlo ring elections")
     sim.add_argument("--variant", required=True,
                      choices=[v.value for v in RingVariant])
     sim.add_argument("--n", type=int, default=100)
@@ -554,19 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
                      default="histogram")
     sim.add_argument("--traces", action="store_true",
                      help="record survivor traces (memory heavy for big runs)")
-    sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    period = subs.add_parser("periodicity", help="Laplace/Fourier residual extraction")
+    period = subs.add_parser("periodicity", parents=[common],
+                             help="Laplace/Fourier residual extraction")
     _add_model_options(period)
-    period.add_argument("--alpha", type=_fraction, default=None)
     period.add_argument("--n-lo", type=int, default=50,
                         help="smallest start; the starts must span one period of "
                              "log_(1/alpha) n, so n_hi * alpha >= n_lo")
     period.add_argument("--n-hi", type=int, default=500)
     period.add_argument("--init", choices=["standard", "altcost"], default="standard")
     period.add_argument("--fourier-terms", type=int, default=5)
-    period.add_argument("--out", default=None)
     period.set_defaults(func=cmd_periodicity)
 
     return parser
@@ -580,11 +543,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    out = _out_dir(args)
     try:
-        return args.func(args)
+        status = args.func(args, out)
+        if status in (0, 1):
+            _echo_config(out, args)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

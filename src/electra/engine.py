@@ -51,15 +51,18 @@ anyway.  The stop rule takes its residuals a block of rows at a time.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import operator
+import os
 from collections.abc import Callable, Container, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -113,6 +116,28 @@ def lowest_terms(num: int, den: int) -> tuple[int, int]:
     num, den = num >> twos, den >> twos
     g = math.gcd(num, den >> (den_twos - twos))
     return (num // g, den // g) if g > 1 else (num, den)
+
+
+@contextlib.contextmanager
+def write_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so that it appears whole or not at all.
+
+    The block writes to a new temp file beside ``path``, created by ``open``
+    so the umask sets its mode as for any file; when the block ends the temp
+    file is renamed onto ``path``, and if the block raises it is removed and
+    ``path`` keeps what it held.  A missing directory is made first.  The
+    file is opened with ``newline=""``: every writer ends its lines itself.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class InitConvention(str, Enum):
@@ -187,9 +212,6 @@ class PhaseTable:
             raise ValueError(f"no exact mean for n={n} (cutoff {self.exact_cutoff})")
         return self.exact_means[n]
 
-    def residual(self, n: int) -> float:
-        return 1.0 - self.cdf(n, self.j_max)
-
     def _check_n(self, n: int) -> None:
         if not 0 <= n <= self.max_n:
             raise ValueError(f"row {n} outside 0..{self.max_n}")
@@ -205,6 +227,8 @@ class PhaseTable:
         ``n,j,numerator,denominator`` and one line per nonzero exact entry
         in lowest terms, integers of any length written in full, straight
         from ``exact_ints``.
+        Each file goes through :func:`write_atomic`, so it appears whole or
+        not at all.
 
         ``repr`` is the floor of the float file and most of its cost; it
         stays, since no other format is both exact and this short.  So the
@@ -214,14 +238,14 @@ class PhaseTable:
         listed ``_CSV_ROWS`` at a time, so memory stays one block.
         """
         cols = [f"{j}," for j in range(self.probs.shape[1])]
-        with open(path, "w", newline="") as fh:
+        with write_atomic(path) as fh:
             fh.write("n,j,prob\n")
             for lo in range(0, len(self.probs), _CSV_ROWS):
                 for n, row in enumerate(self.probs[lo : lo + _CSV_ROWS].tolist(), lo):
                     pn = f"{n},"
                     fh.write("".join([f"{pn}{c}{p!r}\n" for c, p in zip(cols, row) if p > 0.0]))
         if exact_path is not None:
-            with open(exact_path, "w", newline="") as fh:
+            with write_atomic(exact_path) as fh:
                 fh.write("n,j,numerator,denominator\n")
                 fh.writelines(
                     f"{n},{j},{decimal_str(p)},{decimal_str(q)}\n"
@@ -245,7 +269,7 @@ class PhaseTable:
                 return f"{n},{x!r},,\n"
             return f"{n},{x!r},{ln!r},{x - ln!r}\n"
 
-        with open(path, "w", newline="") as fh:
+        with write_atomic(path) as fh:
             fh.write("n,x,log_alpha_n,phi_residual\n")
             fh.writelines(map(line, itertools.count(), self.means.tolist(), logs))
 

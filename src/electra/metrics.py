@@ -419,20 +419,3 @@ def toy_end_two_prob(x: float) -> float:
     two players, at log2 n = x: |2^{1 + x - floor x} - 3|."""
     frac = x - math.floor(x)
     return abs(2.0 ** (1.0 + frac) - 3.0)
-
-
-@dataclass(frozen=True)
-class ToyClosedForms:
-    cdf_value: float
-    mean_residual: float
-    end_two_prob: float
-
-
-def toy_closed_forms(x: float) -> ToyClosedForms:
-    """All three toy closed forms at once: the limit cdf at x, and the
-    periodic mean residual / end-with-two probability at log2 n = x."""
-    return ToyClosedForms(
-        cdf_value=float(toy_limit_cdf(x)),
-        mean_residual=toy_phi(x),
-        end_two_prob=toy_end_two_prob(x),
-    )

@@ -82,8 +82,8 @@ class SurvivorModel(abc.ABC):
 
     exact_cutoff: int = field(default=DEFAULT_EXACT_CUTOFF, kw_only=True)
 
-    #: lowest state the chain can occupy (0 only for kill-everyone chains)
-    absorbing_state = 1
+    #: whether the chain can reach state 0 (only kill-everyone chains can)
+    can_reach_zero = False
 
     def __post_init__(self) -> None:
         if self.exact_cutoff < 0:
@@ -103,10 +103,6 @@ class SurvivorModel(abc.ABC):
     def declared_alpha(self) -> Fraction | None:
         """Survival ratio the model is designed around, if any."""
         return None
-
-    @property
-    def can_reach_zero(self) -> bool:
-        return self.absorbing_state == 0
 
     def read_rows(self, start: int, stop: int) -> Iterator[Row]:
         """Rows n = start..stop-1, one at a time in ascending n: the integer
@@ -457,7 +453,7 @@ class DemonCoin(_Coin):
 
     nu: Fraction
 
-    absorbing_state = 0
+    can_reach_zero = True
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import electra
-from electra import franklin
+from electra import engine, franklin
 from electra.cli import _MODEL_CHOICES, _ratio_line, main
 
 
@@ -47,6 +47,58 @@ def test_import_and_table_leave_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_failed_writer_leaves_earlier_files_whole(tmp_path, monkeypatch, capsys):
+    # the exact writer dies on its 41st integer, 20 lines into the file
+    argv = ["table", "--model", "fair-coin", "--max-n", "30", "--out", str(tmp_path)]
+    out = tmp_path / "table"
+    real, calls = engine.decimal_str, []
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 41:
+            raise MemoryError
+        return real(x)
+
+    monkeypatch.setattr(engine, "decimal_str", failing)
+    assert main(argv) == 2
+    assert "error: MemoryError" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["phase_probs.csv", "survivor_pmf.csv"]
+    monkeypatch.setattr(engine, "decimal_str", real)
+    assert main(argv) == 0
+    whole = (out / "phase_probs_exact.csv").read_bytes()
+    assert whole.count(b"\n") > 21
+    monkeypatch.setattr(engine, "decimal_str", failing)
+    calls.clear()
+    assert main(argv) == 2
+    assert (out / "phase_probs_exact.csv").read_bytes() == whole
+    assert not list(out.glob("*.tmp"))
+
+
+def test_output_files_take_the_umask_mode(tmp_path):
+    # every file, config.json included, is created as open() creates one;
+    # a command that exits 1 echoes its config too
+    commands = [
+        ["table", "--model", "toy", "--max-n", "8"],
+        ["figure", "fig4"],
+        ["check", "--model", "det-halving", "--alpha", "0.5", "--n-max", "60"],
+        ["simulate", "--variant", "redraw-circular", "--n", "12", "--trials", "100"],
+        ["periodicity", "--model", "toy", "--n-lo", "20", "--n-hi", "60"],
+    ]
+    umask = os.umask(0o022)
+    try:
+        codes = [main(argv + ["--out", str(tmp_path)]) for argv in commands]
+    finally:
+        os.umask(umask)
+    assert codes == [0, 0, 1, 0, 0]
+    files = sorted(tmp_path.rglob("*"))
+    assert {p.parent.name for p in files if p.name == "config.json"} == {
+        "table", "figure", "check", "simulate", "periodicity"}
+    modes = {p.relative_to(tmp_path).as_posix(): oct(p.stat().st_mode & 0o777)
+             for p in files if p.is_file()}
+    assert len(modes) == 5 + 2 + 5 + 3 + 3  # table, figure, check, simulate, periodicity
+    assert set(modes.values()) == {oct(0o644)}, modes
 
 
 def test_table_without_fixtures_for_other_models(tmp_path):
@@ -139,7 +191,8 @@ def test_figures(tmp_path):
     assert main(["figure", "fig2", "--overlays", "--out", out]) == 0
     series = {row["series"] for row in _rows(tmp_path / "figure" / "fig2.csv")}
     assert "gumbel_ref" in series
-    assert main(["figure", "fig99", "--out", out]) == 2
+    assert main(["figure", "fig99", "--out", str(tmp_path / "unknown")]) == 2
+    assert not (tmp_path / "unknown" / "figure" / "config.json").exists()
 
 
 def test_simulate_histogram(tmp_path):
@@ -184,6 +237,7 @@ def test_simulate_conditional_rejects_linear_variants(tmp_path, capsys, variant)
                  "--trials", "200000", "--seed", "3", "--out", str(tmp_path)]) == 2
     assert "circular variant" in capsys.readouterr().err
     assert not (tmp_path / "simulate" / "summary.csv").exists()
+    assert not (tmp_path / "simulate" / "config.json").exists()
 
 
 def test_periodicity_command(tmp_path):

@@ -17,7 +17,7 @@ from electra.metrics import (
     laplace_transform,
     periodicity_reconstruct,
     periodicity_samples,
-    toy_closed_forms,
+    toy_end_two_prob,
     toy_limit_cdf,
     toy_phi,
 )
@@ -318,11 +318,10 @@ def test_phase_pmf_tracks_limit_differences(fair_4096):
 
 
 def test_toy_closed_form_values():
-    forms = toy_closed_forms(0.0)
-    assert forms.cdf_value == 1.0
-    assert toy_closed_forms(-1.0).cdf_value == 0.0
+    assert float(toy_limit_cdf(0.0)) == 1.0
+    assert float(toy_limit_cdf(-1.0)) == 0.0
     assert toy_phi(3.0) == 0.0
-    assert abs(toy_closed_forms(math.log2(6)).end_two_prob) < 1e-12
-    assert toy_closed_forms(math.log2(6)).mean_residual == pytest.approx(
+    assert abs(toy_end_two_prob(math.log2(6))) < 1e-12
+    assert toy_phi(math.log2(6)) == pytest.approx(
         6.0 / 4.0 - math.log2(6.0 / 4.0) - 1.0
     )

@@ -310,12 +310,12 @@ def test_coin_max_one():
 
 def test_demon_coin_chain():
     d = DemonCoin(Fraction(1, 2), Fraction(1, 2))
-    assert d.absorbing_state == 0 and d.can_reach_zero
+    assert d.can_reach_zero
     assert d.pmf_exact(0) == {0: Fraction(1)}
     pmf2 = d.pmf_exact(2)
     assert pmf2 == {0: Fraction(1, 2), 1: Fraction(3, 8), 2: Fraction(1, 8)}
     shifted = d.shifted()
-    assert shifted.absorbing_state == 1
+    assert not shifted.can_reach_zero
     for n in range(1, 12):
         base = d.pmf_exact(n - 1)
         assert shifted.pmf_exact(n) == {k + 1: v for k, v in base.items()}
