@@ -16,7 +16,6 @@ The package splits into:
 __version__ = "0.1.0"
 
 from .conditions import (
-    CheckConfig,
     ConditionReport,
     check_concentration,
     check_mean_increment,
@@ -82,7 +81,6 @@ from .peaks import PeakVariant, brute_force_peaks, peak_moments
 
 __all__ = [
     "BiasedCoin",
-    "CheckConfig",
     "CoinMaxOne",
     "ConditionReport",
     "DemonCoin",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fixtures
+from . import __version__, engine, fixtures
 from .conditions import run_condition_checks
 from .engine import InitConvention, compute_phase_table, decimal_str, lowest_terms, write_atomic
 from .franklin import (
@@ -302,7 +302,7 @@ def cmd_figure(args: argparse.Namespace, out: Path) -> int:
 
 def cmd_check(args: argparse.Namespace, out: Path) -> int:
     model = _build_model(args)
-    report = run_condition_checks(model, args.n_max, args.alpha)
+    report = run_condition_checks(model, args.n_max, _alpha(args, model))
     _write_csv(
         out / "monotone_violations.csv",
         ["n", "k", "gap"],
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--max-n", type=int, required=True)
     table.add_argument("--threshold", type=int, default=1)
     table.add_argument("--init", choices=["standard", "altcost"], default="standard")
-    table.add_argument("--residual-eps", type=_positive_float, default=1e-12)
+    table.add_argument("--residual-eps", type=_positive_float, default=engine.DEFAULT_RESIDUAL_EPS)
     table.add_argument("--check-fixtures", action="store_true",
                        help="compare with the published small tables; exit 1 on mismatch")
     table.set_defaults(func=cmd_table)

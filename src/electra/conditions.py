@@ -4,35 +4,36 @@ The limit theory needs three things from the survivor law: stochastic
 monotonicity in n, mean one-round increments settling at a ratio alpha,
 and concentration of the survivor count around alpha * n.  None of these
 is decidable at finite n, so each check scans a range, reports the raw
-series, and flags violations against configurable thresholds; a human (or
-the acceptance suite) judges the trend.
+series, and flags violations against the fixed thresholds below
+(``MONOTONE_TOL``, ``INCREMENT_SKIP``, ``INCREMENT_BOUND``,
+``CONCENTRATION_BOUND``, ``MOMENT_BOUND``, ``EPSILON`` and
+``DELTA_EXPONENT``); a human (or the acceptance suite) judges the trend.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
 from .models import Row, SurvivorModel, float_row
 
 
-@dataclass(frozen=True)
-class CheckConfig:
-    """Thresholds used to turn raw series into PASS/FAIL flags."""
-
-    monotone_tol: float = 1e-12
-    increment_skip: int = 30  # increments below this n are start-up noise
-    increment_bound: float = 1e-6
-    concentration_bound: float = 1.0
-    moment_bound: float = 1.0
-    epsilon: float = 0.5
-    delta_exponent: float = -0.25
-
-
-DEFAULT_CONFIG = CheckConfig()
+#: largest cdf gap P(Y_{n+1} <= k) - P(Y_n <= k) that is not a violation
+MONOTONE_TOL = 1e-12
+#: increments below this n are start-up noise and are not judged
+INCREMENT_SKIP = 30
+#: largest judged |E Y_{n+1} - E Y_n - alpha|
+INCREMENT_BOUND = 1e-6
+#: largest scaled tail P(|Y_n - alpha n| > delta_n n) n^(2+EPSILON)
+CONCENTRATION_BOUND = 1.0
+#: largest moment ratio E|Y_n - alpha n|^p / n^(p/2)
+MOMENT_BOUND = 1.0
+#: the tail probabilities are scaled by n^(2+EPSILON)
+EPSILON = 0.5
+#: the concentration radius is delta_n n with delta_n = n^DELTA_EXPONENT
+DELTA_EXPONENT = -0.25
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,11 @@ class MonotoneCheck:
         return not self.violations
 
 
-def check_monotone(
-    model: SurvivorModel, n_max: int, *, config: CheckConfig = DEFAULT_CONFIG
-) -> MonotoneCheck:
+def check_monotone(model: SurvivorModel, n_max: int) -> MonotoneCheck:
     """Scan 1 <= n < n_max for failures of stochastic monotonicity.
 
     A violation is a pair (n, k) with
-    P(Y_{n+1} <= k) > P(Y_n <= k) + tol.
+    P(Y_{n+1} <= k) > P(Y_n <= k) + MONOTONE_TOL.
 
     Each consecutive pair is compared within a single backend - integer
     rows while both are, float rows beyond, the last integer row rounded -
@@ -82,7 +81,7 @@ def check_monotone(
         else:
             gaps = (nxt[1 : n + 1] - cur[1:]).tolist()
         for k, gap in enumerate(gaps, 1):
-            if gap > config.monotone_tol:
+            if gap > MONOTONE_TOL:
                 violations.append(MonotoneViolation(n=n, k=k, gap=gap))
         prev, cur = row, nxt
     return MonotoneCheck(violations=violations, n_max=n_max)
@@ -105,21 +104,16 @@ def _cdf(row: Row, n: int) -> tuple[list[int], int] | np.ndarray:
 class IncrementCheck:
     increments: np.ndarray  # d_n = E Y_{n+1} - E Y_n, index 0 is n = 1
     deviations: np.ndarray  # |d_n - alpha|
-    max_deviation: float  # over n >= increment_skip
-    bound: float
+    max_deviation: float  # over n >= INCREMENT_SKIP
     judged: bool = True  # False when the scan ends before the settling point
 
     @property
     def passed(self) -> bool:
-        return self.judged and self.max_deviation <= self.bound
+        return self.judged and self.max_deviation <= INCREMENT_BOUND
 
 
 def check_mean_increment(
-    model: SurvivorModel,
-    n_max: int,
-    alpha: Fraction | float,
-    *,
-    config: CheckConfig = DEFAULT_CONFIG,
+    model: SurvivorModel, n_max: int, alpha: Fraction | float
 ) -> IncrementCheck:
     """Mean one-round increments against the declared survival ratio.
 
@@ -134,13 +128,11 @@ def check_mean_increment(
     # exact while both d and alpha are rationals; a float on either side
     # makes the difference a float difference
     deviations = np.array([float(abs(d - alpha)) for d in diffs])
-    skip = max(config.increment_skip - 1, 0)
-    tail = deviations[skip:]
+    tail = deviations[INCREMENT_SKIP - 1 :]
     return IncrementCheck(
         increments=increments,
         deviations=deviations,
         max_deviation=float(tail.max()) if len(tail) else float("nan"),
-        bound=config.increment_bound,
         judged=len(tail) > 0,
     )
 
@@ -156,44 +148,32 @@ def _mean(row: Row) -> Fraction | float:
 
 @dataclass
 class ConcentrationCheck:
-    series: np.ndarray  # P(|Y_n - alpha n| > delta_n n) * n^(2+eps), index n = 1
+    series: np.ndarray  # P(|Y_n - alpha n| > delta_n n) * n^(2+EPSILON), index n = 1
     tail_probs: np.ndarray
     deltas: np.ndarray
-    bound: float
 
     @property
     def passed(self) -> bool:
-        return float(self.series.max()) <= self.bound if len(self.series) else True
+        return float(self.series.max()) <= CONCENTRATION_BOUND if len(self.series) else True
 
 
 def check_concentration(
-    model: SurvivorModel,
-    n_max: int,
-    alpha: Fraction | float,
-    delta_fn: Callable[[int], float] | None = None,
-    *,
-    config: CheckConfig = DEFAULT_CONFIG,
+    model: SurvivorModel, n_max: int, alpha: Fraction | float
 ) -> ConcentrationCheck:
-    """Scaled tail probabilities P(|Y_n - alpha n| > delta_n n) n^(2+eps).
-
-    ``delta_fn`` defaults to n ** delta_exponent.  A bounded series is the
-    finite-n shadow of the concentration hypothesis.
+    """Scaled tail probabilities P(|Y_n - alpha n| > delta_n n) n^(2+EPSILON),
+    with delta_n = n^DELTA_EXPONENT.  A bounded series is the finite-n
+    shadow of the concentration hypothesis.  Rows are read one at a time,
+    so the scan keeps only its three series.
     """
     a = float(alpha)
-    eps = config.epsilon
-    if delta_fn is None:
-        delta_fn = lambda n: n ** config.delta_exponent  # noqa: E731
     tails, deltas, series = [], [], []
-    for n, (lo, probs) in enumerate(model.float_rows(1, n_max + 1), 1):
-        deltas.append(delta := float(delta_fn(n)))
+    for n, (lo, probs) in enumerate(map(float_row, model.read_rows(1, n_max + 1)), 1):
+        deltas.append(delta := n**DELTA_EXPONENT)
         far = (p for k, p in enumerate(probs.tolist(), lo) if abs(k - a * n) > delta * n)
         tails.append(sum(far, 0.0))  # added in order of k
-        series.append(tails[-1] * n ** (2.0 + eps))
+        series.append(tails[-1] * n ** (2.0 + EPSILON))
     return ConcentrationCheck(
-        series=np.array(series),
-        tail_probs=np.array(tails),
-        deltas=np.array(deltas),
-        bound=config.concentration_bound,
+        series=np.array(series), tail_probs=np.array(tails), deltas=np.array(deltas)
     )
 
 
@@ -201,20 +181,14 @@ def check_concentration(
 class MomentCheck:
     ratios: np.ndarray  # E|Y_n - alpha n|^p / n^(p/2), index n = 1
     p: int
-    bound: float
 
     @property
     def passed(self) -> bool:
-        return float(self.ratios.max()) <= self.bound if len(self.ratios) else True
+        return float(self.ratios.max()) <= MOMENT_BOUND if len(self.ratios) else True
 
 
 def check_moment(
-    model: SurvivorModel,
-    n_max: int,
-    alpha: Fraction | float,
-    p: int = 6,
-    *,
-    config: CheckConfig = DEFAULT_CONFIG,
+    model: SurvivorModel, n_max: int, alpha: Fraction | float, p: int = 6
 ) -> MomentCheck:
     """Central p-th moment ratios E|Y_n - alpha n|^p / n^(p/2), p even.
 
@@ -235,7 +209,7 @@ def check_moment(
             lo, probs = float_row(row)
             moment = sum(abs(k - a * n) ** p * q for k, q in enumerate(probs.tolist(), lo))
         ratios.append(moment / n ** (p / 2))
-    return MomentCheck(ratios=np.array(ratios), p=p, bound=config.moment_bound)
+    return MomentCheck(ratios=np.array(ratios), p=p)
 
 
 @dataclass
@@ -277,14 +251,10 @@ class ConditionReport:
 
 
 def run_condition_checks(
-    model: SurvivorModel,
-    n_max: int,
-    alpha: Fraction | float | None = None,
-    *,
-    p: int = 6,
-    config: CheckConfig = DEFAULT_CONFIG,
+    model: SurvivorModel, n_max: int, alpha: Fraction | float | None = None
 ) -> ConditionReport:
-    """Run every check over 1..n_max; alpha defaults to the model's own."""
+    """Run every check over 1..n_max, the moment check at p = 6; alpha
+    defaults to the model's own."""
     if alpha is None:
         alpha = model.declared_alpha
     if alpha is None:
@@ -293,8 +263,8 @@ def run_condition_checks(
         model_name=model.name,
         alpha=float(alpha),
         n_max=n_max,
-        monotone=check_monotone(model, n_max, config=config),
-        increment=check_mean_increment(model, n_max, alpha, config=config),
-        concentration=check_concentration(model, n_max, alpha, config=config),
-        moment=check_moment(model, n_max, alpha, p, config=config),
+        monotone=check_monotone(model, n_max),
+        increment=check_mean_increment(model, n_max, alpha),
+        concentration=check_concentration(model, n_max, alpha),
+        moment=check_moment(model, n_max, alpha),
     )

@@ -24,6 +24,8 @@ import numpy as np
 from .engine import PhaseTable
 
 _TWO_PI = 2.0 * math.pi
+#: tail mass at which ``ceil_shift_law`` stops scanning outward
+_CEIL_TAIL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +124,22 @@ def law_from_phase(table: PhaseTable, n: int) -> IntegerLaw:
     return IntegerLaw(offset=lo, probs=probs)
 
 
-def ceil_shift_law(cdf, shift: float, *, tail: float = 1e-13) -> IntegerLaw:
+def ceil_shift_law(cdf, shift: float) -> IntegerLaw:
     """Law of ceil(Z + shift) when Z has distribution function ``cdf``.
 
     P(ceil(Z + shift) = k) = cdf(k - shift) - cdf(k - 1 - shift); the
-    support is scanned outward until both tails fall below ``tail``.
+    support is scanned outward until both tails fall below ``_CEIL_TAIL``.
     ``cdf`` must take a float or an array and answer in kind, as
     :func:`fair_coin_limit_cdf` and :func:`toy_limit_cdf` do.
     """
     center = int(math.floor(shift))
     lo = center
-    while cdf(lo - 1 - shift) > tail:
+    while cdf(lo - 1 - shift) > _CEIL_TAIL:
         lo -= 1
         if center - lo > 10_000:
             raise ValueError("left tail does not vanish")
     hi = center
-    while 1.0 - cdf(hi - shift) > tail:
+    while 1.0 - cdf(hi - shift) > _CEIL_TAIL:
         hi += 1
         if hi - center > 10_000:
             raise ValueError("right tail does not vanish")

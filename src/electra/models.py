@@ -620,7 +620,6 @@ class ExplicitMatrix(SurvivorModel):
 
     rows: tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]
     label: str = "explicit"
-    alpha: Fraction | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -632,6 +631,8 @@ class ExplicitMatrix(SurvivorModel):
             for j, p in row.items():
                 if p < 0:
                     raise ValueError(f"negative probability at ({i},{j})")
+                if j < 0:
+                    raise ValueError(f"entry ({i},{j}): a survivor count below 0")
                 if j > i:
                     raise ValueError(
                         f"entry ({i},{j}) above the diagonal: survivors cannot exceed {i}"
@@ -647,10 +648,6 @@ class ExplicitMatrix(SurvivorModel):
     @property
     def name(self) -> str:
         return self.label
-
-    @property
-    def declared_alpha(self) -> Fraction | None:
-        return self.alpha
 
     @functools.cached_property
     def _row_lookup(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
@@ -674,27 +671,25 @@ class ExplicitMatrix(SurvivorModel):
 
     @classmethod
     def from_csv(
-        cls,
-        path: str | Path,
-        *,
-        label: str | None = None,
-        alpha: Fraction | None = None,
-        exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
+        cls, path: str | Path, *, exact_cutoff: int = DEFAULT_EXACT_CUTOFF
     ) -> "ExplicitMatrix":
-        """Load ``i,j,prob`` rows; a header line is skipped if present."""
+        """Load ``i,j,prob`` rows, labelled by the file stem; a header line
+        is skipped if present.  A malformed record is a ValueError naming
+        the file and line."""
         rows: dict[int, dict[int, Fraction]] = {}
         with open(path, newline="") as fh:
-            for record in csv.reader(fh):
+            reader = csv.reader(fh)
+            for record in reader:
                 if not record or record[0].strip().lower() in {"i", ""}:
                     continue
-                i, j = int(record[0]), int(record[1])
-                rows.setdefault(i, {})[j] = Fraction(record[2].strip())
-        return cls(
-            rows=rows,
-            label=label or Path(path).stem,
-            alpha=alpha,
-            exact_cutoff=exact_cutoff,
-        )
+                try:
+                    i, j, prob = record[:3]
+                    rows.setdefault(int(i), {})[int(j)] = Fraction(prob.strip())
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: need i,j,prob, got {record} ({exc})"
+                    ) from None
+        return cls(rows=rows, label=Path(path).stem, exact_cutoff=exact_cutoff)
 
 
 _MODEL_BUILDERS = {

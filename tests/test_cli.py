@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,68 @@ def test_check_exit_codes(tmp_path):
     assert {"n", "increment", "deviation"} <= set(rows[0])
 
 
+#: sha256 of each check CSV, and the RESULT line, of three check commands
+_CHECK_OUTPUT = {
+    ("--model", "fair-coin", "--n-max", "300"): (
+        "model=fair-coin n_max=300 alpha=0.5 monotone=PASS increment=PASS "
+        "concentration=PASS moment=PASS overall=PASS",
+        {
+            "concentration": "99005259755ada9cb670d4db8ef6a369a928d63e9f5e262576b2b5940d30116c",
+            "mean_increments": "e9e1b8c5a0f4f4b46ec433409c2cb1b176fb6845e5958fc6552d6bf26fd85132",
+            "moment_ratios": "be0b9685faa6917782fc27cd28ea820325d3ff34e455c9482d17cc664cff7be0",
+            "monotone_violations":
+                "20317b55695dbedaa668e8c76f5c1321312b49e7f9cee27cfe683d6ad4de9bd1",
+        },
+    ),
+    ("--model", "det-halving"): (
+        "model=det-halving n_max=200 alpha=0.5 monotone=PASS increment=FAIL "
+        "concentration=PASS moment=PASS overall=FAIL",
+        {
+            "concentration": "a4cfb18e040380d31571d410310ab311c427dd1c1e309325889eb56e6f19baa3",
+            "mean_increments": "e46fbd69663fe6fc79b8c8a4cfa6fdeeb21c35dd164bc4489c5784a52045ea00",
+            "moment_ratios": "f6ab45b503884e3f8fe64aa4dcc2b66bb47006a983d7e72ca3181a1632448fa0",
+            "monotone_violations":
+                "20317b55695dbedaa668e8c76f5c1321312b49e7f9cee27cfe683d6ad4de9bd1",
+        },
+    ),
+    ("--model", "biased-coin", "--p", "0.3", "--n-max", "50"): (
+        "model=biased-coin(p=3/10) n_max=50 alpha=0.3 monotone=FAIL increment=FAIL "
+        "concentration=FAIL moment=FAIL overall=FAIL",
+        {
+            "concentration": "a48d0f1f421aee87fa76cabda614433978a16eec013d037b13c9d63001b88a97",
+            "mean_increments": "247734f21c715efbef44ff2cf49af76a9dd1387b9bc5ad7aef14497d23059d56",
+            "moment_ratios": "3dde6480d8c111895437de69d1b1b9eeefd202a5dedc47c66829dfbe1ac949fc",
+            "monotone_violations":
+                "55a41be2b17731073593a211cc34a1b05c51c5d1f7bb61ba36ae309312349fe1",
+        },
+    ),
+}
+
+
+def test_check_output_bytes_are_pinned(tmp_path, capsys):
+    for args, (summary, digests) in _CHECK_OUTPUT.items():
+        out = tmp_path / args[1]
+        code = main(["check", *args, "--out", str(out)])
+        assert code == (0 if "overall=PASS" in summary else 1), args
+        assert capsys.readouterr().out == f"RESULT check {summary}\n"
+        for name, digest in digests.items():
+            data = (out / "check" / f"{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (args, name)
+
+
+@pytest.mark.parametrize("record", [
+    pytest.param("3,2", id="short-record"),
+    pytest.param("3,2,1/0", id="zero-denominator"),
+])
+def test_malformed_matrix_exits_2(tmp_path, capsys, record):
+    matrix = tmp_path / "short.csv"
+    matrix.write_text(f"i,j,prob\n2,1,1\n{record}\n3,1,1/2\n")
+    assert main(["check", "--model", "explicit", "--matrix", str(matrix),
+                 "--alpha", "1/2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "short.csv:3: need i,j,prob" in err and err.count("\n") == 1
+
+
 def test_check_biased_coin_witness(tmp_path):
     assert main(["check", "--model", "biased-coin", "--p", "0.3",
                  "--n-max", "50", "--out", str(tmp_path)]) == 1
@@ -314,6 +377,7 @@ def test_ratio_line_writes_integers_past_the_digit_limit():
 @pytest.mark.parametrize("command", [
     ["table", "--model", "toy", "--max-n", "8"],
     ["periodicity", "--model", "toy", "--n-hi", "60"],
+    ["check", "--model", "toy", "--n-max", "8"],
 ])
 @pytest.mark.parametrize("alpha", ["0", "1", "2", "-1/3"])
 def test_alpha_outside_unit_interval_exits_2(tmp_path, capsys, command, alpha):
@@ -347,10 +411,27 @@ def _mostly(good, bad):
 
 _FUZZ_VALUES = _mostly(["1/2", "0.3", "9/10", "1/3"], ["1/0", "0", "1", "2", "-3", "x"])
 _FUZZ_SIZES = _mostly(["2", "5", "12"], ["-1", "0", "1"])
-_FUZZ_MODELS = st.sampled_from([m for m in _MODEL_CHOICES if m != "explicit"])
+_FUZZ_MODELS = st.sampled_from(_MODEL_CHOICES)
 
 
 _FUZZ_VARIANTS = ["true-persistent", "redraw-circular", "redraw-linear-i", "redraw-linear-ii"]
+
+
+@st.composite
+def _fuzz_matrix(draw):
+    """A small ``--matrix`` CSV: rows P(i, (i+1)//2) = P(i, i) = 1/2 for
+    states 2..top, perhaps under a header and with one flaw: a short
+    record, a ``1/0`` or a probability of 2."""
+    top = draw(st.sampled_from([2, 5, 12]))
+    records = [[str(i), str(j), "1/2"] for i in range(2, top + 1) for j in ((i + 1) // 2, i)]
+    at = draw(st.integers(0, len(records) - 1))
+    flaw = draw(_mostly([None], ["short", "1/0", "2"]))
+    if flaw == "short":
+        records[at] = records[at][:2]
+    elif flaw:
+        records[at][2] = flaw
+    header = ["i,j,prob"] if draw(st.booleans()) else []
+    return "".join(f"{line}\n" for line in header + list(map(",".join, records)))
 
 
 @st.composite
@@ -382,10 +463,13 @@ def _fuzz_argv(draw):
 
 
 @settings(max_examples=150)
-@given(argv=_fuzz_argv())
-def test_cli_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
+@given(argv=_fuzz_argv(), matrix=_fuzz_matrix())
+def test_cli_fuzz_exits_0_1_or_2(tmp_path_factory, argv, matrix):
     # every argv either runs or is refused as a usage error; nothing escapes
     out = tmp_path_factory.mktemp("fuzz")
+    if "explicit" in argv:
+        (out / "matrix.csv").write_text(matrix)
+        argv = argv + ["--matrix", str(out / "matrix.csv")]
     try:
         code = main(argv + ["--out", str(out)])
     except SystemExit as exc:
@@ -394,3 +478,7 @@ def test_cli_fuzz_exits_0_1_or_2(tmp_path_factory, argv):
     assert code in (0, 1, 2), argv
     if "conditional" in argv and "redraw-linear" in argv[2]:
         assert code == 2, argv  # the conditional estimate is circular only
+    if "--alpha" in argv:
+        alpha = argv[argv.index("--alpha") + 1]
+        if alpha in {"0", "1", "2", "-3"}:  # outside (0, 1)
+            assert code == 2, argv

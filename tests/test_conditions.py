@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from electra.conditions import (
-    DEFAULT_CONFIG,
-    CheckConfig,
+    MONOTONE_TOL,
     check_concentration,
     check_mean_increment,
     check_moment,
@@ -93,14 +92,6 @@ def test_fair_coin_concentration_bounded():
     assert check.series[-1] < check.series[peak_at]
 
 
-def test_custom_delta_fn():
-    check = check_concentration(
-        ToyHalving(), 50, Fraction(1, 2), delta_fn=lambda n: 0.25 / n
-    )
-    # radius delta_n * n = 1/4 < |Y_n - n/2| = 1/2 for odd n: tails appear
-    assert check.series.max() > 0
-
-
 def test_moment_ratios():
     toy = check_moment(ToyHalving(), 100, Fraction(1, 2), 2)
     # support width 1/2 around the mean: ratio <= 1/(4n)
@@ -121,12 +112,6 @@ def test_reports_are_reproducible():
     assert np.array_equal(a.concentration.series, b.concentration.series)
     assert np.array_equal(a.moment.ratios, b.moment.ratios)
     assert a.summary() == b.summary()
-
-
-def test_config_thresholds():
-    tight = CheckConfig(increment_bound=1e-12, increment_skip=2)
-    check = check_mean_increment(FairCoin(), 60, Fraction(1, 2), config=tight)
-    assert not check.passed  # start-up increments now counted and flagged
 
 
 def test_short_scan_is_inconclusive():
@@ -164,7 +149,7 @@ def _reference_monotone(model, n_max):
         cur, nxt = cdf(n, exact), cdf(n + 1, exact)
         for k in range(1, n + 1):
             gap = float(nxt[k] - cur[k])
-            if gap > DEFAULT_CONFIG.monotone_tol:
+            if gap > MONOTONE_TOL:
                 violations.append((n, k, gap))
     return violations
 

@@ -430,6 +430,8 @@ def test_explicit_matrix_validation():
         ExplicitMatrix(rows={2: {3: Fraction(1)}})
     with pytest.raises(ValueError, match="negative"):
         ExplicitMatrix(rows={2: {1: Fraction(3, 2), 2: Fraction(-1, 2)}})
+    with pytest.raises(ValueError, match="below 0"):
+        ExplicitMatrix(rows={2: {-1: Fraction(1, 2), 2: Fraction(1, 2)}})
 
 
 def test_model_from_name():
