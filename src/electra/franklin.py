@@ -26,9 +26,9 @@ fresh keys stay in stable ascending width order, and a key is one raw
 Philox word shifted right by one bit (see ``_raw_keys``), so every row
 reads fixed words of its batch's stream.  A group of a redraw variant is
 a whole batch.  A group of persistent keys is one span of round one,
-played to the end of its games before the next span is drawn: persistent
-keys are drawn in round one only, so this reads the same words as
-playing the batch round by round, and every round of a group is one
+whose rows may come from more than one batch, played to the end of its
+games: persistent keys are drawn in round one only, so this reads the
+same words as playing each batch round by round, and every round of a group is one
 span, so its kept keys are one compressed array of at most half a span.
 
 Equal keys are ranked by ring position: every round orders its players
@@ -43,14 +43,26 @@ the chance of a tie in a row of width w, below w^2 / 2^64.
 
 Trials run in fixed-size batches, each with its own counter-based RNG
 substream keyed by (seed, batch index), so results are reproducible
-bit-for-bit and merge order-independently.  Nothing is shared between
-calls, so threads may run games at once.
+bit-for-bit and merge order-independently.  Because the streams are
+counter-based, every group is independent: a persistent group that
+starts w words into its batch builds the batch's Philox generator and
+moves it there (``advance(w // 4)``, then ``w % 4`` words discarded), and
+a redraw group starts its batch's stream.  So ``_play`` cuts the groups
+into jobs of about one span of round-one words and plays them on the
+calling thread plus one helper thread per other CPU the process may run
+on (``len(os.sched_getaffinity(0)) - 1``; none with one CPU).  The
+helpers start and are joined inside each ``_play`` call, and it yields
+the rounds job by job in job order, so every output is the same bit for
+bit whatever the thread count.  Nothing is shared between calls, so
+threads may also run games at once.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -59,7 +71,11 @@ import numpy as np
 
 _BATCH = 4096
 #: most key words of one span of rows, drawn, masked and counted at once
-_SPAN = 1 << 18
+_SPAN = 1 << 17
+#: helper threads that play jobs besides the calling one: one per other
+#: CPU this process may run on
+_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) - 1
 
 
 class RingVariant(str, Enum):
@@ -210,6 +226,171 @@ def _row_counts(mask: np.ndarray, offsets: np.ndarray, most: int) -> np.ndarray:
     return np.add.reduceat(mask, offsets[:-1], dtype=narrow).astype(np.int64)
 
 
+def _jobs(config: SimConfig) -> list[tuple[int, int]]:
+    """Cut the trials into jobs ``(lo, hi)`` of about one span of
+    round-one words each.  A persistent job is one group of ``_SPAN // n``
+    rows (one row if it is longer), which may cross a batch boundary; a
+    redraw job is one or more whole batches, since a redraw group is a
+    batch."""
+    rows = max(_SPAN // config.n, 1)
+    if config.variant is not RingVariant.TRUE_PERSISTENT:
+        rows = max(rows // _BATCH, 1) * _BATCH
+    return [(lo, min(lo + rows, config.trials)) for lo in range(0, config.trials, rows)]
+
+
+def _first_keys(config: SimConfig, lo: int, hi: int) -> np.ndarray:
+    """Round-one keys of trials ``lo`` to ``hi``, row after row: trial t of
+    the batch starting at trial s reads words ``(t - s) n`` to
+    ``(t - s + 1) n`` of that batch's stream.  Each batch the trials cover
+    gets a fresh generator, moved to the job's first word: Philox4x64
+    makes four words per counter step, so it advances ``offset // 4``
+    steps and discards ``offset % 4`` words."""
+    batches = range(lo - lo % _BATCH, hi, _BATCH)
+    # trials from several batches fill one array a batch at a time
+    keys = np.empty((hi - lo) * config.n, dtype=np.int64) if len(batches) > 1 else None
+    for start in batches:
+        first, stop = max(lo, start), min(hi, start + _BATCH)
+        rng = _batch_rng(config.seed, start // _BATCH)
+        offset = (first - start) * config.n
+        rng.bit_generator.advance(offset // 4)
+        rng.bit_generator.random_raw(offset % 4)
+        words = _raw_keys(rng, (stop - first) * config.n)
+        if keys is None:
+            return words
+        keys[(first - lo) * config.n : (stop - lo) * config.n] = words
+    return keys
+
+
+def _play_job(
+    config: SimConfig, lo: int, hi: int, max_rounds: int | None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every round of the trials ``lo`` to ``hi`` of one job, group by group."""
+    if config.variant is RingVariant.TRUE_PERSISTENT:
+        yield from _play_group(config, lo, hi, max_rounds, kept=_first_keys(config, lo, hi))
+    else:
+        for start in range(lo, hi, _BATCH):
+            rng = _batch_rng(config.seed, start // _BATCH)
+            yield from _play_group(config, start, min(start + _BATCH, hi), max_rounds, rng=rng)
+
+
+def _play_group(
+    config: SimConfig,
+    first: int,
+    stop: int,
+    max_rounds: int | None,
+    *,
+    kept: np.ndarray | None = None,
+    rng: np.random.Generator | None = None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Play the trials ``first`` to ``stop`` of one group to the end of
+    their games: on persistent keys from their round-one keys ``kept``,
+    row after row; on redraw keys with fresh keys from ``rng`` every
+    round."""
+    persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    trials = np.arange(first, stop, dtype=np.int64)
+    widths = np.full(len(trials), config.n, dtype=np.int64)
+    round_ = 0
+    while len(trials):
+        round_ += 1
+        offsets = _offsets(widths)
+        counts = np.empty(len(trials), dtype=np.int64)
+        for lo, hi in _spans(offsets):
+            span = offsets[lo : hi + 1] - offsets[lo]
+            if kept is None:
+                keys = _raw_keys(rng, int(span[-1]))
+            else:
+                keys = kept[offsets[lo] : offsets[hi]]
+            mask = _peak_mask(keys, span, config.variant)
+            counts[lo:hi] = _row_counts(mask, span, config.n)
+            if persistent and round_ != max_rounds:
+                # a persistent round is one span, so this span holds every
+                # row of the round
+                stays = counts > config.stop_threshold
+                if round_ == 1 and not stays.all():
+                    # every row is n wide: take the staying rows first
+                    keys, mask = (np.compress(stays, a.reshape(-1, config.n), axis=0).ravel()
+                                  for a in (keys, mask))
+                elif not stays.all():
+                    mask &= np.repeat(stays, widths)
+                kept = np.compress(mask, keys)
+            # free the span's fresh keys before the next span draws
+            del keys, mask
+        yield round_, trials, counts
+        if round_ == max_rounds:
+            break
+        stays = counts > config.stop_threshold
+        trials, widths = trials[stays], counts[stays]
+        if not persistent:
+            # numpy radix-sorts ints of 16 bits or fewer when stable
+            order = np.argsort(widths.astype(np.min_scalar_type(config.n)), kind="stable")
+            trials, widths = trials[order], widths[order]
+
+
+def _in_order(jobs: list, helpers: int, run: Callable) -> Iterator:
+    """Yield ``run(job)`` for every job, in job order, while the calling
+    thread and ``helpers`` helper threads run them.
+
+    Every thread claims the next unclaimed job under one lock; the caller
+    claims one whenever the result it must yield next is not ready, and
+    helpers stay at most ``2 * (helpers + 1)`` jobs ahead of it, so few
+    results wait.  An exception raised by a job is raised to the caller
+    where that job's result would have been yielded.  The helpers start
+    on the first ``next`` and are joined when the generator ends, fails or
+    is closed.
+    """
+    cond = threading.Condition()
+    results: dict = {}
+    claimed = wanted = 0
+    stopped = False
+    ahead = 2 * (helpers + 1)
+
+    def finish(i: int) -> None:
+        try:
+            result = run(jobs[i])
+        except BaseException as exc:  # raised on the caller's thread in order
+            result = exc
+        with cond:
+            results[i] = result
+            cond.notify_all()
+
+    def helper() -> None:
+        nonlocal claimed
+        while True:
+            with cond:
+                cond.wait_for(lambda: stopped or claimed < min(len(jobs), wanted + ahead))
+                if stopped:
+                    return
+                i, claimed = claimed, claimed + 1
+            finish(i)
+
+    threads = [threading.Thread(target=helper, daemon=True) for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        for wanted in range(len(jobs)):
+            with cond:
+                cond.notify_all()  # the helpers may run one job further
+            while True:
+                with cond:
+                    if wanted in results:
+                        result = results.pop(wanted)
+                        break
+                    if claimed == len(jobs):
+                        cond.wait()
+                        continue
+                    i, claimed = claimed, claimed + 1
+                finish(i)
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        with cond:
+            stopped = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
+
+
 def _play(
     config: SimConfig, max_rounds: int | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -219,16 +400,24 @@ def _play(
     entered it and the survivors of each.  A trial leaves once its count
     is at most ``config.stop_threshold``, or after ``max_rounds`` rounds.
 
-    The trials of a batch play group by group, every round of a group
-    before the next group starts.  For the redraw variants a group is the
-    whole batch, since their later rounds draw fresh keys in width order
-    over all of its rows.  Persistent keys are drawn in round one only, so
-    their group is one round-one span of ``_SPAN // n`` rows (at most a
-    batch): the groups draw the batch's words in the same order as one
-    breadth-first pass would.  Later rounds are smaller, so every
-    persistent round is one span, and its kept keys are one
-    ``np.compress`` of that span: circular peaks are never adjacent, so
-    they hold at most half a span.
+    A group plays every round before the next group starts.  For the
+    redraw variants a group is a whole batch, since their later rounds
+    draw fresh keys in width order over all of its rows.  Persistent keys
+    are drawn in round one only, so their group is one round-one span of
+    ``_SPAN // n`` rows, which may cross a batch boundary and reads the
+    words its rows read in one pass over the batches.  Later rounds are smaller, so every persistent round
+    is one span, and its kept keys are one ``np.compress`` of that span:
+    circular peaks are never adjacent, so they hold at most half a span.
+
+    The groups are cut into jobs of about one span of round-one words
+    (:func:`_jobs`): a persistent job is one group, and a redraw job
+    merges whole batches until it holds a span.  Every job builds its own
+    generators (:func:`_first_keys`), so jobs are independent: the calling
+    thread and ``_HELPERS`` helper threads, one per other usable CPU, play
+    them at once (:func:`_in_order`), and the rounds are yielded job by
+    job in job order, so every consumer sees the same sequence whatever
+    the thread count.  With one usable CPU, or one job, the jobs play on
+    the calling thread alone, a round at a time.
 
     A round is played on flat arrays, one row per trial with its keys back
     to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
@@ -243,46 +432,14 @@ def _play(
     """
     if config.n <= config.stop_threshold:
         return
-    persistent = config.variant is RingVariant.TRUE_PERSISTENT
-    group = min(max(_SPAN // config.n, 1), _BATCH, config.trials) if persistent else _BATCH
-    for start in range(0, config.trials, _BATCH):
-        stop = min(start + _BATCH, config.trials)
-        rng = _batch_rng(config.seed, start // _BATCH)
-        for first in range(start, stop, group):
-            trials = np.arange(first, min(first + group, stop), dtype=np.int64)
-            widths = np.full(len(trials), config.n, dtype=np.int64)
-            kept = None  # back-to-back kept keys of the rows, or None to draw
-            round_ = 0
-            while len(trials):
-                round_ += 1
-                offsets = _offsets(widths)
-                counts = np.empty(len(trials), dtype=np.int64)
-                for lo, hi in _spans(offsets):
-                    span = offsets[lo : hi + 1] - offsets[lo]
-                    if kept is None:
-                        keys = _raw_keys(rng, int(span[-1]))
-                    else:
-                        keys = kept[offsets[lo] : offsets[hi]]
-                    mask = _peak_mask(keys, span, config.variant)
-                    counts[lo:hi] = _row_counts(mask, span, config.n)
-                    if persistent and round_ != max_rounds:
-                        # a persistent round is one span, so this span
-                        # holds every row of the round
-                        stays = counts > config.stop_threshold
-                        if not stays.all():
-                            mask &= np.repeat(stays, widths)
-                        kept = np.compress(mask, keys)
-                    # free the span's fresh keys before the next span draws
-                    del keys, mask
-                yield round_, trials, counts
-                if round_ == max_rounds:
-                    break
-                stays = counts > config.stop_threshold
-                trials, widths = trials[stays], counts[stays]
-                if not persistent:
-                    # numpy radix-sorts ints of 16 bits or fewer when stable
-                    order = np.argsort(widths.astype(np.min_scalar_type(config.n)), kind="stable")
-                    trials, widths = trials[order], widths[order]
+    jobs = _jobs(config)
+    helpers = min(_HELPERS, len(jobs) - 1)
+    if helpers < 1:
+        for lo, hi in jobs:
+            yield from _play_job(config, lo, hi, max_rounds)
+        return
+    for rounds in _in_order(jobs, helpers, lambda job: list(_play_job(config, *job, max_rounds))):
+        yield from rounds
 
 
 def run_election(config: SimConfig) -> ElectionRecords:

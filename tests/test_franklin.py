@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -18,6 +19,7 @@ from electra.franklin import (
     RingVariant,
     SimConfig,
     _batch_rng,
+    _first_keys,
     _peak_mask,
     _raw_keys,
     _row_counts,
@@ -486,8 +488,9 @@ def test_one_row_per_span(monkeypatch):
 
 
 def test_persistent_groups_play_like_whole_batches(monkeypatch):
-    # at n = 1000 a group is 262 rows, which divides neither batch of
-    # _BATCH + 300 trials; one span per round plays every batch as one group
+    # at n = 1000 a group is 131 rows, which divides neither batch of
+    # _BATCH + 300 trials, so one group crosses into the second batch; one
+    # span per round plays all trials as one group
     config = SimConfig(RingVariant.TRUE_PERSISTENT, 1000, _BATCH + 300, seed=16)
 
     def runs():
@@ -500,17 +503,28 @@ def test_persistent_groups_play_like_whole_batches(monkeypatch):
     assert runs() == grouped
 
 
-def test_persistent_memory_is_one_group():
-    # a group of 26 rows of 10^4 keys is one span: its draw, its mask, the
+def test_persistent_memory_is_one_group(monkeypatch):
+    # a group of 13 rows of 10^4 keys is one span: its draw, its mask, the
     # kept keys compressed out of it (at most half a span) and their
-    # positions fit in four spans of words; a batch's kept keys alone would
-    # take 20 MB
+    # positions fit in two spans of words, so the calling thread and a
+    # helper, each playing one group, fit in four; a batch's kept keys alone
+    # would take 20 MB
+    monkeypatch.setattr(franklin, "_HELPERS", 1)
+    threads = set()
+    play_job = franklin._play_job
+
+    def job(*args):
+        threads.add(threading.get_ident())
+        return play_job(*args)
+
+    monkeypatch.setattr(franklin, "_play_job", job)
     tracemalloc.start()
     try:
         survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 512, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(threads) == 2
     assert peak < 4 * 8 * franklin._SPAN
 
 
@@ -650,3 +664,105 @@ def test_raw_keys_equal_bounded_integers(seed, shape):
     head = _raw_keys(rng, count // 2)
     assert np.array_equal(np.concatenate([head, _raw_keys(rng, count - count // 2)]),
                           expected.ravel())
+
+
+def _games(config):
+    """Every output of the config's trials: the rounds as the stepper
+    yields them, the election's rounds and traces, the counts after two
+    rounds, and, on a circular variant, the conditional estimate on rings
+    of ``config.n``."""
+    records = run_election(config)
+    out = [[(r, trials.tolist(), counts.tolist()) for r, trials, counts in franklin._play(config)],
+           records.rounds.tolist(), records.trace_flat.tolist(),
+           survivors_after_rounds(config.variant, config.n, config.trials, config.seed).tolist()]
+    if config.variant in (RingVariant.TRUE_PERSISTENT, RingVariant.REDRAW_CIRCULAR):
+        first = config.n // 3
+        est = conditional_second_round(config.trials, config.seed, config.variant,
+                                       ring_size=config.n, first_round=first,
+                                       second_round=first // 3, min_events=1)
+        out.append((est.point, est.trials))
+    return out
+
+
+@pytest.mark.parametrize("variant", list(RingVariant))
+@pytest.mark.parametrize("n,span", [(9, 2**12), (101, None)], ids=["small-span", "default-span"])
+def test_helper_threads_play_like_one_thread(monkeypatch, variant, n, span):
+    # 3 * _BATCH + 123 trials are a multiple of no group and no batch.  A
+    # persistent group is 455 rows of 9 keys (4095 words) or 1297 rows of
+    # 101 (130,997), so groups start at every word offset mod 4 and cross
+    # batch boundaries; redraw jobs are single batches
+    if span:
+        monkeypatch.setattr(franklin, "_SPAN", span)
+    config = SimConfig(variant, n, 3 * _BATCH + 123, seed=n)
+    assert len(franklin._jobs(config)) > 1
+    played = {}
+    for helpers in (0, 1):
+        monkeypatch.setattr(franklin, "_HELPERS", helpers)
+        played[helpers] = _games(config)
+    assert played[0] == played[1]
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 5), (1, 3), (2, 9), (3, 4),
+                                   (_BATCH - 2, _BATCH + 3), (_BATCH - 1, 3 * _BATCH + 2)])
+def test_first_keys_are_their_batch_words(lo, hi):
+    # trial t of batch b reads words (t - b _BATCH) n to (t - b _BATCH + 1) n
+    # of batch b's raw stream; at n = 7 the first trials of these groups
+    # start at word offsets 0, 3, 2 and 1 mod 4, and two cross batches
+    n = 7
+    config = SimConfig(RingVariant.TRUE_PERSISTENT, n, 4 * _BATCH, seed=5)
+    streams = [_batch_rng(5, b).bit_generator.random_raw(_BATCH * n) >> 1 for b in range(4)]
+    expected = [streams[t // _BATCH][t % _BATCH * n : (t % _BATCH + 1) * n] for t in range(lo, hi)]
+    assert np.array_equal(_first_keys(config, lo, hi), np.concatenate(expected).view(np.int64))
+
+
+# ten persistent jobs of 1310 rows at the default span
+_THREADED = SimConfig(RingVariant.TRUE_PERSISTENT, 100, 3 * _BATCH, seed=2)
+
+
+def test_closing_the_rounds_joins_the_helper(monkeypatch):
+    monkeypatch.setattr(franklin, "_HELPERS", 1)
+    before = threading.enumerate()
+    rounds = franklin._play(_THREADED)
+    next(rounds)
+    assert len(threading.enumerate()) == len(before) + 1
+    rounds.close()
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("failing_call", [1, 6, 30])
+def test_failed_job_reaches_the_caller(monkeypatch, failing_call):
+    monkeypatch.setattr(franklin, "_HELPERS", 1)
+    calls = itertools.count(1)
+    peak_mask = franklin._peak_mask
+
+    def failing(*args):
+        if next(calls) == failing_call:
+            raise RuntimeError("planted")
+        return peak_mask(*args)
+
+    monkeypatch.setattr(franklin, "_peak_mask", failing)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="planted"):
+        run_election(_THREADED)
+    assert threading.enumerate() == before
+
+
+def test_helper_failure_reaches_the_caller(monkeypatch):
+    # the calling thread waits in its first job until a helper has failed
+    # in another, so the failure is the helper's
+    monkeypatch.setattr(franklin, "_HELPERS", 1)
+    helper_failed = threading.Event()
+    peak_mask = franklin._peak_mask
+
+    def failing(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(10)
+            return peak_mask(*args)
+        helper_failed.set()
+        raise RuntimeError("planted in a helper")
+
+    monkeypatch.setattr(franklin, "_peak_mask", failing)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="planted in a helper"):
+        run_election(_THREADED)
+    assert threading.enumerate() == before

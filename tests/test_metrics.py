@@ -21,7 +21,7 @@ from electra.metrics import (
     toy_limit_cdf,
     toy_phi,
 )
-from electra.models import peak_linear_i
+from electra.models import peak_circular, peak_linear_i
 
 
 def _random_law(rng, span=9):
@@ -325,3 +325,30 @@ def test_toy_closed_form_values():
     assert toy_phi(math.log2(6)) == pytest.approx(
         6.0 / 4.0 - math.log2(6.0 / 4.0) - 1.0
     )
+
+
+def _scale_gaps(table, ratio, starts):
+    """d_TV(X_n, X_{ratio n} - 1) on the float law for each start n: one
+    more round of a chain with alpha = 1/ratio takes ratio n players to
+    about n, so the theorem's ceiling law puts the two laws one step
+    apart."""
+    return [dtv(law_from_phase(table, n), law_from_phase(table, ratio * n).shift(-1))
+            for n in starts]
+
+
+@pytest.mark.parametrize("game", ["peak-circular", "fair-coin"])
+def test_scale_gap_falls_like_one_over_n(request, game):
+    # the theorem with no limit law to compute: when 1/alpha is an integer
+    # r, log_{1/alpha}(r n) = log_{1/alpha} n + 1, so d_TV(X_n, X_{rn} - 1)
+    # tends to 0.  Both bounds were fixed before the first run: the gap
+    # falls at every step of n, and n times it stays below 0.25 (about 0.19
+    # was measured on peak-circular at n = 9, 81 and 729)
+    if game == "peak-circular":
+        starts = [9 * 3**k for k in range(5)]
+        table, ratio = compute_phase_table(peak_circular(), 3 * starts[-1]), 3
+    else:
+        starts = [2**k for k in range(5, 12)]
+        table, ratio = request.getfixturevalue("fair_4096"), 2
+    gaps = _scale_gaps(table, ratio, starts)
+    assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+    assert max(n * gap for n, gap in zip(starts, gaps)) < 0.25
