@@ -468,10 +468,11 @@ def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--matrix", type=Path, default=None, help="CSV for --model explicit")
     sub.add_argument("--exact-cutoff", type=int, default=DEFAULT_EXACT_CUTOFF,
                      help="largest n computed with exact rationals; the cost grows "
-                          "steeply: a peak-circular table to n = cutoff takes about "
-                          "1.2 s and 36 MB at 300, and 18 s and 73 MB at 600 "
-                          "(one core), and exact peak count rows are kept for the "
-                          "life of the process")
+                          "steeply: 'table' for peak-circular to n = cutoff takes "
+                          "about 1.2 s and 37 MB at 300, and 18 s and 71 MB at 600, "
+                          "of which the table build is 0.6-0.9 s and 12 s (one "
+                          "core), and exact peak count rows are kept for the life "
+                          "of the process")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,14 +40,26 @@ row's block of columns is one ``einsum`` over the rows below it, adding
 in ascending k with the self-loop last, the order of a sparse row
 product.  A table keeps its integer rows but no float row: each pass
 reads the float rows again from ``read_rows``, whose caches keep only a
-short prefix of each law, so memory stays flat in n.  Two passes read
-them.  A first sweep over the float rows of every transient state
-predicts the column count, so the exact columns are pulled to it and no
-further; the final sweep reads the rounded exact columns, replays the
-stop rule and, row by row in the same pass, solves the float states'
-expected phase counts.  Float rows read the already-exact low results,
-so exactness degrades only where the rationals would be unaffordable
-anyway.  The stop rule takes its residuals a block of rows at a time.
+short prefix of each law, so memory stays flat in n.
+
+The column count is predicted first, so the exact columns are pulled to
+it and no further.  The paper's X_n - log_{1/alpha} n stays tight with
+no drift, so for a model with alpha in (0, 1) a float sweep runs over a
+prefix of the states only, those up to m = max(last integer row, 64),
+and ceil(log_{1/alpha}(max_n / m)) + 1 columns are added to where its
+stop rule fires; the one covers the oscillation.  A model with no alpha,
+or a table that ends by m, is swept over every state, and nothing is
+added.  The final sweep reads the rounded exact columns, replays the
+stop rule, and row by row in the same pass solves the float states'
+expected phase counts.  It widens one column at a time if the guess is
+short, and cuts at its own stop if it is long, moving the kept columns
+to the front of its buffer a block of rows at a time and shrinking the
+buffer in place: the guess sets the cost, never an output bit.  Float
+rows read the already-exact low results, so exactness degrades only
+where the rationals would be unaffordable anyway.  The stop rule takes
+its residuals a block of rows at a time.  The ``electra.engine`` logger,
+silent unless configured, notes at DEBUG a final sweep that widens past
+its guess and a table that the stall rule, not the residual, ends.
 """
 from __future__ import annotations
 
@@ -57,8 +69,9 @@ import itertools
 import math
 import operator
 import os
+import sys
 from collections.abc import Callable, Container, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -80,6 +93,24 @@ _CSV_ROWS = 256
 #: the table's size would set a large table's peak (a fair-coin table to
 #: 32,768 peaks at 83 MB with them, 65 MB without)
 _STOP_ROWS = 256
+
+#: the column predictor sweeps the states up to the last integer row, and
+#: at least up to this one, then extrapolates the count to ``max_n``
+_PREDICT_ROWS = 64
+
+#: columns added to the extrapolated count for the oscillation of
+#: X_n - log_{1/alpha} n about its level
+_PREDICT_MARGIN = 1
+
+
+def _debug(msg: str, *args: object) -> None:
+    """Log ``msg % args`` at DEBUG on this module's logger, in the
+    ``electra`` tree.  Importing ``logging`` costs every command about 6 ms
+    and 0.4 MB, so it is left to whoever configures it: until a program
+    imports it, no handler or level could show the record."""
+    if (logging := sys.modules.get("logging")) is not None:
+        logging.getLogger(__name__).debug(msg, *args)
+
 
 _fraction = np.frompyfunc(Fraction, 2, 1)  # elementwise on object arrays
 
@@ -315,24 +346,27 @@ def compute_phase_table(
     # absorbing state k adds cost[k] phases; only a wiped-out round can cost
     cost = [int(init is InitConvention.ALT_COST)] + [0] * min(a, max_n)
     rows = _transient_rows(model, a, max_n)
-    # the float rows alone predict the column count, so the costly exact
-    # columns are pulled to it and no further
-    units = (([int(j == c) for c in cost], [1] * len(cost)) for j in itertools.count())
-    width = _fill_columns(
-        rows, units, a + 1, 64, lambda width: 2 * width, residual_eps, model.name
-    )[0].shape[1]
+    # the costly exact columns are pulled to the predicted count and no
+    # further; the guess sets the cost, never an output bit
+    width = _predicted_width(rows, cost, residual_eps)
     # the final fill solves the float rows' means on its first pass
     exact_means, means = _upward_sweep(rows, dict(enumerate(cost)), 1, floats=False)
-    probs, exact_cols = _fill_columns(
+    probs, exact_cols, stalled = _fill_columns(
         rows, _exact_columns(rows, cost), rows.split, width,
         lambda width: width + 1, residual_eps, model.name, means,
     )
-    probs = np.ascontiguousarray(probs)
     j_max = probs.shape[1] - 1
+    if j_max >= width:
+        _debug("%s to %d: widened past the %d predicted columns to %d",
+               model.name, max_n, width, j_max + 1)
+    if stalled:
+        _debug("%s to %d: the stall rule, not residual_eps %g, ended the table at column %d",
+               model.name, max_n, residual_eps, j_max)
     col_nums, col_dens = zip(*exact_cols)
     exact_ints = dict(enumerate(zip(zip(*col_nums), zip(*col_dens))))
-    means_direct = probs @ np.arange(j_max + 1, dtype=float)
-    mean_gap = float(np.max(np.abs(means - means_direct)))
+    gaps = probs @ np.arange(j_max + 1, dtype=float)  # the direct means, then the gaps
+    gaps -= means  # in place: each temporary of the table's height adds to its peak
+    mean_gap = float(np.max(np.abs(gaps, out=gaps)))
     tol = max(1e-10, residual_eps * (j_max + 20))
     if mean_gap > tol:
         raise ValueError(f"mean formulas disagree by {mean_gap:.3e} (tolerance {tol:.1e})")
@@ -384,6 +418,30 @@ def _transient_rows(model: SurvivorModel, a: int, max_n: int) -> _Rows:
     return _Rows(model, a, max_n, list(exact))
 
 
+def _predicted_width(rows: _Rows, cost: list[int], residual_eps: float) -> int:
+    """The column count the final fill starts at: where the stop rule
+    fires on a float sweep of the states, doubling its columns until it
+    does, plus the growth the law takes past the states swept.
+
+    X_n - log_{1/alpha} n stays tight, with no drift.  So for a model whose
+    ``declared_alpha`` is in (0, 1) the sweep covers the states up to
+    m = max(last integer row, ``_PREDICT_ROWS``) only, and when that stops
+    short of ``max_n``, ceil(log_{1/alpha}(max_n / m)) + ``_PREDICT_MARGIN``
+    columns are added, the logarithm taken exactly in ``Fraction``.  Any
+    other model is swept over every state, and nothing is added.
+    """
+    alpha, top, extra = rows.model.declared_alpha, rows.max_n, 0
+    m = max(rows.split - 1, _PREDICT_ROWS)
+    if alpha is not None and 0 < alpha < 1 and m < top:
+        extra = next(k for k in itertools.count() if m >= top * alpha**k) + _PREDICT_MARGIN
+        rows = replace(rows, max_n=m)
+    units = (([int(j == c) for c in cost], [1] * len(cost)) for j in itertools.count())
+    probs = _fill_columns(
+        rows, units, rows.a + 1, 64, lambda width: 2 * width, residual_eps, rows.model.name
+    )[0]
+    return probs.shape[1] + extra
+
+
 def _fill_columns(
     rows: _Rows,
     base: Iterator[tuple[list[int], list[int]]],
@@ -393,7 +451,7 @@ def _fill_columns(
     residual_eps: float,
     name: str,
     means: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[tuple[list[int], list[int]]]]:
+) -> tuple[np.ndarray, list[tuple[list[int], list[int]]], bool]:
     """The phase table cut at the column where the stop rule fires.
 
     Column j of the states below ``first`` is the j-th pair of numerator
@@ -401,8 +459,9 @@ def _fill_columns(
     ``int / int``; the states from ``first`` up are swept.  The table
     starts ``width`` columns wide and is widened to ``grow(width)`` until
     the rule fires.  The first sweep also solves ``means`` from ``first``
-    up.  Returns the table cut at that column, a view of the array it
-    filled, and the base columns it used.
+    up.  Returns the table cut at that column, C-contiguous in the buffer
+    it was filled in, the base columns it used, and whether the stall
+    rule, not the residual, fired.
     """
     probs = np.zeros((rows.max_n + 1, 0))
     used: list[tuple[list[int], list[int]]] = []
@@ -415,10 +474,26 @@ def _fill_columns(
         means = None
         stop = _stop_column(probs, rows.a, residual_eps)
         if stop is not None:
-            return probs[:, : stop + 1], used[: stop + 1]
+            return _cut_columns(probs, stop[0] + 1), used[: stop[0] + 1], stop[1]
         if width > _J_CAP:
             raise RuntimeError(f"phase law did not absorb within {_J_CAP} columns for {name}")
         width = min(grow(width), _J_CAP + 1)
+
+
+def _cut_columns(probs: np.ndarray, width: int) -> np.ndarray:
+    """``probs[:, :width]`` in the buffer of ``probs``, which must own its
+    C-contiguous data and have no view left: the kept rows move forward
+    ``_STOP_ROWS`` at a time, then the buffer is shrunk in place.  So the
+    table is never copied whole (a copy would set a large table's peak),
+    and keeps no spare columns."""
+    if width < probs.shape[1]:
+        cut = probs.reshape(-1)[: len(probs) * width].reshape(len(probs), width)
+        for lo in range(0, len(probs), _STOP_ROWS):
+            # numpy buffers a block whose source and destination overlap
+            cut[lo : lo + _STOP_ROWS] = probs[lo : lo + _STOP_ROWS, :width]
+        del cut
+        probs.resize((len(probs), width), refcheck=False)
+    return probs
 
 
 def _sweep(
@@ -445,9 +520,10 @@ def _sweep(
             out[:] = list(steps)[1:]
 
 
-def _stop_column(probs: np.ndarray, a: int, residual_eps: float) -> int | None:
+def _stop_column(probs: np.ndarray, a: int, residual_eps: float) -> tuple[int, bool] | None:
     """The first column j >= 1 by which every transient row holds all but
-    ``residual_eps`` of its mass, or None if no column of ``probs`` does.
+    ``residual_eps`` of its mass, or None if no column of ``probs`` does;
+    with it, whether the stall rule fired.
 
     Float rows with truncated tails can floor the residual above eps, so
     the rule also fires once progress has stalled for 100 columns with
@@ -456,18 +532,18 @@ def _stop_column(probs: np.ndarray, a: int, residual_eps: float) -> int | None:
     """
     worst = np.full(probs.shape[1], -math.inf)
     for lo in range(a + 1, len(probs), _STOP_ROWS):
-        block = 1.0 - np.cumsum(probs[lo : lo + _STOP_ROWS], axis=1)
-        np.maximum(worst, block.max(axis=0), out=worst)
+        block = np.cumsum(probs[lo : lo + _STOP_ROWS], axis=1)
+        np.maximum(worst, np.subtract(1.0, block, out=block).max(axis=0), out=worst)
     best, stalled = math.inf, 0
     for j, residual in enumerate(worst.tolist()[1:], 1):
         if residual < residual_eps:
-            return j
+            return j, False
         if residual < 0.99 * best:
             best, stalled = residual, 0
         else:
             stalled += 1
             if stalled >= 100 and residual < 1e-9:
-                return j
+                return j, True
     return None
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import logging
 import math
 import sys
 import threading
@@ -303,13 +305,119 @@ def test_column_fill_widens_or_cuts_to_the_stop_rule(width):
     model, a = FairCoin(exact_cutoff=30), 1
     table = compute_phase_table(model, 60)
     rows = engine._transient_rows(model, a, 60)
-    probs, columns = engine._fill_columns(
+    probs, columns, _ = engine._fill_columns(
         rows, engine._exact_columns(rows, [0, 0]), a + 1 + len(rows.exact), width,
         lambda w: w + 1, table.residual_eps, model.name,
     )
     assert probs.tolist() == table.probs.tolist()
     exact_columns = [tuple(map(Fraction, nums, dens)) for nums, dens in columns]
     assert exact_columns == list(zip(*table.exact_rows.values()))
+
+
+_PREDICTED_FAMILIES = {
+    "fair": lambda cut: FairCoin(exact_cutoff=cut),
+    "biased-0.3": lambda cut: BiasedCoin(Fraction(3, 10), exact_cutoff=cut),
+    "demon-a0": lambda cut: DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=cut),
+    "toy": lambda cut: ToyHalving(exact_cutoff=cut),
+    "det-halving": lambda cut: DeterministicHalving(exact_cutoff=cut),
+    "coin-max-one": lambda cut: CoinMaxOne(Fraction(1, 2), exact_cutoff=cut),
+    "linear-i": lambda cut: peak_linear_i(exact_cutoff=cut),
+    "linear-ii": lambda cut: peak_linear_ii(exact_cutoff=cut),
+    "circular": lambda cut: peak_circular(exact_cutoff=cut),
+}
+
+
+def _record_predictions(monkeypatch) -> list[int]:
+    """The widths ``_predicted_width`` returns from now on, in call order."""
+    widths, predict = [], engine._predicted_width
+    monkeypatch.setattr(engine, "_predicted_width",
+                        lambda *args: widths.append(predict(*args)) or widths[-1])
+    return widths
+
+
+@pytest.mark.parametrize("family", _PREDICTED_FAMILIES)
+def test_predicted_width_covers_the_table(family, monkeypatch):
+    # the prefix sweep plus ceil(log_{1/alpha}(max_n / m)) + 1 is never
+    # short and at most two columns long, at both cutoffs (the prefix ends
+    # at 64 or at the last integer row) and both inits.  The 3/10 coin's
+    # integer columns to 75 cost about 1 s a table, so it runs at cutoff 0
+    widths = _record_predictions(monkeypatch)
+    a = 0 if family == "demon-a0" else 1
+    inits = [InitConvention.STANDARD] + [InitConvention.ALT_COST] * (a > 0)
+    cutoffs = [0] if family == "biased-0.3" else [0, 75]
+    for max_n, cut, init in itertools.product([200, 1000], cutoffs, inits):
+        table = compute_phase_table(_PREDICTED_FAMILIES[family](cut), max_n, a, init)
+        assert table.j_max + 1 <= widths[-1] <= table.j_max + 3, (max_n, cut, init)
+
+
+def test_prediction_margin_is_spent_on_the_biased_coin(monkeypatch):
+    # without the margin column the 3/10 coin to 8192 comes out one short
+    widths = _record_predictions(monkeypatch)
+    table = compute_phase_table(BiasedCoin(Fraction(3, 10), exact_cutoff=0), 8192)
+    assert widths == [table.j_max + 1]
+
+
+_GUESS_CASES = {
+    "fair-600": (FairCoin, 600, 1, InitConvention.STANDARD, {}),
+    "biased-a3": (lambda: BiasedCoin(Fraction(3, 10)), 300, 3, InitConvention.STANDARD, {}),
+    "circular-altcost": (peak_circular, 500, 1, InitConvention.ALT_COST, {}),
+    "fair-cut0-stall": (lambda: FairCoin(exact_cutoff=0), 500, 1, InitConvention.STANDARD,
+                        {"residual_eps": 1e-16}),
+}
+
+
+@pytest.mark.parametrize("case", _GUESS_CASES)
+def test_column_guess_changes_no_output(case, monkeypatch):
+    # the final fill widens from a short guess and cuts a long one to the
+    # same table, bit for bit; the stall case stops at column 161
+    build, max_n, a, init, options = _GUESS_CASES[case]
+    tables = [compute_phase_table(build(), max_n, a, init, **options)]
+    j_max = tables[0].j_max
+    for guess in [2, j_max + 26]:
+        monkeypatch.setattr(engine, "_predicted_width", lambda *args: guess)
+        tables.append(compute_phase_table(build(), max_n, a, init, **options))
+    for table in tables:
+        assert table.probs.flags.c_contiguous
+        assert table.probs.tobytes() == tables[0].probs.tobytes()
+        assert table.exact_ints == tables[0].exact_ints
+        assert table.means.tobytes() == tables[0].means.tobytes()
+        assert (table.j_max, table.mean_gap) == (j_max, tables[0].mean_gap)
+
+
+def test_explicit_matrix_predicts_over_every_row(monkeypatch):
+    # a model with no alpha has no law to extrapolate by: its predictor
+    # sweeps every state, where a coin's stops at 64
+    swept, fill = [], engine._fill_columns
+    monkeypatch.setattr(engine, "_fill_columns",
+                        lambda rows, *args: swept.append(rows.max_n) or fill(rows, *args))
+    coin = FairCoin(exact_cutoff=0)
+    explicit = ExplicitMatrix(rows={n: coin.pmf_exact(n) for n in range(2, 101)}, exact_cutoff=0)
+    for model in [coin, explicit]:
+        compute_phase_table(model, 100)
+    assert swept == [64, 100, 100, 100]
+
+
+def test_engine_logger_is_silent_until_configured(caplog, monkeypatch):
+    # a guess of 2 makes the final fill widen, and at eps 1e-16 the stall
+    # rule ends the table: both reach the electra logger at DEBUG only
+    monkeypatch.setattr(engine, "_predicted_width", lambda *args: 2)
+
+    def stalled():
+        return compute_phase_table(FairCoin(exact_cutoff=0), 500, residual_eps=1e-16)
+
+    stalled()
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="electra")
+    stalled()
+    assert [(r.name, r.levelno) for r in caplog.records] == [("electra.engine", logging.DEBUG)] * 2
+    assert caplog.messages == [
+        "fair-coin to 500: widened past the 2 predicted columns to 162",
+        "fair-coin to 500: the stall rule, not residual_eps 1e-16, ended the table at column 161",
+    ]
+    caplog.clear()
+    monkeypatch.undo()
+    compute_phase_table(FairCoin(), 600)
+    assert not caplog.records  # a default table neither widens nor stalls
 
 
 def test_near_stalling_chain_hits_column_cap():
