@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__, engine, fixtures
 from .conditions import run_condition_checks
-from .engine import InitConvention, compute_phase_table, decimal_str, lowest_terms, write_atomic
+from .engine import (
+    InitConvention, compute_phase_table, decimal_memo, decimal_str, lowest_terms, write_atomic,
+)
 from .franklin import (
     RingVariant,
     SimConfig,
@@ -64,10 +66,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _ratio_line(n: int, k: int, num: int, den: int) -> str:
-    """One ``n,k,numerator,denominator`` line of ``num / den`` in lowest terms."""
+def _ratio_line(n: int, k: int, num: int, den: int, den_str=decimal_str) -> str:
+    """One ``n,k,numerator,denominator`` line of ``num / den`` in lowest
+    terms, the denominator written by ``den_str``."""
     num, den = lowest_terms(num, den)
-    return f"{n},{k},{decimal_str(num)},{decimal_str(den)}\n"
+    return f"{n},{k},{decimal_str(num)},{den_str(den)}\n"
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -131,8 +134,9 @@ def cmd_table(args: argparse.Namespace, out: Path) -> int:
     with write_atomic(out / "survivor_pmf.csv") as fh:
         fh.write("n,k,numerator,denominator\n")
         rows = itertools.takewhile(lambda row: len(row) == 3, model.read_rows(1, args.max_n + 1))
+        den_str = decimal_memo()
         for n, (lo, nums, den) in enumerate(rows, 1):
-            fh.writelines(_ratio_line(n, k, x, den) for k, x in enumerate(nums, lo) if x)
+            fh.writelines(_ratio_line(n, k, x, den, den_str) for k, x in enumerate(nums, lo) if x)
     table.to_csv(out / "phase_probs.csv", exact_path=out / "phase_probs_exact.csv")
     table.means_to_csv(out / "phase_means.csv", alpha=alpha)
     status = 0
@@ -469,8 +473,8 @@ def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exact-cutoff", type=int, default=DEFAULT_EXACT_CUTOFF,
                      help="largest n computed with exact rationals; the cost grows "
                           "steeply: 'table' for peak-circular to n = cutoff takes "
-                          "about 1.2 s and 37 MB at 300, and 18 s and 71 MB at 600, "
-                          "of which the table build is 0.6-0.9 s and 12 s (one "
+                          "about 1.2-1.6 s and 37 MB at 300, and 16-17 s and 72 MB at "
+                          "600, of which the table build is 0.5-0.7 s and 9-11 s (one "
                           "core), and exact peak count rows are kept for the life "
                           "of the process")
 

@@ -27,20 +27,27 @@ with no division at or below the threshold; occupancy and passage
 probabilities read it.  On integer rows it keeps the mass entering each
 state, and the sum of the visits, as numerators over one common
 denominator, as the upward sweep does; an entering mass becomes a
-``Fraction`` only where passage asks for it.
+``Fraction`` only where passage asks for it.  On float rows it reads them
+a span of the row cache at a time from the top, so it never holds them
+all.
 
 Rows come from the model's reader ``read_rows``: integer rows up to its
 ``exact_cutoff``, float arrays beyond.  That alone decides which results
 are exact.  An exact phase column is two int lists, numerators and
-denominators in lowest terms; each entry is reduced by ``lowest_terms``,
-which on the dyadic coin rows is a shift, and is read as floats by one
-``int / int`` each.  The ``Fraction`` rows of ``PhaseTable.exact_rows``
-are built only when read.  The float rows are swept in n order: each
-row's block of columns is one ``einsum`` over the rows below it, adding
-in ascending k with the self-loop last, the order of a sparse row
-product.  A table keeps its integer rows but no float row: each pass
-reads the float rows again from ``read_rows``, whose caches keep only a
-short prefix of each law, so memory stays flat in n.
+denominators in lowest terms, read as floats by one ``int / int`` each.
+Every exact sweep keeps its common denominator split into an odd part and
+a power of two, the split ``lowest_terms`` reduces by (``_Split``), so
+each reduction shifts out the shared twos before one gcd against the odd
+part, and each rescale to a grown denominator is a shift plus work on
+odd parts only.  On the dyadic coin rows every odd part of the phase
+columns is 1: they are reduced and rescaled by shifts alone.  The
+``Fraction`` rows of ``PhaseTable.exact_rows`` are built only when read.
+The float rows are swept in n order: each row's block of columns is one
+``einsum`` over the rows below it, adding in ascending k with the
+self-loop last, the order of a sparse row product.  A table keeps its
+integer rows but no float row: each pass reads the float rows again from
+``read_rows``, whose caches keep only a short prefix of each law, so
+memory stays flat in n.
 
 The column count is predicted first, so the exact columns are pulled to
 it and no further.  The paper's X_n - log_{1/alpha} n stays tight with
@@ -70,16 +77,16 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .models import SurvivorModel, float_row
+from .models import Row, SurvivorModel, float_row
 
 #: stop adding phase columns once every row holds all but this much mass
 DEFAULT_RESIDUAL_EPS = 1e-12
@@ -133,20 +140,88 @@ def decimal_str(x: int) -> str:
     return decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
+#: denominators whose decimal strings one exact CSV keeps.  A denominator
+#: recurs a row's length of entries later, down its column: in the exact
+#: CSV of a fair-coin table to 4096, 1,345 distinct ones make up 3,776
+#: entries, and the last 128 catch 1,217 of the 2,431 repeats, while all
+#: 1,345 strings would lift the peak memory by about 0.15 MB
+_CSV_DENS = 128
+
+
+def decimal_memo() -> Callable[[int], str]:
+    """A fresh :func:`decimal_str` that remembers its last ``_CSV_DENS``
+    results: one per exact CSV, to write each recurring denominator's
+    digits once."""
+    return functools.lru_cache(maxsize=_CSV_DENS)(decimal_str)
+
+
+class _Split(NamedTuple):
+    """The positive integer ``odd << twos``: its two-adic split.
+
+    ``lowest_terms`` reduces by it, and every exact sweep keeps its common
+    denominator so.  Its lcm with a new denominator, and the quotient that
+    rescales the numerators to it, then take work on odd parts only, the
+    twos maxed or subtracted: no long division runs on the power of two,
+    which on the dyadic coin rows is all there is.  The exact columns, whose
+    quotients are long powers of two, rescale by a shift; the sweeps, whose
+    quotients gain a few twos a row, by one product with the quotient.
+    """
+
+    odd: int
+    twos: int
+
+    @classmethod
+    def of(cls, x: int) -> _Split:
+        twos = (x & -x).bit_length() - 1
+        return cls(x >> twos, twos)
+
+    def __int__(self) -> int:
+        return self.odd << self.twos
+
+    def times(self, other: _Split) -> _Split:
+        return _Split(self.odd * other.odd, self.twos + other.twos)
+
+    @staticmethod
+    def lcm(*splits: _Split) -> _Split:
+        odds, twos = zip(*splits)
+        return _Split(math.lcm(*odds), max(twos))
+
+    def over(self, other: _Split) -> _Split:
+        """``self / other``, for ``other`` a divisor of ``self``."""
+        return _Split(self.odd // other.odd, self.twos - other.twos)
+
+    def reduce(self, num: int) -> tuple[int, _Split]:
+        """``num / self`` in lowest terms (:meth:`lowest`)."""
+        num, odd, twos = _Split.lowest(num, *self)
+        return num, _Split(odd, twos)
+
+    @staticmethod
+    def lowest(num: int, odd: int, twos: int) -> tuple[int, int, int]:
+        """``num / (odd << twos)`` in lowest terms, as ``(num, odd, twos)``;
+        zero is ``(0, 1, 0)``.  The twos both share are shifted out, so one
+        ``gcd`` against the odd part finishes the job: on the dyadic coin
+        rows it is 1, and no long gcd runs.  It takes and gives plain ints,
+        for the loops that reduce every entry."""
+        if not num:
+            return 0, 1, 0
+        shift = min((num & -num).bit_length() - 1, twos)
+        num >>= shift
+        if (g := math.gcd(num, odd)) > 1:
+            num, odd = num // g, odd // g
+        return num, odd, twos - shift
+
+
 def lowest_terms(num: int, den: int) -> tuple[int, int]:
     """``num / den`` in lowest terms, ``den > 0``; zero is ``(0, 1)``.
 
-    The twos both numbers share are shifted out first, so one ``gcd``
-    against the denominator's odd part finishes the job.  On the dyadic
-    rows of the coin models that odd part is 1, and no long gcd runs.
+    It reduces by the split ``odd << twos`` of ``den`` (:meth:`_Split.lowest`),
+    as every exact sweep does: the shared twos are shifted out and one
+    ``gcd`` runs against the odd part, which on the dyadic rows of the coin
+    models is 1.
     """
-    if not num:
-        return 0, 1
-    den_twos = (den & -den).bit_length() - 1
-    twos = min((num & -num).bit_length() - 1, den_twos)
-    num, den = num >> twos, den >> twos
-    g = math.gcd(num, den >> (den_twos - twos))
-    return (num // g, den // g) if g > 1 else (num, den)
+    twos = (den & -den).bit_length() - 1
+    num, odd, twos = _Split.lowest(num, den >> twos, twos)
+    return num, odd << twos
 
 
 @contextlib.contextmanager
@@ -257,7 +332,8 @@ class PhaseTable:
         so the file round-trips exactly.  ``exact_path`` gets the header
         ``n,j,numerator,denominator`` and one line per nonzero exact entry
         in lowest terms, integers of any length written in full, straight
-        from ``exact_ints``.
+        from ``exact_ints``; recurring denominators are converted once
+        (:func:`decimal_memo`).
         Each file goes through :func:`write_atomic`, so it appears whole or
         not at all.
 
@@ -276,10 +352,11 @@ class PhaseTable:
                     pn = f"{n},"
                     fh.write("".join([f"{pn}{c}{p!r}\n" for c, p in zip(cols, row) if p > 0.0]))
         if exact_path is not None:
+            den_str = decimal_memo()
             with write_atomic(exact_path) as fh:
                 fh.write("n,j,numerator,denominator\n")
                 fh.writelines(
-                    f"{n},{j},{decimal_str(p)},{decimal_str(q)}\n"
+                    f"{n},{j},{decimal_str(p)},{den_str(q)}\n"
                     for n, (nums, dens) in sorted(self.exact_ints.items())
                     for j, (p, q) in enumerate(zip(nums, dens))
                     if p
@@ -555,20 +632,25 @@ def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[tuple[list[int], li
 
     The previous column is put over one denominator, the lcm of its
     entries', so each entry costs one integer dot product with its row and
-    one ``lowest_terms``.  On the dyadic coin rows that reduction is a
-    shift, so the exact columns build no ``Fraction`` and run no long gcd.
+    one reduction.  Every denominator is kept split (:class:`_Split`), so
+    the rescale to the lcm is a shift plus a multiply by an odd quotient.
+    On the dyadic coin rows every odd part is 1: the exact columns build no
+    ``Fraction``, run no long gcd and rescale by shifts alone.
     """
-    nums, den = [0] * (len(cost) + len(rows.exact)), 1  # column -1 is zero
+    row_dens = [_Split.of(row_den) for _, _, row_den in rows.exact]
+    nums, odd, twos = [0] * (len(cost) + len(rows.exact)), 1, 0  # column -1: zero over 1 << 0
     for j in itertools.count():
-        col_nums, col_dens = [int(j == c) for c in cost], [1] * len(cost)
-        for lo, row, row_den in rows.exact:
+        # entry k of column j is col_nums[k] / (odds[k] << twoss[k])
+        col_nums, odds, twoss = [int(j == c) for c in cost], [1] * len(cost), [0] * len(cost)
+        for (lo, row, _), (row_odd, row_twos) in zip(rows.exact, row_dens):
             total = sum(map(operator.mul, row, nums[lo : lo + len(row)]))
-            p, q = lowest_terms(total, row_den * den)
+            p, q, t = _Split.lowest(total, row_odd * odd, row_twos + twos)
             col_nums.append(p)
-            col_dens.append(q)
-        yield col_nums, col_dens
-        den = math.lcm(*col_dens)
-        nums = [p * (den // q) for p, q in zip(col_nums, col_dens)]
+            odds.append(q)
+            twoss.append(t)
+        yield col_nums, [q << t for q, t in zip(odds, twoss)]
+        odd, twos = math.lcm(*odds), max(twoss)
+        nums = [p * (odd // q) << (twos - t) for p, q, t in zip(col_nums, odds, twoss)]
 
 
 def _upward_sweep(
@@ -588,19 +670,21 @@ def _upward_sweep(
     exact = {k: _fraction(v, 1) for k, v in fixed.items()}
     f = np.array([np.asarray(v, dtype=float) for v in fixed.values()])
     f = np.concatenate([f, np.zeros((max(rows.max_n - rows.a, 0),) + f.shape[1:])])
-    nums, scale = list(fixed.values()), 1  # exact f(k) = nums[k] / scale
+    nums, scale = list(fixed.values()), _Split(1, 0)  # exact f(k) = nums[k] / scale
     for n, (lo, row, den) in enumerate(rows.exact, rows.a + 1):
         stay = row[n - lo] if lo + len(row) > n else 0
         # nums stops at state n - 1, so the self-loop drops out of the sum
-        numer = c * den * scale + sum(map(operator.mul, row, nums[lo:n]))
-        denom = (den - stay) * scale
-        exact[n] = _fraction(numer, denom)
+        numer = c * den * int(scale) + sum(map(operator.mul, row, nums[lo:n]))
+        denom = _Split.of(den - stay).times(scale)
+        exact[n] = _fraction(numer, int(denom))
         f[n] = np.asarray(exact[n], dtype=float)
-        common = math.gcd(denom, *np.ravel(numer).tolist())
-        grown = math.lcm(scale, denom // common)
+        common = math.gcd(int(denom), *np.ravel(numer).tolist())
+        reduced = denom.over(_Split.of(common))
+        grown = _Split.lcm(scale, reduced)
         if grown != scale:
-            nums = [x * (grown // scale) for x in nums]
-        nums.append(numer // common * (grown // (denom // common)))
+            up = int(grown.over(scale))
+            nums = [x * up for x in nums]
+        nums.append(numer // common * int(grown.over(reduced)))
         scale = grown
     for n, (lo, probs) in enumerate(rows.floats(rows.split) if floats else (), rows.split):
         stay = 0.0
@@ -671,35 +755,54 @@ def _downward_sweep(
     The mass entering k is ``[k = start] + sum_{m>k} visits(m) P(m, k)``;
     visits divide it by ``1 - P(k, k)`` above the threshold.  States no
     mass enters are skipped.  The start's row, read even at or below the
-    threshold, picks the sweep: all float, or integer numerators over one
-    common denominator, with one ``lowest_terms`` a row and one integer
+    threshold, picks the sweep.  A float sweep reads its rows a checkpoint
+    span of the row caches at a time, from the top down, so it holds one
+    span of rows, not all of them.  An integer sweep keeps numerators over
+    one common denominator, with one reduction a row and one integer
     product an entry; the visit sum is one more such numerator.
     """
-    rows = list(model.read_rows(min(a + 1, start), start + 1))  # row m is rows[m - start - 1]
-    if len(rows[-1]) == 2:
-        return _float_visits(rows, start, a)
-    inflow, scale = [0] * start + [1], 1  # mass entering k is inflow[k] / scale
+    rows = _rows_down(model, start + 1, min(a + 1, start))
+    top = next(rows)
+    if len(top) == 2:
+        return _float_visits(itertools.chain([top], rows), start, a)
+    rows = [top, *rows]  # row m is rows[start - m]
+    inflow, scale = [0] * start + [1], _Split(1, 0)  # mass entering k is inflow[k] / scale
     visits, into, total = {}, {}, 0  # the visits so far sum to total / scale
     for m in range(start, a, -1):
         if inflow[m]:
-            lo, nums, den = rows[m - start - 1]
+            lo, nums, den = rows[start - m]
             stay = nums[m - lo] if lo + len(nums) > m else 0
-            p, q = lowest_terms(inflow[m] * den, scale * (den - stay))
-            visits[m] = Fraction(p, q)
+            p, q = _Split.of(den - stay).times(scale).reduce(inflow[m] * den)
+            visits[m] = Fraction(p, int(q))
             if m in entering:
-                into[m] = Fraction(inflow[m], scale)
-            grown = math.lcm(scale, q * den)  # visits(m) P(m, k) = p nums[k - lo] / (q den)
-            f, weight, scale = grown // scale, p * (grown // (q * den)), grown
-            total = total * f + p * (grown // q)
+                into[m] = Fraction(inflow[m], int(scale))
+            step = q.times(_Split.of(den))  # visits(m) P(m, k) = p nums[k - lo] / (q den)
+            grown = _Split.lcm(scale, step)
+            f, weight = int(grown.over(scale)), p * int(grown.over(step))
+            total = total * f + p * int(grown.over(q))
+            scale = grown
             row = [0] * lo + nums[: m - lo]  # P(m, k) for k < m; rows end at k = m
             inflow[:m] = [x * f + weight * y for x, y in zip(inflow, row + [0] * (m - len(row)))]
+    scale = int(scale)
     absorbed = {k: Fraction(x, scale) for k, x in enumerate(inflow[: a + 1]) if x}
     return visits | absorbed, Fraction(total, scale), into | absorbed
 
 
-def _float_visits(rows: list, start: int, a: int) -> tuple[dict, float, dict]:
-    """The sweep in floats, with the mass entering every state; an integer
-    row is read as its rounded masses, and its self-loop leaves
+def _rows_down(model: SurvivorModel, stop: int, bottom: int) -> Iterator[Row]:
+    """Rows stop - 1, stop - 2, ..., bottom, read one span of the model's
+    row cache at a time from the top (:meth:`SurvivorModel.span_start`):
+    once the cache has grown, each read steps only rows it serves, and one
+    span of rows is held at a time."""
+    while stop > bottom:
+        first = max(model.span_start(stop - 1), bottom)
+        yield from reversed(list(model.read_rows(first, stop)))
+        stop = first
+
+
+def _float_visits(rows: Iterable[Row], start: int, a: int) -> tuple[dict, float, dict]:
+    """The sweep in floats over ``rows``, those of start, start - 1, ...,
+    a + 1 in turn, with the mass entering every state; an integer row is
+    read as its rounded masses, and its self-loop leaves
     ``(den - stay) / den``, correctly rounded.  The inflow is one array
     that each visited row adds to with one slice, rounding each product
     and each sum as one entry at a time would; a state keeps its key once
@@ -707,9 +810,9 @@ def _float_visits(rows: list, start: int, a: int) -> tuple[dict, float, dict]:
     underflows to 0.0."""
     inflow, reached, visits = np.zeros(start + 1), np.zeros(start + 1, dtype=bool), {}
     inflow[start] = reached[start] = 1
-    for m in range(start, a, -1):
+    for m, row in zip(range(start, a, -1), rows):
         if mass := float(inflow[m]):
-            match rows[m - start - 1]:
+            match row:
                 case lo, nums, den:
                     stay = nums[m - lo] if lo + len(nums) > m else 0
                     leave, probs = (den - stay) / den, np.array([x / den for x in nums])

@@ -164,8 +164,8 @@ def test_criterion_7_periodicity_pipeline(toy_1024, linear_500):
 
 
 def test_criterion_8_franklin_constants():
-    assert abs(closed_form_c2() - 0.1096868681) < 1e-9
-    assert exhaustive_second_round() == Fraction(10, 34)
+    assert abs(closed_form_c2() - fixtures.C2_DECIMAL) < 1e-9
+    assert exhaustive_second_round() == fixtures.SECOND_ROUND_CONDITIONAL
     est = estimate_c2(10_000, 10_000, seed=20260810)
     sigmas = est.sigmas_from(closed_form_c2())
     assert sigmas < 4.0

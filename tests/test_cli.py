@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import electra
-from electra import engine, franklin
+from electra import engine, fixtures, franklin
 from electra.cli import _MODEL_CHOICES, _ratio_line, main
 
 
@@ -51,7 +51,8 @@ def test_import_and_table_leave_scipy_unloaded():
 
 
 def test_failed_writer_leaves_earlier_files_whole(tmp_path, monkeypatch, capsys):
-    # the exact writer dies on its 41st integer, 20 lines into the file
+    # the 41st conversion fails: after the 31 distinct denominators of
+    # survivor_pmf.csv, the exact writer dies on its 10th, 6 lines into its file
     argv = ["table", "--model", "fair-coin", "--max-n", "30", "--out", str(tmp_path)]
     out = tmp_path / "table"
     real, calls = engine.decimal_str, []
@@ -211,6 +212,24 @@ def test_check_output_bytes_are_pinned(tmp_path, capsys):
             assert hashlib.sha256(data).hexdigest() == digest, (args, name)
 
 
+#: sha256 of ``survivor_pmf.csv`` from three table commands
+_SURVIVOR_PMF_SHA256 = {
+    ("--model", "fair-coin", "--max-n", "100", "--exact-cutoff", "100"):
+        "75376521f91b4476fbcb936aa3473e4ca741ab4e0da95be234437c018b42c139",
+    ("--model", "biased-coin", "--p", "3/10", "--max-n", "40"):
+        "efb0f6c98558cef935ef141523f084c828ee88b5e934ec654fd5a4ee3e707657",
+    ("--model", "peak-circular", "--max-n", "7"):
+        "f3224dd45d34b87c116d3e4b6db20a3facd1b6650636f9efe49bfeadaacbfda3",
+}
+
+
+@pytest.mark.parametrize("args", _SURVIVOR_PMF_SHA256, ids=lambda args: args[1])
+def test_survivor_pmf_bytes_are_pinned(args, tmp_path):
+    assert main(["table", *args, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "table" / "survivor_pmf.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _SURVIVOR_PMF_SHA256[args]
+
+
 @pytest.mark.parametrize("record", [
     pytest.param("3,2", id="short-record"),
     pytest.param("3,2,1/0", id="zero-denominator"),
@@ -275,7 +294,7 @@ def test_simulate_c2(tmp_path):
                  "--out", str(tmp_path)]) == 0
     summary = _rows(tmp_path / "simulate" / "summary.csv")
     refs = [row for row in summary if row["stat"] == "closed-form-reference"]
-    assert refs and abs(float(refs[0]["point"]) - 0.1096868681) < 1e-9
+    assert refs and abs(float(refs[0]["point"]) - fixtures.C2_DECIMAL) < 1e-9
 
 
 @pytest.mark.parametrize(

@@ -618,6 +618,19 @@ def test_phase_table_memory_is_bounded():
     assert peak < 10 * 2**20
 
 
+def test_float_sweep_memory_is_one_span():
+    # the float downward sweep holds one span of rows, about 4.5 MB near
+    # n = 6000 for p = 2/7, which no other test reads, next to its law's
+    # 1 MiB prefix; all 6000 rows take about 18 MB
+    tracemalloc.start()
+    try:
+        occupancy_probs(BiasedCoin(Fraction(2, 7), exact_cutoff=0), 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # ending states
 
@@ -768,9 +781,10 @@ def _assert_sweep_matches_reference(model, start, a):
         (FairCoin(), 200, 1),  # float regime over exact rows below the cutoff
         (peak_circular(exact_cutoff=60), 300, 2),
         (FairCoin(), 3000, 1),  # float rows past the kept prefix
+        (FairCoin(exact_cutoff=80), 80, 1),  # dyadic rows: their twos rescale by shifts
     ],
     ids=["circular-120", "biased-0.3-60", "demon-a0", "demon-a2", "fair-200-float",
-         "circular-300-float", "fair-3000-float"],
+         "circular-300-float", "fair-3000-float", "fair-80-dyadic"],
 )
 def test_downward_sweep_matches_fraction_reference(model, start, a):
     # the integer sweep gives the reference's Fractions exactly; the float
@@ -798,10 +812,11 @@ def test_sweep_results_take_the_start_rows_type():
 
 
 def test_float_sweep_keeps_states_whose_inflow_underflows():
-    # rows 2 and 3, from k = 0 and k = 1: visits(2) P(2, 0) = 1e-400 rounds
-    # to 0.0, yet a nonzero mass points at 0, so 0 stays an entering state;
-    # an absorbing state counts as visited only with nonzero mass
-    rows = [(0, np.array([1e-200, 1.0, 0.0])), (1, np.array([1.0, 1e-200, 0.0]))]
+    # rows 3 and 2, from k = 1 and k = 0, in the sweep's order: visits(2)
+    # P(2, 0) = 1e-400 rounds to 0.0, yet a nonzero mass points at 0, so 0
+    # stays an entering state; an absorbing state counts as visited only
+    # with nonzero mass
+    rows = [(1, np.array([1.0, 1e-200, 0.0])), (0, np.array([1e-200, 1.0, 0.0]))]
     visits, total, entering = engine._float_visits(rows, 3, 1)
     assert visits == {3: 1.0, 2: 1e-200, 1: 1.0} and total == 1.0
     assert entering == {3: 1.0, 2: 1e-200, 1: 1.0, 0: 0.0}

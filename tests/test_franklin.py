@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electra import franklin
+from electra import fixtures, franklin
 from electra.engine import compute_phase_table
 from electra.franklin import (
     _BATCH,
@@ -59,7 +59,7 @@ def test_seed_changes_outcomes():
 
 
 def test_exhaustive_second_round_exact():
-    assert exhaustive_second_round() == Fraction(10, 34)
+    assert exhaustive_second_round() == fixtures.SECOND_ROUND_CONDITIONAL
 
 
 def test_exhaustive_second_round_needs_a_second_round():
@@ -139,7 +139,7 @@ def test_two_round_ratio_matches_exact_enumeration(n, exact):
 
 
 def test_closed_form_c2():
-    assert abs(closed_form_c2() - 0.1096868681) < 1e-9
+    assert abs(closed_form_c2() - fixtures.C2_DECIMAL) < 1e-9
     assert closed_form_c2() < 1.0 / 9.0
 
 
@@ -192,7 +192,7 @@ def test_redraw_histograms_match_engine(variant, model):
 
 def test_conditional_second_round_monte_carlo():
     est = conditional_second_round(200_000, seed=12)
-    exact = float(Fraction(10, 34))
+    exact = float(fixtures.SECOND_ROUND_CONDITIONAL)
     assert est.trials > 1000
     assert abs(est.point - exact) < 3 * est.stderr + 1e-12
     redraw = conditional_second_round(100_000, seed=13, variant=RingVariant.REDRAW_CIRCULAR)
