@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, engine, fixtures
 from .conditions import run_condition_checks
 from .engine import (
-    InitConvention, compute_phase_table, decimal_memo, decimal_str, lowest_terms, write_atomic,
+    InitConvention, compute_phase_table, lowest_terms, write_atomic, write_ratios,
 )
 from .franklin import (
     RingVariant,
@@ -64,13 +64,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _ratio_line(n: int, k: int, num: int, den: int, den_str=decimal_str) -> str:
-    """One ``n,k,numerator,denominator`` line of ``num / den`` in lowest
-    terms, the denominator written by ``den_str``."""
-    num, den = lowest_terms(num, den)
-    return f"{n},{k},{decimal_str(num)},{den_str(den)}\n"
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -131,12 +124,12 @@ def cmd_table(args: argparse.Namespace, out: Path) -> int:
         model, args.max_n, threshold_a=args.threshold, init=init,
         residual_eps=args.residual_eps,
     )
-    with write_atomic(out / "survivor_pmf.csv") as fh:
-        fh.write("n,k,numerator,denominator\n")
-        rows = itertools.takewhile(lambda row: len(row) == 3, model.read_rows(1, args.max_n + 1))
-        den_str = decimal_memo()
-        for n, (lo, nums, den) in enumerate(rows, 1):
-            fh.writelines(_ratio_line(n, k, x, den, den_str) for k, x in enumerate(nums, lo) if x)
+    rows = itertools.takewhile(lambda row: len(row) == 3, model.read_rows(1, args.max_n + 1))
+    write_ratios(out / "survivor_pmf.csv", "k", (
+        (n, k, *lowest_terms(x, den))
+        for n, (lo, nums, den) in enumerate(rows, 1)
+        for k, x in enumerate(nums, lo)
+    ))
     table.to_csv(out / "phase_probs.csv", exact_path=out / "phase_probs_exact.csv")
     table.means_to_csv(out / "phase_means.csv", alpha=alpha)
     status = 0
@@ -304,6 +297,12 @@ def cmd_figure(args: argparse.Namespace, out: Path) -> int:
 # check
 
 
+def _series_rows(*columns) -> list[list]:
+    """Rows ``n, x, ...`` of series indexed from n = 1, each value written
+    as the ``repr`` of its float."""
+    return [[n, *(repr(float(x)) for x in xs)] for n, xs in enumerate(zip(*columns), 1)]
+
+
 def cmd_check(args: argparse.Namespace, out: Path) -> int:
     model = _build_model(args)
     report = run_condition_checks(model, args.n_max, _alpha(args, model))
@@ -312,31 +311,12 @@ def cmd_check(args: argparse.Namespace, out: Path) -> int:
         ["n", "k", "gap"],
         [[v.n, v.k, repr(v.gap)] for v in report.monotone.violations],
     )
-    _write_csv(
-        out / "mean_increments.csv",
-        ["n", "increment", "deviation"],
-        [
-            [n + 1, repr(float(d)), repr(float(dev))]
-            for n, (d, dev) in enumerate(
-                zip(report.increment.increments, report.increment.deviations)
-            )
-        ],
-    )
-    _write_csv(
-        out / "concentration.csv",
-        ["n", "delta", "tail_prob", "scaled"],
-        [
-            [n + 1, repr(float(report.concentration.deltas[n])),
-             repr(float(report.concentration.tail_probs[n])),
-             repr(float(report.concentration.series[n]))]
-            for n in range(len(report.concentration.series))
-        ],
-    )
-    _write_csv(
-        out / "moment_ratios.csv",
-        ["n", "ratio"],
-        [[n + 1, repr(float(r))] for n, r in enumerate(report.moment.ratios)],
-    )
+    increment, concentration = report.increment, report.concentration
+    _write_csv(out / "mean_increments.csv", ["n", "increment", "deviation"],
+               _series_rows(increment.increments, increment.deviations))
+    _write_csv(out / "concentration.csv", ["n", "delta", "tail_prob", "scaled"],
+               _series_rows(concentration.deltas, concentration.tail_probs, concentration.series))
+    _write_csv(out / "moment_ratios.csv", ["n", "ratio"], _series_rows(report.moment.ratios))
     print(f"RESULT check {report.summary()}")
     return 0 if report.passed else 1
 

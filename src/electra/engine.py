@@ -140,21 +140,6 @@ def decimal_str(x: int) -> str:
     return decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
-#: denominators whose decimal strings one exact CSV keeps.  A denominator
-#: recurs a row's length of entries later, down its column: in the exact
-#: CSV of a fair-coin table to 4096, 1,345 distinct ones make up 3,776
-#: entries, and the last 128 catch 1,217 of the 2,431 repeats, while all
-#: 1,345 strings would lift the peak memory by about 0.15 MB
-_CSV_DENS = 128
-
-
-def decimal_memo() -> Callable[[int], str]:
-    """A fresh :func:`decimal_str` that remembers its last ``_CSV_DENS``
-    results: one per exact CSV, to write each recurring denominator's
-    digits once."""
-    return functools.lru_cache(maxsize=_CSV_DENS)(decimal_str)
-
-
 class _Split(NamedTuple):
     """The positive integer ``odd << twos``: its two-adic split.
 
@@ -190,11 +175,6 @@ class _Split(NamedTuple):
         """``self / other``, for ``other`` a divisor of ``self``."""
         return _Split(self.odd // other.odd, self.twos - other.twos)
 
-    def reduce(self, num: int) -> tuple[int, _Split]:
-        """``num / self`` in lowest terms (:meth:`lowest`)."""
-        num, odd, twos = _Split.lowest(num, *self)
-        return num, _Split(odd, twos)
-
     @staticmethod
     def lowest(num: int, odd: int, twos: int) -> tuple[int, int, int]:
         """``num / (odd << twos)`` in lowest terms, as ``(num, odd, twos)``;
@@ -222,6 +202,16 @@ def lowest_terms(num: int, den: int) -> tuple[int, int]:
     twos = (den & -den).bit_length() - 1
     num, odd, twos = _Split.lowest(num, den >> twos, twos)
     return num, odd << twos
+
+
+def write_ratios(path: str | Path, index: str, ratios: Iterable[tuple[int, ...]]) -> None:
+    """Write ``path`` with the header ``n,<index>,numerator,denominator``
+    and one line ``n,i,p,q`` per ``(n, i, p, q)`` of ``ratios`` with
+    ``p != 0``, the ratios given in lowest terms and their integers written
+    in full (:func:`decimal_str`), through :func:`write_atomic`."""
+    with write_atomic(path) as fh:
+        fh.write(f"n,{index},numerator,denominator\n")
+        fh.writelines(f"{n},{i},{decimal_str(p)},{decimal_str(q)}\n" for n, i, p, q in ratios if p)
 
 
 @contextlib.contextmanager
@@ -332,8 +322,7 @@ class PhaseTable:
         so the file round-trips exactly.  ``exact_path`` gets the header
         ``n,j,numerator,denominator`` and one line per nonzero exact entry
         in lowest terms, integers of any length written in full, straight
-        from ``exact_ints``; recurring denominators are converted once
-        (:func:`decimal_memo`).
+        from ``exact_ints`` (:func:`write_ratios`).
         Each file goes through :func:`write_atomic`, so it appears whole or
         not at all.
 
@@ -352,15 +341,11 @@ class PhaseTable:
                     pn = f"{n},"
                     fh.write("".join([f"{pn}{c}{p!r}\n" for c, p in zip(cols, row) if p > 0.0]))
         if exact_path is not None:
-            den_str = decimal_memo()
-            with write_atomic(exact_path) as fh:
-                fh.write("n,j,numerator,denominator\n")
-                fh.writelines(
-                    f"{n},{j},{decimal_str(p)},{den_str(q)}\n"
-                    for n, (nums, dens) in sorted(self.exact_ints.items())
-                    for j, (p, q) in enumerate(zip(nums, dens))
-                    if p
-                )
+            write_ratios(exact_path, "j", (
+                (n, j, p, q)
+                for n, (nums, dens) in sorted(self.exact_ints.items())
+                for j, (p, q) in enumerate(zip(nums, dens))
+            ))
 
     def means_to_csv(self, path: str | Path, *, alpha: Fraction | float | None = None) -> None:
         """Write ``n,x,log_alpha_n,phi_residual`` rows (log base 1/alpha)."""
@@ -678,13 +663,13 @@ def _upward_sweep(
         denom = _Split.of(den - stay).times(scale)
         exact[n] = _fraction(numer, int(denom))
         f[n] = np.asarray(exact[n], dtype=float)
-        common = math.gcd(int(denom), *np.ravel(numer).tolist())
-        reduced = denom.over(_Split.of(common))
+        # the lcm of the reduced denominators is denom / gcd(denom, *numer)
+        reduced = _Split.of(math.lcm(*(x.denominator for x in np.ravel(exact[n]))))
         grown = _Split.lcm(scale, reduced)
         if grown != scale:
             up = int(grown.over(scale))
             nums = [x * up for x in nums]
-        nums.append(numer // common * int(grown.over(reduced)))
+        nums.append(numer // int(denom.over(reduced)) * int(grown.over(reduced)))
         scale = grown
     for n, (lo, probs) in enumerate(rows.floats(rows.split) if floats else (), rows.split):
         stay = 0.0
@@ -772,8 +757,8 @@ def _downward_sweep(
         if inflow[m]:
             lo, nums, den = rows[start - m]
             stay = nums[m - lo] if lo + len(nums) > m else 0
-            p, q = _Split.of(den - stay).times(scale).reduce(inflow[m] * den)
-            visits[m] = Fraction(p, int(q))
+            visits[m] = visit = Fraction(inflow[m] * den, int(_Split.of(den - stay).times(scale)))
+            p, q = visit.numerator, _Split.of(visit.denominator)
             if m in entering:
                 into[m] = Fraction(inflow[m], int(scale))
             step = q.times(_Split.of(den))  # visits(m) P(m, k) = p nums[k - lo] / (q den)

@@ -28,8 +28,9 @@ reads fixed words of its batch's stream.  A group of a redraw variant is
 a whole batch.  A group of persistent keys is one span of round one,
 whose rows may come from more than one batch, played to the end of its
 games: persistent keys are drawn in round one only, so this reads the
-same words as playing each batch round by round, and every round of a group is one
-span, so its kept keys are one compressed array of at most half a span.
+same words as playing each batch round by round, and every round of a
+group is one span, so its kept keys are one compressed array of at most
+half a span.
 
 Equal keys are ranked by ring position: every round orders its players
 by the pair (key, position), so a player beats its left neighbour on an
@@ -47,14 +48,13 @@ bit-for-bit and merge order-independently.  Because the streams are
 counter-based, every group is independent: a persistent group that
 starts w words into its batch builds the batch's Philox generator and
 moves it there (``advance(w // 4)``, then ``w % 4`` words discarded), and
-a redraw group starts its batch's stream.  So ``_play`` cuts the groups
-into jobs of about one span of round-one words and plays them on the
-calling thread plus one helper thread per other CPU the process may run
-on (``len(os.sched_getaffinity(0)) - 1``; none with one CPU).  The
-helpers start and are joined inside each ``_play`` call, and it yields
-the rounds job by job in job order, so every output is the same bit for
-bit whatever the thread count.  Nothing is shared between calls, so
-threads may also run games at once.
+a redraw group starts its batch's stream.  So ``_play`` plays the groups
+on the calling thread plus one helper thread per other CPU the process
+may run on (``len(os.sched_getaffinity(0)) - 1``; none with one CPU).
+The helpers start and are joined inside each ``_play`` call, and it
+yields the rounds group by group in group order, so every output is the
+same bit for bit whatever the thread count.  Nothing is shared between
+calls, so threads may also run games at once.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ import numpy as np
 _BATCH = 4096
 #: most key words of one span of rows, drawn, masked and counted at once
 _SPAN = 1 << 17
-#: helper threads that play jobs besides the calling one: one per other
+#: helper threads that play groups besides the calling one: one per other
 #: CPU this process may run on
 _HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) - 1
@@ -226,15 +226,12 @@ def _row_counts(mask: np.ndarray, offsets: np.ndarray, most: int) -> np.ndarray:
     return np.add.reduceat(mask, offsets[:-1], dtype=narrow).astype(np.int64)
 
 
-def _jobs(config: SimConfig) -> list[tuple[int, int]]:
-    """Cut the trials into jobs ``(lo, hi)`` of about one span of
-    round-one words each.  A persistent job is one group of ``_SPAN // n``
-    rows (one row if it is longer), which may cross a batch boundary; a
-    redraw job is one or more whole batches, since a redraw group is a
-    batch."""
-    rows = max(_SPAN // config.n, 1)
-    if config.variant is not RingVariant.TRUE_PERSISTENT:
-        rows = max(rows // _BATCH, 1) * _BATCH
+def _groups(config: SimConfig) -> list[tuple[int, int]]:
+    """Cut the trials into groups ``(lo, hi)``: a redraw group is one
+    batch, a persistent group ``_SPAN // n`` rows (one row if it is
+    longer), which may cross a batch boundary."""
+    persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    rows = max(_SPAN // config.n, 1) if persistent else _BATCH
     return [(lo, min(lo + rows, config.trials)) for lo in range(0, config.trials, rows)]
 
 
@@ -242,7 +239,7 @@ def _first_keys(config: SimConfig, lo: int, hi: int) -> np.ndarray:
     """Round-one keys of trials ``lo`` to ``hi``, row after row: trial t of
     the batch starting at trial s reads words ``(t - s) n`` to
     ``(t - s + 1) n`` of that batch's stream.  Each batch the trials cover
-    gets a fresh generator, moved to the job's first word: Philox4x64
+    gets a fresh generator, moved to the group's first word: Philox4x64
     makes four words per counter step, so it advances ``offset // 4``
     steps and discards ``offset % 4`` words."""
     batches = range(lo - lo % _BATCH, hi, _BATCH)
@@ -261,32 +258,18 @@ def _first_keys(config: SimConfig, lo: int, hi: int) -> np.ndarray:
     return keys
 
 
-def _play_job(
-    config: SimConfig, lo: int, hi: int, max_rounds: int | None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Every round of the trials ``lo`` to ``hi`` of one job, group by group."""
-    if config.variant is RingVariant.TRUE_PERSISTENT:
-        yield from _play_group(config, lo, hi, max_rounds, kept=_first_keys(config, lo, hi))
-    else:
-        for start in range(lo, hi, _BATCH):
-            rng = _batch_rng(config.seed, start // _BATCH)
-            yield from _play_group(config, start, min(start + _BATCH, hi), max_rounds, rng=rng)
-
-
 def _play_group(
-    config: SimConfig,
-    first: int,
-    stop: int,
-    max_rounds: int | None,
-    *,
-    kept: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    config: SimConfig, first: int, stop: int, max_rounds: int | None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Play the trials ``first`` to ``stop`` of one group to the end of
-    their games: on persistent keys from their round-one keys ``kept``,
-    row after row; on redraw keys with fresh keys from ``rng`` every
-    round."""
+    their games: on persistent keys from their round-one keys
+    (:func:`_first_keys`), row after row; on redraw keys with fresh keys
+    from their batch's stream every round."""
     persistent = config.variant is RingVariant.TRUE_PERSISTENT
+    if persistent:
+        kept = _first_keys(config, first, stop)
+    else:
+        rng = _batch_rng(config.seed, first // _BATCH)
     trials = np.arange(first, stop, dtype=np.int64)
     widths = np.full(len(trials), config.n, dtype=np.int64)
     round_ = 0
@@ -296,10 +279,10 @@ def _play_group(
         counts = np.empty(len(trials), dtype=np.int64)
         for lo, hi in _spans(offsets):
             span = offsets[lo : hi + 1] - offsets[lo]
-            if kept is None:
-                keys = _raw_keys(rng, int(span[-1]))
-            else:
+            if persistent:
                 keys = kept[offsets[lo] : offsets[hi]]
+            else:
+                keys = _raw_keys(rng, int(span[-1]))
             mask = _peak_mask(keys, span, config.variant)
             counts[lo:hi] = _row_counts(mask, span, config.n)
             if persistent and round_ != max_rounds:
@@ -400,24 +383,23 @@ def _play(
     entered it and the survivors of each.  A trial leaves once its count
     is at most ``config.stop_threshold``, or after ``max_rounds`` rounds.
 
-    A group plays every round before the next group starts.  For the
-    redraw variants a group is a whole batch, since their later rounds
-    draw fresh keys in width order over all of its rows.  Persistent keys
-    are drawn in round one only, so their group is one round-one span of
-    ``_SPAN // n`` rows, which may cross a batch boundary and reads the
-    words its rows read in one pass over the batches.  Later rounds are smaller, so every persistent round
-    is one span, and its kept keys are one ``np.compress`` of that span:
-    circular peaks are never adjacent, so they hold at most half a span.
+    A group plays every round before the next group starts
+    (:func:`_groups`).  For the redraw variants a group is a whole batch,
+    since their later rounds draw fresh keys in width order over all of
+    its rows.  Persistent keys are drawn in round one only, so their group
+    is one round-one span of ``_SPAN // n`` rows, which may cross a batch
+    boundary and reads the words its rows read in one pass over the
+    batches.  Later rounds are smaller, so every persistent round is one
+    span, and its kept keys are one ``np.compress`` of that span: circular
+    peaks are never adjacent, so they hold at most half a span.
 
-    The groups are cut into jobs of about one span of round-one words
-    (:func:`_jobs`): a persistent job is one group, and a redraw job
-    merges whole batches until it holds a span.  Every job builds its own
-    generators (:func:`_first_keys`), so jobs are independent: the calling
-    thread and ``_HELPERS`` helper threads, one per other usable CPU, play
-    them at once (:func:`_in_order`), and the rounds are yielded job by
-    job in job order, so every consumer sees the same sequence whatever
-    the thread count.  With one usable CPU, or one job, the jobs play on
-    the calling thread alone, a round at a time.
+    Every group builds its own generators (:func:`_play_group`), so groups
+    are independent: the calling thread and ``_HELPERS`` helper threads,
+    one per other usable CPU, play them at once (:func:`_in_order`), and
+    the rounds are yielded group by group in group order, so every
+    consumer sees the same sequence whatever the thread count.  With one
+    usable CPU, or one group, the groups play on the calling thread alone,
+    a round at a time.
 
     A round is played on flat arrays, one row per trial with its keys back
     to back, cut by :func:`_spans` into spans of at most ``_SPAN`` words:
@@ -432,13 +414,14 @@ def _play(
     """
     if config.n <= config.stop_threshold:
         return
-    jobs = _jobs(config)
-    helpers = min(_HELPERS, len(jobs) - 1)
+    groups = _groups(config)
+    helpers = min(_HELPERS, len(groups) - 1)
     if helpers < 1:
-        for lo, hi in jobs:
-            yield from _play_job(config, lo, hi, max_rounds)
+        for lo, hi in groups:
+            yield from _play_group(config, lo, hi, max_rounds)
         return
-    for rounds in _in_order(jobs, helpers, lambda job: list(_play_job(config, *job, max_rounds))):
+    for rounds in _in_order(groups, helpers,
+                            lambda group: list(_play_group(config, *group, max_rounds))):
         yield from rounds
 
 

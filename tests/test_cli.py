@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import electra
 from electra import engine, fixtures, franklin
-from electra.cli import _MODEL_CHOICES, _ratio_line, main
+from electra.cli import _MODEL_CHOICES, main
+from electra.engine import lowest_terms
 
 
 def _rows(path):
@@ -51,15 +52,15 @@ def test_import_and_table_leave_scipy_unloaded():
 
 
 def test_failed_writer_leaves_earlier_files_whole(tmp_path, monkeypatch, capsys):
-    # the 41st conversion fails: after the 31 distinct denominators of
-    # survivor_pmf.csv, the exact writer dies on its 10th, 6 lines into its file
+    # the 941st conversion fails: after the 930 integers of survivor_pmf.csv's
+    # 465 lines, the exact writer dies on its 11th, the numerator of its 6th line
     argv = ["table", "--model", "fair-coin", "--max-n", "30", "--out", str(tmp_path)]
     out = tmp_path / "table"
     real, calls = engine.decimal_str, []
 
     def failing(x):
         calls.append(x)
-        if len(calls) == 41:
+        if len(calls) == 941:
             raise MemoryError
         return real(x)
 
@@ -382,15 +383,16 @@ def test_bad_fractions_exit_2(tmp_path, capsys, argv):
     assert "not a fraction" in capsys.readouterr().err
 
 
-def test_ratio_line_writes_integers_past_the_digit_limit():
+def test_ratio_line_writes_integers_past_the_digit_limit(tmp_path):
     num, den = 3**20_000, 2**40_000  # coprime, 9,543 and 12,042 digits
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        want = f"7,5,{num},{den}\n"
+        want = f"n,k,numerator,denominator\n7,5,{num},{den}\n"
     finally:
         sys.set_int_max_str_digits(limit)
-    assert _ratio_line(7, 5, 4 * num, 4 * den) == want
+    engine.write_ratios(tmp_path / "ratios.csv", "k", [(7, 5, *lowest_terms(4 * num, 4 * den))])
+    assert (tmp_path / "ratios.csv").read_text() == want
 
 
 @pytest.mark.parametrize("command", [

@@ -16,6 +16,7 @@ from electra import fixtures, franklin
 from electra.engine import compute_phase_table
 from electra.franklin import (
     _BATCH,
+    _SPAN,
     RingVariant,
     SimConfig,
     _batch_rng,
@@ -511,13 +512,13 @@ def test_persistent_memory_is_one_group(monkeypatch):
     # would take 20 MB
     monkeypatch.setattr(franklin, "_HELPERS", 1)
     threads = set()
-    play_job = franklin._play_job
+    play_group = franklin._play_group
 
-    def job(*args):
+    def group(*args):
         threads.add(threading.get_ident())
-        return play_job(*args)
+        return play_group(*args)
 
-    monkeypatch.setattr(franklin, "_play_job", job)
+    monkeypatch.setattr(franklin, "_play_group", group)
     tracemalloc.start()
     try:
         survivors_after_rounds(RingVariant.TRUE_PERSISTENT, 10_000, 512, seed=3)
@@ -685,21 +686,40 @@ def _games(config):
 
 
 @pytest.mark.parametrize("variant", list(RingVariant))
-@pytest.mark.parametrize("n,span", [(9, 2**12), (101, None)], ids=["small-span", "default-span"])
-def test_helper_threads_play_like_one_thread(monkeypatch, variant, n, span):
-    # 3 * _BATCH + 123 trials are a multiple of no group and no batch.  A
-    # persistent group is 455 rows of 9 keys (4095 words) or 1297 rows of
-    # 101 (130,997), so groups start at every word offset mod 4 and cross
-    # batch boundaries; redraw jobs are single batches
+@pytest.mark.parametrize("n,span,batches", [(9, 2**12, 3), (101, None, 3), (8, None, 5)],
+                         ids=["small-span", "default-span", "small-ring"])
+def test_helper_threads_play_like_one_thread(monkeypatch, variant, n, span, batches):
+    # batches * _BATCH + 123 trials are a multiple of no group and no
+    # batch.  A persistent group is 455 rows of 9 keys (4095 words), 1297
+    # rows of 101 (130,997) or 16,384 rows of 8, so groups start at every
+    # word offset mod 4 and cross batch boundaries; redraw groups are single
+    # batches, also on rings of 8, where four batches hold one span
     if span:
         monkeypatch.setattr(franklin, "_SPAN", span)
-    config = SimConfig(variant, n, 3 * _BATCH + 123, seed=n)
-    assert len(franklin._jobs(config)) > 1
+    config = SimConfig(variant, n, batches * _BATCH + 123, seed=n)
+    assert len(franklin._groups(config)) > 1
     played = {}
     for helpers in (0, 1):
         monkeypatch.setattr(franklin, "_HELPERS", helpers)
         played[helpers] = _games(config)
     assert played[0] == played[1]
+
+
+@pytest.mark.parametrize("variant,n,trials,count", [
+    (RingVariant.TRUE_PERSISTENT, 10_000, 4096, 316),  # ring-sim c2
+    (RingVariant.REDRAW_CIRCULAR, 100, 200_000, 49),  # ring-sim histogram
+    (RingVariant.TRUE_PERSISTENT, 8, 1_000_000, 62),  # ring-sim conditional
+    (RingVariant.REDRAW_CIRCULAR, 8, 1_000_000, 245),
+], ids=["c2", "histogram", "conditional", "redraw-conditional"])
+def test_groups_are_batches_or_spans_of_rows(variant, n, trials, count):
+    # a redraw group is one batch, however narrow its rings; a persistent
+    # group is _SPAN // n rows, wherever the batches start
+    groups = franklin._groups(SimConfig(variant, n, trials, seed=1))
+    rows = _SPAN // n if variant is RingVariant.TRUE_PERSISTENT else _BATCH
+    los, his = zip(*groups)
+    assert len(groups) == count
+    assert los[0] == 0 and los[1:] == his[:-1] and his[-1] == trials
+    assert {hi - lo for lo, hi in groups[:-1]} == {rows}
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 5), (1, 3), (2, 9), (3, 4),
@@ -715,7 +735,7 @@ def test_first_keys_are_their_batch_words(lo, hi):
     assert np.array_equal(_first_keys(config, lo, hi), np.concatenate(expected).view(np.int64))
 
 
-# ten persistent jobs of 1310 rows at the default span
+# ten persistent groups of 1310 rows at the default span
 _THREADED = SimConfig(RingVariant.TRUE_PERSISTENT, 100, 3 * _BATCH, seed=2)
 
 
@@ -748,7 +768,7 @@ def test_failed_job_reaches_the_caller(monkeypatch, failing_call):
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):
-    # the calling thread waits in its first job until a helper has failed
+    # the calling thread waits in its first group until a helper has failed
     # in another, so the failure is the helper's
     monkeypatch.setattr(franklin, "_HELPERS", 1)
     helper_failed = threading.Event()
