@@ -35,13 +35,13 @@ Rows come from the model's reader ``read_rows``: integer rows up to its
 ``exact_cutoff``, float arrays beyond.  That alone decides which results
 are exact.  An exact phase column is two int lists, numerators and
 denominators in lowest terms, read as floats by one ``int / int`` each.
-Every exact sweep keeps its common denominator split into an odd part and
-a power of two, the split ``lowest_terms`` reduces by (``_Split``), so
-each reduction shifts out the shared twos before one gcd against the odd
-part, and each rescale to a grown denominator is a shift plus work on
-odd parts only.  On the dyadic coin rows every odd part of the phase
-columns is 1: they are reduced and rescaled by shifts alone.  The
-``Fraction`` rows of ``PhaseTable.exact_rows`` are built only when read.
+The exact phase columns alone keep their denominators split into an odd
+part and a power of two, the split ``lowest_terms`` reduces by, so each
+reduction shifts out the shared twos before one gcd against the odd part;
+on the dyadic coin rows every odd part is 1, and they are reduced and
+rescaled by shifts alone.  The mean, ending-state and visit sweeps hold
+plain int common denominators.  The ``Fraction`` rows of
+``PhaseTable.exact_rows`` are built only when read.
 The float rows are swept in n order: each row's block of columns is one
 ``einsum`` over the rows below it, adding in ascending k with the
 self-loop last, the order of a sparse row product.  A table keeps its
@@ -82,7 +82,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -140,67 +140,30 @@ def decimal_str(x: int) -> str:
     return decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
-class _Split(NamedTuple):
-    """The positive integer ``odd << twos``: its two-adic split.
-
-    ``lowest_terms`` reduces by it, and every exact sweep keeps its common
-    denominator so.  Its lcm with a new denominator, and the quotient that
-    rescales the numerators to it, then take work on odd parts only, the
-    twos maxed or subtracted: no long division runs on the power of two,
-    which on the dyadic coin rows is all there is.  The exact columns, whose
-    quotients are long powers of two, rescale by a shift; the sweeps, whose
-    quotients gain a few twos a row, by one product with the quotient.
-    """
-
-    odd: int
-    twos: int
-
-    @classmethod
-    def of(cls, x: int) -> _Split:
-        twos = (x & -x).bit_length() - 1
-        return cls(x >> twos, twos)
-
-    def __int__(self) -> int:
-        return self.odd << self.twos
-
-    def times(self, other: _Split) -> _Split:
-        return _Split(self.odd * other.odd, self.twos + other.twos)
-
-    @staticmethod
-    def lcm(*splits: _Split) -> _Split:
-        odds, twos = zip(*splits)
-        return _Split(math.lcm(*odds), max(twos))
-
-    def over(self, other: _Split) -> _Split:
-        """``self / other``, for ``other`` a divisor of ``self``."""
-        return _Split(self.odd // other.odd, self.twos - other.twos)
-
-    @staticmethod
-    def lowest(num: int, odd: int, twos: int) -> tuple[int, int, int]:
-        """``num / (odd << twos)`` in lowest terms, as ``(num, odd, twos)``;
-        zero is ``(0, 1, 0)``.  The twos both share are shifted out, so one
-        ``gcd`` against the odd part finishes the job: on the dyadic coin
-        rows it is 1, and no long gcd runs.  It takes and gives plain ints,
-        for the loops that reduce every entry."""
-        if not num:
-            return 0, 1, 0
-        shift = min((num & -num).bit_length() - 1, twos)
-        num >>= shift
-        if (g := math.gcd(num, odd)) > 1:
-            num, odd = num // g, odd // g
-        return num, odd, twos - shift
+def _lowest(num: int, odd: int, twos: int) -> tuple[int, int, int]:
+    """``num / (odd << twos)`` in lowest terms, as ``(num, odd, twos)``;
+    zero is ``(0, 1, 0)``.  The twos both share are shifted out, so one
+    ``gcd`` against the odd part finishes the job: on the dyadic coin rows
+    it is 1, and no long gcd runs."""
+    if not num:
+        return 0, 1, 0
+    shift = min((num & -num).bit_length() - 1, twos)
+    num >>= shift
+    if (g := math.gcd(num, odd)) > 1:
+        num, odd = num // g, odd // g
+    return num, odd, twos - shift
 
 
 def lowest_terms(num: int, den: int) -> tuple[int, int]:
     """``num / den`` in lowest terms, ``den > 0``; zero is ``(0, 1)``.
 
-    It reduces by the split ``odd << twos`` of ``den`` (:meth:`_Split.lowest`),
-    as every exact sweep does: the shared twos are shifted out and one
+    It reduces by the split ``odd << twos`` of ``den`` (:func:`_lowest`),
+    as the exact phase columns do: the shared twos are shifted out and one
     ``gcd`` runs against the odd part, which on the dyadic rows of the coin
     models is 1.
     """
     twos = (den & -den).bit_length() - 1
-    num, odd, twos = _Split.lowest(num, den >> twos, twos)
+    num, odd, twos = _lowest(num, den >> twos, twos)
     return num, odd << twos
 
 
@@ -617,19 +580,20 @@ def _exact_columns(rows: _Rows, cost: list[int]) -> Iterator[tuple[list[int], li
 
     The previous column is put over one denominator, the lcm of its
     entries', so each entry costs one integer dot product with its row and
-    one reduction.  Every denominator is kept split (:class:`_Split`), so
-    the rescale to the lcm is a shift plus a multiply by an odd quotient.
-    On the dyadic coin rows every odd part is 1: the exact columns build no
-    ``Fraction``, run no long gcd and rescale by shifts alone.
+    one reduction.  Every denominator is kept split into an odd part and a
+    power of two (:func:`_lowest`), so the rescale to the lcm is a shift
+    plus a multiply by an odd quotient.  On the dyadic coin rows every odd
+    part is 1: the exact columns build no ``Fraction``, run no long gcd and
+    rescale by shifts alone.
     """
-    row_dens = [_Split.of(row_den) for _, _, row_den in rows.exact]
+    row_dens = [(den >> (t := (den & -den).bit_length() - 1), t) for _, _, den in rows.exact]
     nums, odd, twos = [0] * (len(cost) + len(rows.exact)), 1, 0  # column -1: zero over 1 << 0
     for j in itertools.count():
         # entry k of column j is col_nums[k] / (odds[k] << twoss[k])
         col_nums, odds, twoss = [int(j == c) for c in cost], [1] * len(cost), [0] * len(cost)
         for (lo, row, _), (row_odd, row_twos) in zip(rows.exact, row_dens):
             total = sum(map(operator.mul, row, nums[lo : lo + len(row)]))
-            p, q, t = _Split.lowest(total, row_odd * odd, row_twos + twos)
+            p, q, t = _lowest(total, row_odd * odd, row_twos + twos)
             col_nums.append(p)
             odds.append(q)
             twoss.append(t)
@@ -655,21 +619,21 @@ def _upward_sweep(
     exact = {k: _fraction(v, 1) for k, v in fixed.items()}
     f = np.array([np.asarray(v, dtype=float) for v in fixed.values()])
     f = np.concatenate([f, np.zeros((max(rows.max_n - rows.a, 0),) + f.shape[1:])])
-    nums, scale = list(fixed.values()), _Split(1, 0)  # exact f(k) = nums[k] / scale
+    nums, scale = list(fixed.values()), 1  # exact f(k) = nums[k] / scale
     for n, (lo, row, den) in enumerate(rows.exact, rows.a + 1):
         stay = row[n - lo] if lo + len(row) > n else 0
         # nums stops at state n - 1, so the self-loop drops out of the sum
-        numer = c * den * int(scale) + sum(map(operator.mul, row, nums[lo:n]))
-        denom = _Split.of(den - stay).times(scale)
-        exact[n] = _fraction(numer, int(denom))
+        numer = c * den * scale + sum(map(operator.mul, row, nums[lo:n]))
+        denom = (den - stay) * scale
+        exact[n] = _fraction(numer, denom)
         f[n] = np.asarray(exact[n], dtype=float)
         # the lcm of the reduced denominators is denom / gcd(denom, *numer)
-        reduced = _Split.of(math.lcm(*(x.denominator for x in np.ravel(exact[n]))))
-        grown = _Split.lcm(scale, reduced)
+        reduced = math.lcm(*(x.denominator for x in np.ravel(exact[n])))
+        grown = math.lcm(scale, reduced)
         if grown != scale:
-            up = int(grown.over(scale))
+            up = grown // scale
             nums = [x * up for x in nums]
-        nums.append(numer // int(denom.over(reduced)) * int(grown.over(reduced)))
+        nums.append(numer // (denom // reduced) * (grown // reduced))
         scale = grown
     for n, (lo, probs) in enumerate(rows.floats(rows.split) if floats else (), rows.split):
         stay = 0.0
@@ -751,24 +715,22 @@ def _downward_sweep(
     if len(top) == 2:
         return _float_visits(itertools.chain([top], rows), start, a)
     rows = [top, *rows]  # row m is rows[start - m]
-    inflow, scale = [0] * start + [1], _Split(1, 0)  # mass entering k is inflow[k] / scale
+    inflow, scale = [0] * start + [1], 1  # mass entering k is inflow[k] / scale
     visits, into, total = {}, {}, 0  # the visits so far sum to total / scale
     for m in range(start, a, -1):
         if inflow[m]:
             lo, nums, den = rows[start - m]
             stay = nums[m - lo] if lo + len(nums) > m else 0
-            visits[m] = visit = Fraction(inflow[m] * den, int(_Split.of(den - stay).times(scale)))
-            p, q = visit.numerator, _Split.of(visit.denominator)
+            visits[m] = visit = Fraction(inflow[m] * den, (den - stay) * scale)
+            p, q = visit.numerator, visit.denominator
             if m in entering:
-                into[m] = Fraction(inflow[m], int(scale))
-            step = q.times(_Split.of(den))  # visits(m) P(m, k) = p nums[k - lo] / (q den)
-            grown = _Split.lcm(scale, step)
-            f, weight = int(grown.over(scale)), p * int(grown.over(step))
-            total = total * f + p * int(grown.over(q))
+                into[m] = Fraction(inflow[m], scale)
+            grown = math.lcm(scale, q * den)  # visits(m) P(m, k) = p nums[k - lo] / (q den)
+            f, weight = grown // scale, p * (grown // (q * den))
+            total = total * f + p * (grown // q)
             scale = grown
             row = [0] * lo + nums[: m - lo]  # P(m, k) for k < m; rows end at k = m
             inflow[:m] = [x * f + weight * y for x, y in zip(inflow, row + [0] * (m - len(row)))]
-    scale = int(scale)
     absorbed = {k: Fraction(x, scale) for k, x in enumerate(inflow[: a + 1]) if x}
     return visits | absorbed, Fraction(total, scale), into | absorbed
 
@@ -800,7 +762,7 @@ def _float_visits(rows: Iterable[Row], start: int, a: int) -> tuple[dict, float,
             match row:
                 case lo, nums, den:
                     stay = nums[m - lo] if lo + len(nums) > m else 0
-                    leave, probs = (den - stay) / den, np.array([x / den for x in nums])
+                    leave, probs = (den - stay) / den, float_row(row)[1]
                 case lo, probs:
                     leave = 1 - (float(probs[m - lo]) if lo + len(probs) > m else 0)
             visits[m] = mass / leave

@@ -781,7 +781,7 @@ def _assert_sweep_matches_reference(model, start, a):
         (FairCoin(), 200, 1),  # float regime over exact rows below the cutoff
         (peak_circular(exact_cutoff=60), 300, 2),
         (FairCoin(), 3000, 1),  # float rows past the kept prefix
-        (FairCoin(exact_cutoff=80), 80, 1),  # dyadic rows: their twos rescale by shifts
+        (FairCoin(exact_cutoff=80), 80, 1),  # dyadic rows: every denominator a power of two
     ],
     ids=["circular-120", "biased-0.3-60", "demon-a0", "demon-a2", "fair-200-float",
          "circular-300-float", "fair-3000-float", "fair-80-dyadic"],
@@ -827,6 +827,16 @@ def test_float_sweep_keeps_states_whose_inflow_underflows():
 # random chains
 
 
+#: downward row weights: small integers, or a power of two up to 2^10 times
+#: a small odd number, so that row totals carry both large odd parts and
+#: many twos and the integer sweeps' common denominators grow through both.
+#: A self-loop weighs 0..4 only, so every row leaves with probability at
+#: least 1/5 and the tables stay short
+_WEIGHTS = st.integers(0, 4) | st.sampled_from(
+    [odd << twos for odd in (1, 3, 5, 7) for twos in range(11)]
+)
+
+
 @st.composite
 def _chains(draw):
     """Random rational lower-triangular chains on states 1..top (top <= 8),
@@ -837,7 +847,7 @@ def _chains(draw):
     first = 0 if draw(st.booleans()) else 1
     rows = {}
     for i in range(2, top + 1):
-        down = draw(st.lists(st.integers(0, 4), min_size=i - first, max_size=i - first).filter(any))
+        down = draw(st.lists(_WEIGHTS, min_size=i - first, max_size=i - first).filter(any))
         stay = draw(st.integers(0, 4)) if loops else 0
         total = sum(down) + stay
         rows[i] = {j: Fraction(w, total) for j, w in enumerate(down + [stay], first) if w}
@@ -876,7 +886,8 @@ def test_means_agree_on_random_chains(chain, a, init, data):
         width = min(other.j_max, table.j_max) + 1
         assert np.allclose(other.probs[:, :width], table.probs[:, :width], rtol=0, atol=1e-12)
         assert np.allclose(other.means, table.means, rtol=1e-12, atol=0)
-    if not loops:  # absorbed within top rounds, so the forward law is whole
+    if not loops:  # absorbed within top rounds, so the forward law to top is whole
+        law = _forward_phase_law(model, top, a, top, zero_cost=zero_cost)
         assert sum(j * p for j, p in law.items()) == table.exact_mean(top)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from electra.metrics import (
     toy_limit_cdf,
     toy_phi,
 )
-from electra.models import peak_circular, peak_linear_i
+from electra.models import FairCoin, peak_circular, peak_linear_i
 
 
 def _random_law(rng, span=9):
@@ -339,8 +340,11 @@ def _scale_gaps(table, ratio, starts, distance):
 #: per chain, the bound on n * d for d_TV and for d_W.  All were fixed before
 #: the first run: 0.25 where n * d_TV was measured near 0.19 (peak-circular)
 #: and 0.17 (fair coin); 1.5 on peak-linear-I, where d_TV was measured near
-#: 1.1 / n; d_W = d_TV on the peak chains, which move mass only between
-#: neighbours, and d_W <= 4 d_TV was allowed for the fair coin's wider law
+#: 1.1 / n.  On the peak chains, whose laws differ almost only between
+#: neighbouring phase counts, d_W and d_TV agree within 1e-8 relative (in
+#: exact arithmetic at n = 27, d_W exceeds d_TV by 1.3e-12 on the circular
+#: chain and by 2.2e-10 on linear-I); d_W <= 4 d_TV was allowed for the fair
+#: coin's wider law
 _SCALE_BOUNDS = {
     "peak-circular": (0.25, 0.25),
     "peak-linear-i": (1.5, 1.5),
@@ -365,3 +369,43 @@ def test_scale_gap_falls_like_one_over_n(request, game):
         gaps = _scale_gaps(table, ratio, starts, distance)
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
         assert max(n * gap for n, gap in zip(starts, gaps)) < bound
+
+
+def _exact_scale_gaps(table, ratio, starts):
+    """``(d_TV, d_W)`` of (X_n, X_{ratio n} - 1) for each start n, as
+    ``Fraction``s from the exact rows, each row put over its own total as
+    :func:`law_from_phase` does with the float row."""
+    gaps = []
+    for n in starts:
+        law, later = table.exact_row(n), table.exact_row(ratio * n)
+        assert later[0] == 0  # X_{ratio n} - 1 >= 0
+        total, later_total = sum(law), sum(later)
+        diffs = [x / total - y / later_total
+                 for x, y in itertools.zip_longest(law, later[1:], fillvalue=0)]
+        gaps.append((sum(map(abs, diffs)) / 2, sum(map(abs, itertools.accumulate(diffs)))))
+    return gaps
+
+
+@pytest.mark.parametrize(
+    "game,build,ratio,starts",
+    [
+        ("peak-circular", peak_circular, 3, [9, 27]),
+        ("peak-linear-i", peak_linear_i, 3, [9, 27]),
+        ("fair-coin", FairCoin, 2, [8, 16, 32, 64]),
+    ],
+    ids=["peak-circular", "peak-linear-i", "fair-coin"],
+)
+def test_scale_gap_exact(game, build, ratio, starts):
+    # the same gaps in exact arithmetic, on tables exact up to ratio times
+    # the last start: they fall at every step and n times them stays below
+    # the chain's bounds, d_TV <= d_W holds exactly, and the float gaps
+    # agree with them within 1e-12
+    cutoff = ratio * starts[-1]
+    table = compute_phase_table(build(exact_cutoff=cutoff), cutoff)
+    exact = _exact_scale_gaps(table, ratio, starts)
+    assert all(tv <= w for tv, w in exact)
+    for gaps, distance, bound in zip(zip(*exact), [dtv, dw], _SCALE_BOUNDS[game]):
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert max(n * gap for n, gap in zip(starts, gaps)) < bound
+        floats = _scale_gaps(table, ratio, starts, distance)
+        assert all(abs(gap - x) <= 1e-12 for gap, x in zip(gaps, floats))
