@@ -4,7 +4,7 @@ The package splits into:
 
 - :mod:`electra.peaks` - the peak-count recurrence for random permutations;
 - :mod:`electra.models` - survivor-law catalog behind one interface;
-- :mod:`electra.engine` - exact phase-count laws, ending states, occupancy;
+- :mod:`electra.engine` - exact phase-count laws and ending states;
 - :mod:`electra.conditions` - finite-range convergence-hypothesis checks;
 - :mod:`electra.metrics` - integer-law distances and the Laplace/Fourier
   periodicity machinery, plus the toy and fair-coin closed forms;
@@ -26,12 +26,9 @@ from .conditions import (
 from .engine import (
     EndingStateTable,
     InitConvention,
-    Occupancy,
     PhaseTable,
     compute_phase_table,
     ending_state_probs,
-    occupancy_probs,
-    passage_probs,
 )
 from .franklin import (
     ElectionRecords,
@@ -92,7 +89,6 @@ __all__ = [
     "InitConvention",
     "IntegerLaw",
     "LimitScatter",
-    "Occupancy",
     "PeakSurvivors",
     "PeakVariant",
     "PeriodicityFit",
@@ -123,8 +119,6 @@ __all__ = [
     "law_from_phase",
     "laplace_transform",
     "model_from_name",
-    "occupancy_probs",
-    "passage_probs",
     "peak_circular",
     "peak_linear_i",
     "peak_linear_ii",

@@ -1,5 +1,4 @@
-"""Phase-count laws of elimination chains: exact tables, ending states,
-and state-occupancy probabilities.
+"""Phase-count laws of elimination chains: exact tables and ending states.
 
 The chain starts at n and in each round jumps to the survivor count drawn
 from the model; every state at or below the stop threshold is absorbing.
@@ -12,24 +11,14 @@ The absorbing states are ordinary entries of every column: state k holds
 phase under ALT_COST and every other cost is zero.  So each transient
 entry is the plain sum over its whole row, absorbing entries included.
 
-Everything else comes from two sweeps over the transient states.  The
-upward sweep applies the first-step identity with the k = n self-loop
-solved out,
+Everything else comes from one upward sweep over the transient states.
+It applies the first-step identity with the k = n self-loop solved out,
 
     f(n) = (c + sum_{k<n} P(n, k) f(k)) / (1 - P(n, n)),
 
 giving expected phase counts (c = 1) and ending-state laws (c = 0, f a
-vector).  The downward sweep gives expected visits from one start,
-
-    visits(k) = ([k = start] + sum_{m>k} visits(m) P(m, k)) / (1 - P(k, k)),
-
-with no division at or below the threshold; occupancy and passage
-probabilities read it.  On integer rows it keeps the mass entering each
-state, and the sum of the visits, as numerators over one common
-denominator, as the upward sweep does; an entering mass becomes a
-``Fraction`` only where passage asks for it.  On float rows it reads them
-a span of the row cache at a time from the top, so it never holds them
-all.
+vector).  On integer rows it keeps f as numerators over one common
+denominator.
 
 Rows come from the model's reader ``read_rows``: integer rows up to its
 ``exact_cutoff``, float arrays beyond.  That alone decides which results
@@ -39,8 +28,8 @@ The exact phase columns alone keep their denominators split into an odd
 part and a power of two, the split ``lowest_terms`` reduces by, so each
 reduction shifts out the shared twos before one gcd against the odd part;
 on the dyadic coin rows every odd part is 1, and they are reduced and
-rescaled by shifts alone.  The mean, ending-state and visit sweeps hold
-plain int common denominators.  The ``Fraction`` rows of
+rescaled by shifts alone.  The mean and ending-state sweeps hold plain
+int common denominators.  The ``Fraction`` rows of
 ``PhaseTable.exact_rows`` are built only when read.
 The float rows are swept in n order: each row's block of columns is one
 ``einsum`` over the rows below it, adding in ascending k with the
@@ -77,7 +66,7 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Callable, Container, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -86,7 +75,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .models import Row, SurvivorModel, float_row
+from .models import SurvivorModel, float_row
 
 #: stop adding phase columns once every row holds all but this much mass
 DEFAULT_RESIDUAL_EPS = 1e-12
@@ -691,133 +680,4 @@ def ending_state_probs(
     exact = {n: tuple(v) for n, v in exact.items()}
     return EndingStateTable(
         model=model, max_n=max_n, threshold_a=a, probs=probs, exact=exact
-    )
-
-
-def _downward_sweep(
-    model: SurvivorModel, start: int, a: int, entering: Container[int] = ()
-) -> tuple[dict, Fraction | float, dict]:
-    """Expected visits per state from one start, their sum over the states
-    above ``a``, and the mass entering each state of ``entering`` that mass
-    enters and each absorbing state.
-
-    The mass entering k is ``[k = start] + sum_{m>k} visits(m) P(m, k)``;
-    visits divide it by ``1 - P(k, k)`` above the threshold.  States no
-    mass enters are skipped.  The start's row, read even at or below the
-    threshold, picks the sweep.  A float sweep reads its rows a checkpoint
-    span of the row caches at a time, from the top down, so it holds one
-    span of rows, not all of them.  An integer sweep keeps numerators over
-    one common denominator, with one reduction a row and one integer
-    product an entry; the visit sum is one more such numerator.
-    """
-    rows = _rows_down(model, start + 1, min(a + 1, start))
-    top = next(rows)
-    if len(top) == 2:
-        return _float_visits(itertools.chain([top], rows), start, a)
-    rows = [top, *rows]  # row m is rows[start - m]
-    inflow, scale = [0] * start + [1], 1  # mass entering k is inflow[k] / scale
-    visits, into, total = {}, {}, 0  # the visits so far sum to total / scale
-    for m in range(start, a, -1):
-        if inflow[m]:
-            lo, nums, den = rows[start - m]
-            stay = nums[m - lo] if lo + len(nums) > m else 0
-            visits[m] = visit = Fraction(inflow[m] * den, (den - stay) * scale)
-            p, q = visit.numerator, visit.denominator
-            if m in entering:
-                into[m] = Fraction(inflow[m], scale)
-            grown = math.lcm(scale, q * den)  # visits(m) P(m, k) = p nums[k - lo] / (q den)
-            f, weight = grown // scale, p * (grown // (q * den))
-            total = total * f + p * (grown // q)
-            scale = grown
-            row = [0] * lo + nums[: m - lo]  # P(m, k) for k < m; rows end at k = m
-            inflow[:m] = [x * f + weight * y for x, y in zip(inflow, row + [0] * (m - len(row)))]
-    absorbed = {k: Fraction(x, scale) for k, x in enumerate(inflow[: a + 1]) if x}
-    return visits | absorbed, Fraction(total, scale), into | absorbed
-
-
-def _rows_down(model: SurvivorModel, stop: int, bottom: int) -> Iterator[Row]:
-    """Rows stop - 1, stop - 2, ..., bottom, read one span of the model's
-    row cache at a time from the top (:meth:`SurvivorModel.span_start`):
-    once the cache has grown, each read steps only rows it serves, and one
-    span of rows is held at a time."""
-    while stop > bottom:
-        first = max(model.span_start(stop - 1), bottom)
-        yield from reversed(list(model.read_rows(first, stop)))
-        stop = first
-
-
-def _float_visits(rows: Iterable[Row], start: int, a: int) -> tuple[dict, float, dict]:
-    """The sweep in floats over ``rows``, those of start, start - 1, ...,
-    a + 1 in turn, with the mass entering every state; an integer row is
-    read as its rounded masses, and its self-loop leaves
-    ``(den - stay) / den``, correctly rounded.  The inflow is one array
-    that each visited row adds to with one slice, rounding each product
-    and each sum as one entry at a time would; a state keeps its key once
-    a nonzero mass of a visited row points at it, even if its inflow
-    underflows to 0.0."""
-    inflow, reached, visits = np.zeros(start + 1), np.zeros(start + 1, dtype=bool), {}
-    inflow[start] = reached[start] = 1
-    for m, row in zip(range(start, a, -1), rows):
-        if mass := float(inflow[m]):
-            match row:
-                case lo, nums, den:
-                    stay = nums[m - lo] if lo + len(nums) > m else 0
-                    leave, probs = (den - stay) / den, float_row(row)[1]
-                case lo, probs:
-                    leave = 1 - (float(probs[m - lo]) if lo + len(probs) > m else 0)
-            visits[m] = mass / leave
-            probs = probs[: m - lo]  # rows end at k = m
-            inflow[lo : lo + len(probs)] += visits[m] * probs
-            reached[lo : lo + len(probs)] |= probs != 0
-    total = sum(visits.values(), 0.0)
-    entering = {k: v for k, (v, r) in enumerate(zip(inflow.tolist(), reached.tolist())) if r}
-    visits.update((k, v) for k, v in entering.items() if k <= a and v)
-    return visits, total, entering
-
-
-def passage_probs(
-    model: SurvivorModel, n: int, states: list[int]
-) -> dict[int, Fraction] | dict[int, float]:
-    """Probability that some round has exactly i survivors.
-
-    For i >= 2 this is the mass entering i, visits(i) * (1 - P(i, i)); for
-    i = 1 a wiped-out game counts as ending with one player, as in
-    :func:`ending_state_probs`.  All ``Fraction`` when n is within the
-    model's cutoff, all floats beyond it.
-    """
-    if any(i < 1 for i in states):
-        raise ValueError("passage states start at 1")
-    _validate_setup(model, n, 1, InitConvention.STANDARD)
-    visits, _, inflow = _downward_sweep(model, n, 1, set(states))
-    zero = type(visits[n])()  # 0 as a Fraction or a float, as the sweep ran
-    return {i: inflow.get(i, zero) + (inflow.get(0, zero) if i == 1 else zero) for i in states}
-
-
-@dataclass
-class Occupancy:
-    """Expected visit counts Q per state, from one fixed start.
-
-    For a strictly decreasing chain Q(k) is the probability that some
-    round starts with exactly k players; below the threshold it is the
-    probability of ending there (state 0 kept separate from state 1).
-    ``mean_recovered`` re-derives the expected phase count as the total
-    time spent in transient states.  All ``Fraction`` when the start is
-    within the model's cutoff, all floats beyond it.
-    """
-
-    start_n: int
-    threshold_a: int
-    visits: dict[int, Fraction] | dict[int, float]
-    mean_recovered: Fraction | float
-
-
-def occupancy_probs(model: SurvivorModel, start_n: int, threshold_a: int = 1) -> Occupancy:
-    """Expected visits per state from one starting size, by one downward sweep."""
-    _validate_setup(model, start_n, threshold_a, InitConvention.STANDARD)
-    visits, mean_recovered, _ = _downward_sweep(model, start_n, threshold_a)
-    return Occupancy(
-        start_n=start_n,
-        threshold_a=threshold_a,
-        visits=visits,
-        mean_recovered=mean_recovered,
     )

@@ -118,14 +118,6 @@ class SurvivorModel(abc.ABC):
         if split < stop:
             yield from self._far_rows(split, stop)
 
-    def span_start(self, n: int) -> int:
-        """The first row of the span that holds row n, for a reader that
-        goes down the rows a span at a time.  Once row n has been read,
-        :meth:`read_rows` from here to n steps from the cache's front just
-        below, so every row it steps it serves.  Rows with no cache go
-        ``_CHECKPOINT_ROWS`` to a span."""
-        return max(n + 1 - _CHECKPOINT_ROWS, 0)
-
     def float_rows(self, start: int, stop: int) -> list[tuple[int, np.ndarray]]:
         """:meth:`read_rows` as a list of ``(lo, masses)``, the exact rows rounded."""
         return list(map(float_row, self.read_rows(start, stop)))
@@ -144,17 +136,6 @@ class SurvivorModel(abc.ABC):
         """Float row n as ``{k: P(n, k)}`` over its nonzero masses."""
         [(lo, probs)] = self.float_rows(n, n + 1)
         return {k: p for k, p in enumerate(probs.tolist(), lo) if p}
-
-    def sample_many(
-        self, n: int, size: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Inverse-CDF sampling; deterministic given the generator state."""
-        items = sorted(self.pmf_float(n).items())
-        values = np.array([k for k, _ in items])
-        cum = np.cumsum([p for _, p in items])
-        cum[-1] = max(cum[-1], 1.0)
-        u = rng.random(size)
-        return values[np.searchsorted(cum, u, side="right")]
 
     def _require_positive(self, n: int) -> None:
         if n < 1:
@@ -272,17 +253,6 @@ class _GrownRows:
                 n, front = base + i * self._spacing, self._fronts[i]
         return chain(head, self._walk(n, front, first, stop))
 
-    def span_start(self, n: int) -> int:
-        """The first row of the span of row n: the row after the front at
-        or below n - 1, so a read from it to n steps no row it does not
-        serve.  Rows in the kept prefix, or of a cache still growing it, go
-        ``_spacing`` to a span."""
-        with self._lock:
-            base = len(self._rows) - 1
-            if not self._fronts or n <= base:
-                return max(n + 1 - self._spacing, 0)
-        return base + 1 + (n - 1 - base) // self._spacing * self._spacing
-
     def _walk(self, n: int, front, first: int, stop: int) -> Iterator:
         """Rows first..stop-1 past the prefix, stepped from row n's front;
         rows not grown yet are recorded on the way.  ``_top`` and ``_cuts``
@@ -393,9 +363,6 @@ class _Coin(SurvivorModel):
         windows = _coin_rows(self.p).rows(start, stop)
         return map(self._from_window, count(start), windows)
 
-    def span_start(self, n: int) -> int:
-        return _coin_rows(self.p).span_start(n)
-
     @abc.abstractmethod
     def _from_window(self, n: int, window: tuple[int, np.ndarray, float]) -> tuple[int, np.ndarray]:
         """Float row n from its shared Bi(n, p) window."""
@@ -463,8 +430,8 @@ class CoinMaxOne(_Coin):
         lo, probs, low = window
         cut = min(max(2 - lo, 0), len(probs))  # window entries at k = 0, 1
         lo, probs = lo + cut, probs[cut:]
-        if low >= TAIL_TRUNCATION:
-            lo, probs = 1, np.concatenate([[low], np.zeros(max(lo - 2, 0)), probs])
+        if low >= TAIL_TRUNCATION:  # then the window starts at k <= 1, so probs at k = 2
+            lo, probs = 1, np.concatenate([[low], probs])
         return lo, probs
 
 
@@ -536,9 +503,6 @@ class DummyShiftedDemon(SurvivorModel):
 
     def _far_rows(self, start, stop):
         return map(_lifted, map(float_row, self.base.read_rows(start - 1, stop - 1)))
-
-    def span_start(self, n: int) -> int:
-        return self.base.span_start(n - 1) + 1
 
 
 def _lifted(row: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
@@ -618,10 +582,6 @@ class PeakSurvivors(SurvivorModel):
         # the cached rows are shared, not copied
         m, shift = self._linear_row(start)
         return ((lo + shift, probs) for lo, probs in _linear_float.rows(m, m + stop - start))
-
-    def span_start(self, n: int) -> int:
-        m = self._linear_row(n)[0]
-        return _linear_float.span_start(m) + n - m
 
 
 def peak_linear_i(**kwargs) -> PeakSurvivors:

@@ -364,6 +364,16 @@ def test_module_runs_the_command_line():
     assert "simulate" in done.stdout
 
 
+def test_readme_library_sketch_runs():
+    # the README's library sketch runs as written against the package's exports
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library sketch\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["table"].exact_prob(7, 2) == Fraction(43, 45)
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("ELECTRA_OUT", str(tmp_path / "envout"))
     assert main(["figure", "fig4"]) == 0

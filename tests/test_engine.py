@@ -18,8 +18,6 @@ from electra.engine import (
     InitConvention,
     compute_phase_table,
     ending_state_probs,
-    occupancy_probs,
-    passage_probs,
 )
 from electra.models import (
     BiasedCoin,
@@ -618,19 +616,6 @@ def test_phase_table_memory_is_bounded():
     assert peak < 10 * 2**20
 
 
-def test_float_sweep_memory_is_one_span():
-    # the float downward sweep holds one span of rows, about 4.5 MB near
-    # n = 6000 for p = 2/7, which no other test reads, next to its law's
-    # 1 MiB prefix; all 6000 rows take about 18 MB
-    tracemalloc.start()
-    try:
-        occupancy_probs(BiasedCoin(Fraction(2, 7), exact_cutoff=0), 6000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-
-
 # ---------------------------------------------------------------------------
 # ending states
 
@@ -680,6 +665,23 @@ def test_ending_states_match_enumeration_oracle():
     assert table.exact_prob(7, 2) == Fraction(4, 7)
 
 
+@pytest.mark.parametrize("model,a", [
+    (BiasedCoin(Fraction(9, 10)), 3),
+    (CoinMaxOne(Fraction(9, 10)), 2),
+], ids=["biased-0.9", "coin-max-one-0.9"])
+def test_float_ending_states_match_exact_on_self_loop_chains(model, a):
+    # at p = 9/10 a round keeps every player with probability about 0.9^n,
+    # so the float sweep's division by 1 - P(n, n) weighs on every entry;
+    # the float and exact tables agree to about 3e-15
+    exact = ending_state_probs(model, 60, a)
+    floats = ending_state_probs(replace(model, exact_cutoff=0), 60, a)
+    gap = max(
+        abs(floats.prob(n, i) - float(exact.exact_prob(n, i)))
+        for n in range(61) for i in range(1, a + 1)
+    )
+    assert gap <= 1e-12
+
+
 def test_ending_state_validation():
     with pytest.raises(ValueError):
         ending_state_probs(ToyHalving(), 10, 0)
@@ -699,45 +701,11 @@ def test_ending_state_validation():
 # occupancy
 
 
-def test_toy_occupancy_from_eight():
-    occ = occupancy_probs(ToyHalving(), 8)
-    assert occ.visits == {8: 1, 4: 1, 2: 1, 1: 1}
-    assert occ.mean_recovered == 3
-
-
-def test_occupancy_mean_identity(circular_500):
-    occ = occupancy_probs(peak_circular(), 7)
-    assert occ.visits[1] == 1
-    assert occ.mean_recovered == circular_500.exact_mean(7)
-    fair = compute_phase_table(FairCoin(), 50)
-    occ50 = occupancy_probs(FairCoin(), 50)
-    assert occ50.mean_recovered == fair.exact_mean(50)
-
-
-def test_occupancy_matches_passage_probs():
-    # for a strictly decreasing chain, expected visits = passage probability
-    occ = occupancy_probs(peak_circular(), 7)
-    probs = passage_probs(peak_circular(), 7, [2, 3])
-    for i in (2, 3):
-        assert abs(float(occ.visits.get(i, 0)) - probs[i]) < 1e-12
-
-
-def test_demon_wipe_out_counts_as_one_player():
-    demon = DemonCoin(Fraction(1, 2), Fraction(1, 3))
-    occ = occupancy_probs(demon, 10, threshold_a=2)
-    ending = ending_state_probs(demon, 10, 2)
-    assert occ.visits[0] > 0
-    assert occ.visits[0] + occ.visits[1] == ending.exact_prob(10, 1)
-    assert occ.visits[2] == ending.exact_prob(10, 2)
-    passage = passage_probs(demon, 10, [1, 2, 3])
-    for i in (1, 2, 3):
-        assert passage[i] == ending_state_probs(demon, 10, i).exact_prob(10, i)
-    assert passage[1] == 1
-
-
 def _reference_downward_sweep(model, start, a):
     """Oracle for the downward sweep: one ``Fraction`` per row entry up to the
-    cutoff, float rows beyond, each row fetched when mass first enters it."""
+    cutoff, float rows beyond, each row fetched when mass first enters it.
+    Returns the expected visits per state, the absorbing states' entering
+    masses among them, and the mass entering each state."""
     inflow = {start: Fraction(1)}
     visits = {}
     for m in range(start, a, -1):
@@ -759,68 +727,43 @@ def _reference_downward_sweep(model, start, a):
     return visits, inflow
 
 
-def _assert_sweep_matches_reference(model, start, a):
-    # equal values, and one number type throughout: the start row's
-    visits, total, entering = engine._downward_sweep(model, start, a, range(start + 1))
-    want_visits, want_entering = _reference_downward_sweep(model, start, a)
-    kind = Fraction if start <= model.exact_cutoff else float
-    for got_values, want_values in ((visits, want_visits), (entering, want_entering)):
-        assert got_values == want_values
-        assert {type(v) for v in got_values.values()} == {kind}
-    assert total == sum((v for k, v in want_visits.items() if k > a), kind())
-    assert type(total) is kind
+def _visit_mean(model, start, a):
+    """The expected phase count from ``start`` as the summed expected visits
+    to the transient states, and the expected visits to state 0."""
+    visits, _ = _reference_downward_sweep(model, start, a)
+    return sum(v for k, v in visits.items() if k > a), visits.get(0, 0)
 
 
-@pytest.mark.parametrize(
-    "model,start,a",
-    [
-        (peak_circular(exact_cutoff=120), 120, 1),
-        (BiasedCoin(Fraction(3, 10), exact_cutoff=60), 60, 1),
-        (DemonCoin(Fraction(1, 2), Fraction(1, 3)), 40, 0),
-        (DemonCoin(Fraction(1, 2), Fraction(1, 3)), 40, 2),
-        (FairCoin(), 200, 1),  # float regime over exact rows below the cutoff
-        (peak_circular(exact_cutoff=60), 300, 2),
-        (FairCoin(), 3000, 1),  # float rows past the kept prefix
-        (FairCoin(exact_cutoff=80), 80, 1),  # dyadic rows: every denominator a power of two
-    ],
-    ids=["circular-120", "biased-0.3-60", "demon-a0", "demon-a2", "fair-200-float",
-         "circular-300-float", "fair-3000-float", "fair-80-dyadic"],
-)
-def test_downward_sweep_matches_fraction_reference(model, start, a):
-    # the integer sweep gives the reference's Fractions exactly; the float
-    # sweep keeps its bits, also on the integer rows it rounds
-    _assert_sweep_matches_reference(model, start, a)
+def _passage(model, start):
+    """Probability that some round from ``start`` has exactly i survivors,
+    i = 1..start: the mass entering i, a wiped-out game counted as ending
+    with one player, as in :func:`ending_state_probs`."""
+    _, inflow = _reference_downward_sweep(model, start, 1)
+    passage = {i: inflow.get(i, 0) for i in range(1, start + 1)}
+    passage[1] += inflow.get(0, 0)
+    return passage
 
 
-def test_sweep_results_take_the_start_rows_type():
-    # all Fractions when the start is within the cutoff, all floats beyond:
-    # zero defaults, the start's unit mass and mean_recovered included
-    floats = passage_probs(FairCoin(), 200, [199, 200])
-    assert floats == {199: 0.0, 200: 1.0}
-    assert all(type(p) is float for p in floats.values())
-    toy = passage_probs(ToyHalving(exact_cutoff=10), 64, [3, 32, 64])
-    assert toy == {3: 0.0, 32: 1.0, 64: 1.0}
-    assert all(type(p) is float for p in toy.values())
-    occ = occupancy_probs(FairCoin(exact_cutoff=0), 1)
-    assert type(occ.mean_recovered) is float and type(occ.visits[1]) is float
-    occ = occupancy_probs(ToyHalving(exact_cutoff=10), 64)
-    assert occ.mean_recovered == 6 and type(occ.mean_recovered) is float
-    exact = passage_probs(FairCoin(), 75, [74, 75])
-    assert exact[75] == 1 and all(type(p) is Fraction for p in exact.values())
-    occ = occupancy_probs(FairCoin(exact_cutoff=1), 1)
-    assert occ.mean_recovered == 0 and type(occ.mean_recovered) is Fraction
+def test_occupancy_mean_identity(circular_500):
+    # the expected visits to the transient states sum to the exact mean
+    visits, _ = _reference_downward_sweep(peak_circular(), 7, 1)
+    assert visits[1] == 1
+    assert sum(v for k, v in visits.items() if k > 1) == circular_500.exact_mean(7)
+    fair = compute_phase_table(FairCoin(), 50)
+    assert _visit_mean(FairCoin(), 50, 1)[0] == fair.exact_mean(50)
 
 
-def test_float_sweep_keeps_states_whose_inflow_underflows():
-    # rows 3 and 2, from k = 1 and k = 0, in the sweep's order: visits(2)
-    # P(2, 0) = 1e-400 rounds to 0.0, yet a nonzero mass points at 0, so 0
-    # stays an entering state; an absorbing state counts as visited only
-    # with nonzero mass
-    rows = [(1, np.array([1.0, 1e-200, 0.0])), (0, np.array([1e-200, 1.0, 0.0]))]
-    visits, total, entering = engine._float_visits(rows, 3, 1)
-    assert visits == {3: 1.0, 2: 1e-200, 1: 1.0} and total == 1.0
-    assert entering == {3: 1.0, 2: 1e-200, 1: 1.0, 0: 0.0}
-    assert {type(v) for v in (*visits.values(), *entering.values())} == {float}
+def test_demon_wipe_out_counts_as_one_player():
+    demon = DemonCoin(Fraction(1, 2), Fraction(1, 3))
+    visits, _ = _reference_downward_sweep(demon, 10, 2)
+    ending = ending_state_probs(demon, 10, 2)
+    assert visits[0] > 0
+    assert visits[0] + visits[1] == ending.exact_prob(10, 1)
+    assert visits[2] == ending.exact_prob(10, 2)
+    passage = _passage(demon, 10)
+    for i in (1, 2, 3):
+        assert passage[i] == ending_state_probs(demon, 10, i).exact_prob(10, i)
+    assert passage[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +799,9 @@ def _chains(draw):
 
 @given(_chains(), st.integers(1, 2), st.sampled_from(InitConvention), st.data())
 def test_means_agree_on_random_chains(chain, a, init, data):
-    # integer columns, float rows, the downward visit sweep and forward
-    # evolution: equal wherever the rows are exact, within 1e-12 elsewhere
+    # integer columns, float rows, the reference downward visit sweep and
+    # forward evolution: equal wherever the rows are exact, within 1e-12
+    # elsewhere
     model, loops = chain
     top = model.max_state
     zero_cost = 1 if init is InitConvention.ALT_COST else 0
@@ -876,12 +820,10 @@ def test_means_agree_on_random_chains(chain, a, init, data):
                 assert mixed.exact_prob(n, j) == law.get(j, Fraction(0))
             assert mixed.exact_mean(n) == table.exact_mean(n)
     for n in range(1, top + 1):
-        occ = occupancy_probs(model, n, threshold_a=a)
-        wiped = zero_cost * occ.visits.get(0, 0)
-        assert occ.mean_recovered + wiped == table.exact_mean(n)
-        occ = occupancy_probs(float_model, n, threshold_a=a)
-        wiped = zero_cost * occ.visits.get(0, 0.0)
-        assert math.isclose(occ.mean_recovered + wiped, table.mean(n), rel_tol=1e-12)
+        transient, wiped = _visit_mean(model, n, a)
+        assert transient + zero_cost * wiped == table.exact_mean(n)
+        transient, wiped = _visit_mean(float_model, n, a)
+        assert math.isclose(transient + zero_cost * wiped, table.mean(n), rel_tol=1e-12)
     for other in (mixed, floats):
         width = min(other.j_max, table.j_max) + 1
         assert np.allclose(other.probs[:, :width], table.probs[:, :width], rtol=0, atol=1e-12)
@@ -893,14 +835,19 @@ def test_means_agree_on_random_chains(chain, a, init, data):
 
 def _sampled_passage(model, start, walkers, rng):
     """Monte Carlo passage: ``walkers`` chains from ``start`` step by
-    ``sample_many`` until they reach 1 or 0; entry i counts those that
-    ever stood at i.  A chain enters each state at most once."""
+    inverse-CDF draws over the nonzero float masses of each row until they
+    reach 1 or 0; entry i counts those that ever stood at i.  A chain
+    enters each state at most once."""
     entered = np.zeros(start + 1, dtype=np.int64)
     entered[start] = walkers
-    for state in range(start, 1, -1):
+    rows = model.float_rows(2, start + 1)
+    for state, (lo, probs) in zip(range(start, 1, -1), reversed(rows)):
+        ks = np.flatnonzero(probs)
+        cum = np.cumsum(probs[ks])
+        cum[-1] = max(cum[-1], 1.0)
         waiting = int(entered[state])
         while waiting:  # self-loops draw again
-            draws = model.sample_many(state, waiting, rng)
+            draws = lo + ks[np.searchsorted(cum, rng.random(waiting), side="right")]
             moved = draws[draws != state]
             entered += np.bincount(moved, minlength=start + 1)
             waiting -= len(moved)
@@ -911,10 +858,13 @@ def _sampled_passage(model, start, walkers, rng):
 def test_passage_and_ending_states_on_random_chains(chain):
     model, _ = chain
     top = model.max_state
-    passage = passage_probs(model, top, list(range(1, top + 1)))
+    passage = _passage(model, top)
+    float_model = replace(model, exact_cutoff=0)
     for i in range(1, top + 1):
         ending = ending_state_probs(model, top, threshold_a=i)
         assert passage[i] == ending.exact_prob(top, i)
+        floats = ending_state_probs(float_model, top, threshold_a=i)
+        assert abs(floats.prob(top, i) - float(passage[i])) <= 1e-12
         for n in range(top + 1):
             assert sum(ending.exact[n]) == 1
     # the sampled passage frequencies, within 5 sigma of 2000 walkers
@@ -925,6 +875,3 @@ def test_passage_and_ending_states_on_random_chains(chain):
         p = float(passage[i])
         sigma = math.sqrt(p * (1 - p) / walkers)
         assert abs(entered[i] / walkers - p) <= 5 * sigma, (i, entered[i], p)
-    for a in (1, 2):  # the integer sweep, and the float sweep over integer rows
-        _assert_sweep_matches_reference(model, top, a)
-        _assert_sweep_matches_reference(replace(model, exact_cutoff=top - 1), top, a)

@@ -17,7 +17,6 @@ from electra.models import (
     DeterministicHalving,
     ExplicitMatrix,
     FairCoin,
-    PeakSurvivors,
     ToyHalving,
     _binomial_rows,
     _coin_rows,
@@ -224,48 +223,6 @@ def test_models_map_over_streamed_rows(model, monkeypatch):
     assert all(map(_same_row, model.float_rows(333, 555), want[332:554]))
 
 
-def _counted(rows):
-    """The cache ``rows``, counting its steps in ``rows.steps``."""
-    step, rows.steps = rows._step, 0
-
-    def counting(front, n):
-        rows.steps += 1
-        return step(front, n)
-
-    rows._step = counting
-    return rows
-
-
-@pytest.mark.parametrize("model,offset", [
-    (FairCoin(exact_cutoff=0), 0),
-    (DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=5).shifted(), 1),
-    (peak_circular(exact_cutoff=5), 1),
-    (peak_linear_ii(exact_cutoff=0), 0),
-], ids=lambda m: getattr(m, "name", None))
-def test_reads_by_span_step_only_the_rows_they_serve(model, offset, monkeypatch):
-    # once the top row has been read, going down the rows a span at a time
-    # steps each row past the cache's prefix once, and no other; the model's
-    # row n is its cache's row n - offset, and the rows keep their bits
-    top = 700
-    want = model.float_rows(1, top)
-    _small_prefix(monkeypatch, 1 << 12, 64)
-    coin = _Shared(lambda p: _counted(_binomial_rows(p)))
-    monkeypatch.setattr(models, "_coin_rows", coin)
-    monkeypatch.setattr(models, "_linear_float", _counted(_peak_rows()))
-    model.float_rows(top - 1, top)
-    cache = models._linear_float if isinstance(model, PeakSurvivors) else coin(Fraction(1, 2))
-    cache.steps = 0
-    got, stop = [], top
-    while stop > 1:
-        first = max(model.span_start(stop - 1), 1)
-        assert first < stop
-        got[:0] = model.float_rows(first, stop)
-        stop = first
-    assert all(map(_same_row, got, want))
-    kept = len(cache._rows)
-    assert 10 < kept < 100 and cache.steps == top - offset - kept
-
-
 def test_coin_rows_agree_across_threads(monkeypatch):
     # each round grows a fresh coin cache from four threads asking out of
     # order; past its 64 KiB prefix each row is stepped from a front 4 rows apart
@@ -405,26 +362,6 @@ def test_deterministic_halving():
     dh = DeterministicHalving()
     for n in range(2, 30):
         assert dh.pmf_exact(n) == {n // 2: Fraction(1)}
-
-
-def test_sampling_determinism_and_support():
-    toy = ToyHalving()
-    rng = np.random.default_rng(5)
-    assert toy.sample_many(8, 1, rng).tolist() == [4]
-    fc = FairCoin()
-    a = fc.sample_many(50, 200, np.random.default_rng(11))
-    b = fc.sample_many(50, 200, np.random.default_rng(11))
-    assert np.array_equal(a, b)
-    assert set(np.unique(a)) <= set(range(1, 51))
-
-
-def test_sampling_frequency_matches_pmf():
-    pc = peak_circular()
-    draws = pc.sample_many(6, 1_000_000, np.random.default_rng(987))
-    freq = float(np.mean(draws == 3))
-    p = 2.0 / 15.0
-    sigma = math.sqrt(p * (1 - p) / 1_000_000)
-    assert abs(freq - p) < 3 * sigma
 
 
 def test_explicit_matrix_roundtrip(tmp_path):
