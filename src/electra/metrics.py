@@ -160,8 +160,6 @@ _MIN_MASS = 0.0
 _WINDOW = 0.05
 #: rise below which a step down in the scatter is not a violation
 _TOL = 1e-9
-#: window entries gathered at a time by the monotonicity passes
-_CHUNK_CELLS = 1 << 16
 
 
 def log_starts(table: PhaseTable, alpha, n_lo: int, n_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,17 +206,16 @@ class LimitScatter:
         limit is genuinely non-monotone.
         """
         keep = self.ns >= (self.ns.min() + self.ns.max()) / 2.0
-        ys = self.ys[keep]
         worst = 0.0
-        for rows, ahead in _windows(self.xs[keep], ys):
-            worst = max(worst, float((ahead.max(axis=1) - ys[rows]).max()))
+        for before, after in _window_pairs(self.xs[keep], self.ys[keep]):
+            worst = max(worst, float((before - after).max()))
         return worst
 
     def monotone_violations(self) -> int:
         """Count of sample pairs within the window in x that step downward."""
         return sum(
-            int(np.count_nonzero(ahead > (self.ys[rows] + _TOL)[:, None]))
-            for rows, ahead in _windows(self.xs, self.ys)
+            int(np.count_nonzero(before > after + _TOL))
+            for before, after in _window_pairs(self.xs, self.ys)
         )
 
     def sup_gap_to(self, cdf) -> float:
@@ -227,17 +224,15 @@ class LimitScatter:
         return float(np.abs(self.ys - cdf(self.xs)).max())
 
 
-def _windows(xs: np.ndarray, ys: np.ndarray):
-    """Blocks of sorted samples i with the ys of the samples before them
-    within the window, x_i - window <= x_m and m < i, padded with -inf."""
-    starts = np.searchsorted(xs, xs - _WINDOW, side="left")
-    width = max(int((np.arange(len(xs)) - starts).max(initial=0)), 1)
-    step = max(_CHUNK_CELLS // width, 1)
-    for lo in range(0, len(xs), step):
-        rows = np.arange(lo, min(lo + step, len(xs)))
-        at = starts[rows, None] + np.arange(width)
-        before = at < rows[:, None]
-        yield rows, np.where(before, ys[np.where(before, at, 0)], -np.inf)
+def _window_pairs(xs: np.ndarray, ys: np.ndarray):
+    """(ys before, ys after) of the sorted sample pairs m < i within the
+    window in x, x_m >= x_i - window, one lag i - m at a time; since xs is
+    sorted, the first lag with no such pair ends the scan."""
+    for d in range(1, len(xs)):
+        near = xs[:-d] >= xs[d:] - _WINDOW
+        if not near.any():
+            return
+        yield ys[:-d][near], ys[d:][near]
 
 
 def empirical_limit(table: PhaseTable, alpha: float, n_lo: int, n_hi: int) -> LimitScatter:

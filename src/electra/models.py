@@ -476,42 +476,6 @@ class DemonCoin(_Coin):
             mass[0] = h[0] + kill * h[1]
         return start, mass
 
-    def shifted(self) -> "DummyShiftedDemon":
-        """Absorption-at-one form: one never-eliminated dummy player is
-        added, so state k here means k-1 real players."""
-        return DummyShiftedDemon(base=self, exact_cutoff=self.exact_cutoff)
-
-
-@dataclass(frozen=True)
-class DummyShiftedDemon(SurvivorModel):
-    """Demon-coin chain lifted from {0,1,...} to {1,2,...}."""
-
-    base: DemonCoin
-
-    @property
-    def name(self) -> str:
-        return self.base.name + "+dummy"
-
-    @property
-    def declared_alpha(self) -> Fraction:
-        return self.base.declared_alpha
-
-    def exact_row(self, n: int) -> tuple[int, list[int], int]:
-        self._require_positive(n)
-        lo, nums, den = self.base.exact_row(n - 1)
-        return lo + 1, nums, den
-
-    def _far_rows(self, start, stop):
-        return map(_lifted, map(float_row, self.base.read_rows(start - 1, stop - 1)))
-
-
-def _lifted(row: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-    """A demon row one state up, cut to its nonzero span: at nu = 0 or 1 a
-    demon row ends on a zero mass, which the lifted chain drops."""
-    lo, probs = row
-    nonzero = np.flatnonzero(probs).tolist()
-    return lo + 1 + nonzero[0], probs[nonzero[0] : nonzero[-1] + 1]
-
 
 def _above_truncation(row: np.ndarray) -> tuple[int, int]:
     """Bounds of the masses of a linear-I row above ``TAIL_TRUNCATION``."""

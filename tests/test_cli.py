@@ -274,6 +274,9 @@ def test_figures(tmp_path):
     assert main(["figure", "fig2", "--overlays", "--out", out]) == 0
     series = {row["series"] for row in _rows(tmp_path / "figure" / "fig2.csv")}
     assert "gumbel_ref" in series
+    assert main(["figure", "fig3", "--overlays", "--out", out]) == 0
+    series = {row["series"] for row in _rows(tmp_path / "figure" / "fig3.csv")}
+    assert "gauss_ref" in series
     assert main(["figure", "fig99", "--out", str(tmp_path / "unknown")]) == 2
     assert not (tmp_path / "unknown" / "figure" / "config.json").exists()
 
@@ -312,6 +315,12 @@ def test_simulate_conditional(tmp_path):
     assert main(["simulate", "--variant", "true-persistent", "--estimate",
                  "conditional", "--trials", "40000", "--seed", "3",
                  "--out", str(tmp_path)]) == 0
+    # a redraw ring has no exhaustive reference
+    assert main(["simulate", "--variant", "redraw-circular", "--estimate",
+                 "conditional", "--trials", "100000", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    stats = {row["stat"] for row in _rows(tmp_path / "simulate" / "summary.csv")}
+    assert stats and "exhaustive-reference" not in stats
 
 
 @pytest.mark.parametrize("variant", ["redraw-linear-i", "redraw-linear-ii"])
@@ -421,6 +430,14 @@ def test_given_alpha_sets_the_log_base(tmp_path):
                  "--out", str(tmp_path)]) == 0
     rows = _rows(tmp_path / "table" / "phase_means.csv")
     assert float(rows[9]["log_alpha_n"]) == pytest.approx(2.0)  # log_3 9
+
+
+def test_periodicity_needs_an_alpha(tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("i,j,prob\n2,1,1/2\n2,2,1/2\n")
+    assert main(["periodicity", "--model", "explicit", "--matrix", str(matrix),
+                 "--out", str(tmp_path)]) == 2
+    assert "declares no alpha" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model, n_lo, n_hi, message", [

@@ -124,11 +124,29 @@ def test_deterministic_halving_point_mass():
 
 
 def test_demon_threshold_zero_equals_shifted_chain():
+    # one never-eliminated dummy player lifts the demon chain from
+    # {0, 1, ...} to {1, 2, ...}: absorbed at one, it has the same phase laws
     demon = DemonCoin(Fraction(1, 2), Fraction(1, 3))
     raw = compute_phase_table(demon, 40, threshold_a=0)
-    shifted = compute_phase_table(demon.shifted(), 41, threshold_a=1)
+    lifted = ExplicitMatrix(
+        rows={n + 1: {k + 1: p for k, p in demon.pmf_exact(n).items()} for n in range(41)}
+    )
+    shifted = compute_phase_table(lifted, 41, threshold_a=1)
     for n in range(1, 41):
         assert raw.exact_row(n) == shifted.exact_row(n + 1)
+
+
+def test_mean_formula_gap_raises(monkeypatch):
+    sweep = engine._upward_sweep
+
+    def off_by_a_millionth(*args, **kwargs):
+        exact, means = sweep(*args, **kwargs)
+        means[10] += 1e-6
+        return exact, means
+
+    monkeypatch.setattr(engine, "_upward_sweep", off_by_a_millionth)
+    with pytest.raises(ValueError, match="mean formulas disagree"):
+        compute_phase_table(FairCoin(), 200)
 
 
 def test_setup_validation():

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import sys
 import threading
@@ -17,6 +18,7 @@ from electra.models import (
     DeterministicHalving,
     ExplicitMatrix,
     FairCoin,
+    SurvivorModel,
     ToyHalving,
     _binomial_rows,
     _coin_rows,
@@ -203,7 +205,7 @@ def test_streamed_rows_equal_first_reads(build, monkeypatch):
     BiasedCoin(Fraction(3, 10), exact_cutoff=5),
     CoinMaxOne(Fraction(9, 10), exact_cutoff=0),
     DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=0),
-    DemonCoin(Fraction(1, 2), Fraction(1), exact_cutoff=5).shifted(),
+    DemonCoin(Fraction(1, 2), Fraction(1), exact_cutoff=5),
     peak_linear_i(exact_cutoff=0),
     peak_circular(exact_cutoff=5),
 ], ids=lambda m: m.name)
@@ -314,11 +316,6 @@ def test_demon_coin_chain():
     assert d.pmf_exact(0) == {0: Fraction(1)}
     pmf2 = d.pmf_exact(2)
     assert pmf2 == {0: Fraction(1, 2), 1: Fraction(3, 8), 2: Fraction(1, 8)}
-    shifted = d.shifted()
-    assert not shifted.can_reach_zero
-    for n in range(1, 12):
-        base = d.pmf_exact(n - 1)
-        assert shifted.pmf_exact(n) == {k + 1: v for k, v in base.items()}
 
 
 def test_demon_float_backend_matches_exact():
@@ -328,8 +325,6 @@ def test_demon_float_backend_matches_exact():
     window = fast.pmf_float(90)
     keys = set(exact) | set(window)
     assert max(abs(exact.get(k, 0.0) - window.get(k, 0.0)) for k in keys) < 1e-14
-    shifted = fast.shifted().pmf_float(91)
-    assert shifted == {k + 1: v for k, v in window.items()}
 
 
 def test_demon_edge_nu():
@@ -428,6 +423,24 @@ def test_model_from_name():
         model_from_name("explicit")
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_model_class_is_built_by_name(tmp_path):
+    # a concrete model no CLI name builds is a second, library-only path
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("i,j,prob\n2,1,1\n")
+    built = {type(model_from_name(kind, p=Fraction(1, 3), nu=Fraction(1, 3)))
+             for kind in models._MODEL_BUILDERS}
+    built.add(type(model_from_name("explicit", matrix_path=matrix)))
+    concrete = {cls for cls in _subclasses(SurvivorModel)
+                if not inspect.isabstract(cls) and cls.__module__.startswith("electra.")}
+    assert sorted(cls.__name__ for cls in concrete - built) == []
+
+
 ROW_FAMILIES = [
     ToyHalving(exact_cutoff=40),
     DeterministicHalving(exact_cutoff=40),
@@ -435,7 +448,7 @@ ROW_FAMILIES = [
     BiasedCoin(Fraction(3, 10), exact_cutoff=40),
     CoinMaxOne(Fraction(9, 10), exact_cutoff=40),
     DemonCoin(Fraction(1, 2), Fraction(1), exact_cutoff=40),
-    DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=40).shifted(),
+    DemonCoin(Fraction(1, 2), Fraction(1, 3), exact_cutoff=40),
     peak_linear_i(exact_cutoff=40),
     peak_linear_ii(exact_cutoff=40),
     peak_circular(exact_cutoff=40),
